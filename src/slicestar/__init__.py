@@ -20,15 +20,13 @@ from .covering import (BranchIndex, LiftPoint, PathSample, RootDeckGenerator,
                        unit_imaginary)
 from .slicefn import (Domain, SliceFunction, constant, idempotent_minus,
                       idempotent_plus, identity, induce_value, orth_decompose,
-                      polynomial, representation_formula, slice_derivative,
-                      slice_eval, slice_preserving, spherical_derivative,
-                      star_decompose, star_mul, stem_symmetry_defect,
-                      unit_vector_part)
+                      polynomial, representation_formula, slice_preserving,
+                      star_decompose, stem_symmetry_defect, unit_vector_part)
 from .starlog import (LogBranch, log_translate, sqrt_vsym, star_exp, star_log,
                       star_root)
-from .bch import (BCHReport, bch_combine, bch_condition, degenerate_regime,
-                  exp_derivative_bracket, product_vsym, star_exp_derivative,
-                  star_exp_derivative_stem, vanishing_vsym_partner)
+from .bch import (BCHReport, bch_combine, bch_condition, exp_derivative_bracket,
+                  product_vsym, star_exp_derivative, star_exp_derivative_stem,
+                  vanishing_vsym_partner)
 from . import errors
 
 __all__ = [
@@ -44,14 +42,13 @@ __all__ = [
     "sheet_swap", "unit_imaginary",
     "Domain", "SliceFunction", "constant", "idempotent_minus",
     "idempotent_plus", "identity", "induce_value", "orth_decompose",
-    "polynomial", "representation_formula", "slice_derivative", "slice_eval",
-    "slice_preserving", "spherical_derivative", "star_decompose", "star_mul",
-    "stem_symmetry_defect", "unit_vector_part",
+    "polynomial", "representation_formula", "slice_preserving",
+    "star_decompose", "stem_symmetry_defect", "unit_vector_part",
     "LogBranch", "log_translate", "sqrt_vsym", "star_exp", "star_log",
     "star_root",
-    "BCHReport", "bch_combine", "bch_condition", "degenerate_regime",
-    "exp_derivative_bracket", "product_vsym", "star_exp_derivative",
-    "star_exp_derivative_stem", "vanishing_vsym_partner",
+    "BCHReport", "bch_combine", "bch_condition", "exp_derivative_bracket",
+    "product_vsym", "star_exp_derivative", "star_exp_derivative_stem",
+    "vanishing_vsym_partner",
     "errors",
 ]
 

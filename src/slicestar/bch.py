@@ -43,7 +43,8 @@ from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
                      VanishingVectorPart)
 from .quaternion import J_UNIT, Quaternion
-from .slicefn import SliceFunction, constant, idempotent_plus, induce_value
+from .slicefn import (SliceFunction, conjugate_mirror, constant, idempotent_plus,
+                      induce_value)
 from .starlog import _anchor, star_exp
 
 #: admissibility threshold on the obstruction value
@@ -238,15 +239,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         h0 = fstem(z).z0 + gstem(z).z0
         return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3)
 
-    if dom.two_sided:
-        def stem(z: complex) -> CQuaternion:
-            if z.imag < 0:
-                return upper_stem(z.conjugate()).bar()
-            return upper_stem(z)
-    else:
-        stem = upper_stem
-
-    h = SliceFunction(stem, dom)
+    h = SliceFunction(conjugate_mirror(upper_stem, dom), dom)
     report.h = h
     return h
 
@@ -310,9 +303,3 @@ def star_exp_derivative(f: SliceFunction, q: Quaternion) -> Quaternion:
     """
     z = f.slice_point(q)
     return induce_value(star_exp_derivative_stem(f, z), q)
-
-
-def degenerate_regime(f: SliceFunction, q: Quaternion, tol: float = TAU_DEG) -> bool:
-    """Whether q sits in the degenerate band |f_v^s| < tol of the derivative."""
-    z = f.slice_point(q)
-    return abs(f.stem_at(z).vec_norm2()) < tol

@@ -394,22 +394,6 @@ def idempotent_minus(domain: Domain) -> SliceFunction:
 # -- the classical operators --------------------------------------------------
 
 
-def slice_eval(f: SliceFunction, q: Quaternion) -> Quaternion:
-    return f(q)
-
-
-def star_mul(f: SliceFunction, g: SliceFunction) -> SliceFunction:
-    return f.star(g)
-
-
-def slice_derivative(f: SliceFunction, q: Quaternion) -> Quaternion:
-    return f.derivative_at(q)
-
-
-def spherical_derivative(f: SliceFunction, q: Quaternion) -> Quaternion:
-    return f.spherical_derivative_at(q)
-
-
 def representation_formula(vJ: Quaternion, vK: Quaternion,
                            J: ImagUnit, K: ImagUnit, I: ImagUnit) -> Quaternion:
     """Reconstruct f(alpha + I beta) from f(alpha + J beta) and f(alpha + K beta):
@@ -437,6 +421,25 @@ def stem_symmetry_defect(f: SliceFunction, points: Sequence[complex]) -> float:
     for z in points:
         worst = max(worst, (f.stem_at(z.conjugate()) - f.stem_at(z).bar()).norm())
     return worst
+
+
+def conjugate_mirror(upper: Callable, domain: Domain, conj: Callable = CQuaternion.bar):
+    """Extend ``upper``, built on the upper component, to the whole domain.
+
+    On a pair of disks off R the lower disk gets conj(upper(conj z)), so
+    the result has the stem symmetry F(conj z) = bar(F(z)) by construction;
+    a domain meeting R is one component and gets ``upper`` back.  ``conj``
+    is ``CQuaternion.bar`` for stems and ``complex.conjugate`` for scalars.
+    """
+    if domain.real_intersecting:
+        return upper
+
+    def mirrored(z: complex):
+        if z.imag < 0:
+            return conj(upper(z.conjugate()))
+        return upper(z)
+
+    return mirrored
 
 
 # -- orthogonal decomposition along f_v ---------------------------------------

@@ -11,6 +11,14 @@ the anchor and induces
 
     G = u0 + (u1/m) * vec F,   u0 = (la + lb)/2,  u1 = (la - lb)/(2i).
 
+One continuation carries the triple (m, la, lb) over one grid per branch,
+evaluating the stem once per step: each step takes the square root of
+f_v^s nearest the previous m and the principal logarithms of alpha and
+beta plus the 2 pi i k nearest the previous la, lb.  Every value is thus
+exactly +-sqrt or log + 2 pi i k of the stem at that point, not a sum of
+increments along a path, so it does not depend on the order in which
+points are queried.
+
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R); on a domain off R the lift is built on the
 upper component and mirrored to the lower one by G(z) = bar(G(conj z)),
@@ -34,7 +42,7 @@ from .covering import BranchIndex
 from .cquaternion import CQuaternion, Locus, classify, cq_exp
 from .errors import (BranchObstruction, HitsVLocus, JNotDefined, OutOfDomain,
                      PathTooWild)
-from .slicefn import Domain, SliceFunction, slice_preserving
+from .slicefn import Domain, SliceFunction, conjugate_mirror, slice_preserving
 
 #: number of deterministic scan points for locus preconditions
 SCAN_POINTS = 160
@@ -79,6 +87,32 @@ def star_exp(f: SliceFunction) -> SliceFunction:
     return SliceFunction(lambda z: cq_exp(stem(z)), f.domain, node)
 
 
+def _require_sqrt_margin(vsyms: list[complex]) -> None:
+    """Raise BranchObstruction when the scanned f_v^s values come within
+    1e-12 of zero relative to their largest magnitude."""
+    mags = [abs(w) for w in vsyms]
+    scale = max(mags)
+    if scale < 1e-14 or min(mags) < 1e-12 * scale:
+        raise BranchObstruction("f_v^s vanishes (or nearly) on the domain; "
+                                "no continuous square root")
+
+
+def _sqrt_step(w: complex, prev: complex) -> complex | None:
+    """The square root of w nearest ``prev``, or None (bisect) when it
+    moves by more than 0.3 relative to the two values."""
+    r = cmath.sqrt(w)
+    cand = r if abs(r - prev) <= abs(r + prev) else -r
+    if abs(cand - prev) > 0.3 * (abs(cand) + abs(prev)):
+        return None
+    return cand
+
+
+def _log_near(w: complex, prev: complex) -> complex:
+    """The logarithm of w nearest ``prev``: principal log plus 2 pi i k."""
+    lw = cmath.log(w)
+    return lw + 2j * math.pi * round((prev.imag - lw.imag) / (2 * math.pi))
+
+
 def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunction:
     """Continuous branch of sqrt(f_v^s), slice preserving.
 
@@ -96,41 +130,25 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunc
     def value(z: complex) -> complex:
         return stem(z).vec_norm2()
 
-    vals = [abs(value(z)) for z in dom.mesh_points(SCAN_POINTS)]
-    scale = max(vals)
-    if scale < 1e-14 or min(vals) < 1e-12 * scale:
-        raise BranchObstruction("f_v^s vanishes (or nearly) on the domain; "
-                                "no continuous square root")
-
+    _require_sqrt_margin([value(z) for z in dom.mesh_points(SCAN_POINTS)])
     seed = sign * cmath.sqrt(value(anchor))
 
     def stepper(z0: complex, v0: complex, z1: complex):
-        r = cmath.sqrt(value(z1))
-        cand = r if abs(r - v0) <= abs(r + v0) else -r
-        if abs(cand - v0) > 0.3 * (abs(cand) + abs(v0)):
-            return None
-        return cand
+        return _sqrt_step(value(z1), v0)
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
                               radius=dom.radius, error=BranchObstruction)
-
-    if dom.two_sided:
-        def scalar(z: complex) -> complex:
-            if z.imag < 0:
-                return cont.at(z.conjugate()).conjugate()
-            return cont.at(z)
-    else:
-        scalar = cont.at
-
-    return slice_preserving(scalar, dom)
+    return slice_preserving(conjugate_mirror(cont.at, dom, complex.conjugate), dom)
 
 
-def _check_off_loci(f: SliceFunction, extra: list[complex]) -> None:
-    for z in f.domain.mesh_points(SCAN_POINTS) + extra:
-        if classify(f.stem_at(z)) is not Locus.GENERIC:
-            raise HitsVLocus(
-                f"f^s or f_v^s vanishes near z = {z}; no *-logarithm branch")
+def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
+    """The fiber coordinates alpha = F0 + i m, beta = F0 - i m at z."""
+    alpha = f0 + 1j * m
+    beta = f0 - 1j * m
+    if abs(alpha) < 1e-13 or abs(beta) < 1e-13:
+        raise HitsVLocus(f"f^s vanishes near z = {z}")
+    return alpha, beta
 
 
 def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
@@ -144,55 +162,55 @@ def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
     anchor = _anchor(dom, branch.basepoint)
     if dom.real_intersecting and branch.h1 + branch.h2 != 0:
         raise JNotDefined("on a domain meeting R only branches with h2 = -h1 exist")
-    _check_off_loci(f, [anchor, branch.basepoint])
-
-    m = sqrt_vsym(f, branch.basepoint, +1)
-    m_scalar = m.scalar_value
     stem = f._stem
 
-    def fiber_pair(z: complex) -> tuple[complex, complex]:
-        f0 = stem(z).z0
-        mz = m_scalar(z)
-        alpha = f0 + 1j * mz
-        beta = f0 - 1j * mz
-        if abs(alpha) < 1e-13 or abs(beta) < 1e-13:
-            raise HitsVLocus(f"f^s vanishes near z = {z}")
-        return alpha, beta
+    # one pass over the scan: the loci first, then the square-root margin
+    mesh = dom.mesh_points(SCAN_POINTS)
+    scanned: dict[complex, CQuaternion] = {}
+    for z in mesh + [anchor, branch.basepoint]:
+        if z not in scanned:
+            scanned[z] = fz = stem(z)
+            if classify(fz) is not Locus.GENERIC:
+                raise HitsVLocus(
+                    f"f^s or f_v^s vanishes near z = {z}; no *-logarithm branch")
+    _require_sqrt_margin([scanned[z].vec_norm2() for z in mesh])
 
-    a0, b0 = fiber_pair(anchor)
-    seed = (cmath.log(a0) + 2j * math.pi * branch.h1,
+    fa = scanned[anchor]
+    m0 = cmath.sqrt(fa.vec_norm2())
+    a0, b0 = _fiber_pair(fa.z0, m0, anchor)
+    seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,
             cmath.log(b0) + 2j * math.pi * branch.h2)
+    # the check that rejected the last step names the error raised when
+    # bisection runs out: the square root, or the logarithm pair
+    lost = [PathTooWild]
 
-    def stepper(z0: complex, v0: tuple[complex, complex], z1: complex):
-        a_prev, b_prev = fiber_pair(z0)
-        a_next, b_next = fiber_pair(z1)
-        da = cmath.log(a_next / a_prev)
-        db = cmath.log(b_next / b_prev)
-        if max(abs(da), abs(db)) >= math.pi / 2:
+    def stepper(z0: complex, v0: tuple[complex, complex, complex], z1: complex):
+        fz = stem(z1)
+        m = _sqrt_step(fz.vec_norm2(), v0[0])
+        if m is None:
+            lost[0] = BranchObstruction
             return None
-        return v0[0] + da, v0[1] + db
+        alpha, beta = _fiber_pair(fz.z0, m, z1)
+        la = _log_near(alpha, v0[1])
+        lb = _log_near(beta, v0[2])
+        if max(abs(la - v0[1]), abs(lb - v0[2])) >= math.pi / 2:
+            lost[0] = PathTooWild
+            return None
+        return m, la, lb
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
-                              radius=dom.radius, error=PathTooWild)
+                              radius=dom.radius, error=lambda msg: lost[0](msg))
 
     def upper_stem(z: complex) -> CQuaternion:
-        la, lb = cont.at(z)
+        m, la, lb = cont.at(z)
         u0 = (la + lb) / 2
         u1 = (la - lb) / 2j
         fv = stem(z)
-        c = u1 / m_scalar(z)
+        c = u1 / m
         return CQuaternion(u0, c * fv.z1, c * fv.z2, c * fv.z3)
 
-    if dom.two_sided:
-        def log_stem(z: complex) -> CQuaternion:
-            if z.imag < 0:
-                return upper_stem(z.conjugate()).bar()
-            return upper_stem(z)
-    else:
-        log_stem = upper_stem
-
-    return SliceFunction(log_stem, dom)
+    return SliceFunction(conjugate_mirror(upper_stem, dom), dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

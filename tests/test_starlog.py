@@ -4,12 +4,14 @@ import math
 import pytest
 
 from conftest import generic_poly, rand_quat
-from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, constant,
-                       cq_exp, identity, log_translate, polynomial, quat_exp,
-                       slice_preserving, sqrt_vsym, star_exp, star_log,
-                       star_root, stem_symmetry_defect, unit_vector_part)
+from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
+                       constant, cq_exp, identity, log_translate, polynomial,
+                       quat_exp, slice_preserving, sqrt_vsym, star_exp,
+                       star_log, star_root, stem_symmetry_defect,
+                       unit_vector_part)
 from slicestar.errors import (BranchObstruction, HitsVLocus, JNotDefined,
-                              OutOfDomain)
+                              OutOfDomain, PathTooWild)
+from slicestar.starlog import SCAN_POINTS
 
 DOM = Domain(0.0, 1.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -184,6 +186,34 @@ def test_star_log_precondition():
         star_log(f2, LogBranch(0, 0, 5.0 + 0j))
 
 
+def test_star_log_square_root_margin():
+    # f_v^s = 1e6 (z - zm)^2 with zm 3e-7 off a real scan point: above the
+    # locus tolerance there, but below 1e-12 of the scan's largest |f_v^s|
+    zm = 0.45 * 0.92 * DOM.radius + 3e-7
+    f = polynomial([Quaternion(5, -1e3 * zm, 0, 0), Quaternion(0, 1e3, 0, 0)], DOM)
+    with pytest.raises(BranchObstruction):
+        star_log(f, LogBranch(0, 0, 0.1 + 0j))
+    with pytest.raises(BranchObstruction):
+        sqrt_vsym(f, 0.1 + 0j, +1)
+
+
+def test_star_log_interior_zero_names_what_vanished():
+    # simple zeros at z0, inside the upper disk and between scan points: a
+    # query there exhausts bisection (or meets the fiber guard) and the
+    # error names the quantity that vanished
+    z0 = 0.0123 + 1.5317j
+    bp = DOM_OFF.center
+    vinf = polynomial([Quaternion(2, -0.0123, 1.5317, 0), I_UNIT], DOM_OFF)
+    vm1 = polynomial([Quaternion(-0.0123, 1.5317, 0, 0), Quaternion.one()], DOM_OFF)
+    assert abs(vinf.stem_at(z0).vec_norm2()) == 0 == abs(vm1.stem_at(z0).csym())
+    with pytest.raises(BranchObstruction):
+        star_log(vinf, LogBranch(0, 0, bp)).stem_at(z0)
+    with pytest.raises(PathTooWild):
+        star_log(vm1, LogBranch(0, 0, bp)).stem_at(z0 + 1e-9)
+    with pytest.raises(HitsVLocus):
+        star_log(vm1, LogBranch(0, 0, bp)).stem_at(z0)
+
+
 def test_branch_differences_match_translation(rng):
     f = generic_poly(rng, DOM_OFF, deg=2)
     bp = DOM_OFF.center
@@ -258,3 +288,58 @@ def test_star_root_branch_lattice(rng):
         assert (a.stem_at(z) - b.stem_at(z)).norm() < 1e-9
     # non-congruent branches give a genuinely different root
     assert max((a.stem_at(z) - c.stem_at(z)).norm() for z in pts) > 1e-3
+
+
+# -- one continuation per branch ---------------------------------------------
+
+
+def _bits(v) -> tuple[str, ...]:
+    return tuple(x.hex() for c in (v.z0, v.z1, v.z2, v.z3) for x in (c.real, c.imag))
+
+
+def _counted(f: SliceFunction):
+    """f behind a stem that counts its calls; returns (function, [count])."""
+    calls = [0]
+
+    def count(v):
+        calls[0] += 1
+        return v
+
+    return SliceFunction(lambda z: count(f.stem_at(z)), f.domain), calls
+
+
+def _branch(dom: Domain) -> LogBranch:
+    return LogBranch(1, 0, dom.center) if dom.two_sided else LogBranch(1, -1, 0.1 + 0j)
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_branch_values_independent_of_query_order(rng, dom):
+    # every value is +-sqrt and log + 2 pi i k exactly, so the order in
+    # which a fresh branch is queried cannot move a single bit
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 400)
+    for build in (lambda: star_log(f, _branch(dom)),
+                  lambda: star_root(f, 3, _branch(dom))):
+        forward = [_bits(v) for v in map(build().stem_at, pts)]
+        backward = [_bits(v) for v in map(build().stem_at, reversed(pts))]
+        assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_star_log_construction_scans_each_point_once(rng, dom):
+    f, calls = _counted(generic_poly(rng, dom, deg=2))
+    star_log(f, _branch(dom))
+    # SCAN_POINTS + 3 off R; a disk meeting R adds its real trace to the scan
+    assert len(DOM_OFF.mesh_points(SCAN_POINTS)) == SCAN_POINTS
+    assert calls[0] <= len(dom.mesh_points(SCAN_POINTS)) + 3
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_star_log_stem_calls_per_fresh_point(rng, dom):
+    f, calls = _counted(generic_poly(rng, dom, deg=2))
+    g = star_log(f, _branch(dom))
+    pts = dom.sample_points(rng, 500)
+    calls[0] = 0
+    for z in pts:
+        g.stem_at(z)
+    assert calls[0] / len(pts) <= 3.0

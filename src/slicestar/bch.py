@@ -26,7 +26,8 @@ The slice derivative of exp_*(f) has the closed form
                                    - B(w) (f_v ^ df_v) },   w = f_v^s,
 
 with the entire coefficients A(w) = (1 - sin(2 sqrt w)/(2 sqrt w))/w and
-B(w) = (1 - cos(2 sqrt w))/(2w); A(0) = 2/3 and B(0) = 1 reproduce the
+B(w) = (1 - cos(2 sqrt w))/(2w) = (sin(sqrt w)/sqrt w)^2, the square of
+even_trig's sincr; A(0) = 2/3 and B(0) = 1 reproduce the
 degenerate-point formula, so the expression is smooth across f_v^s = 0.
 """
 
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .continuation import BranchContinuation
+from .continuation import BranchContinuation, nearest_turn
 from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
@@ -212,21 +213,18 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     seed = cmath.acos(cw(anchor)[0])
 
     def stepper(z0: complex, th0: complex, z1: complex):
-        c1 = cw(z1)[0]
-        base = cmath.acos(c1)
+        base = cmath.acos(cw(z1)[0])
         best = None
         for sign in (1.0, -1.0):
-            for k in range(-2, 3):
-                cand = sign * base + 2 * math.pi * k
-                if best is None or abs(cand - th0) < abs(best - th0):
-                    best = cand
-        if abs(best - th0) > 0.5:
-            return None
-        return best
+            k = nearest_turn((sign * base).real, th0.real)
+            cand = sign * base + 2 * math.pi * k
+            if best is None or abs(cand - th0) < abs(best - th0):
+                best = cand
+        return best if abs(best - th0) <= 0.5 else DegenerateAngle
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
-                              radius=dom.radius, error=DegenerateAngle)
+                              radius=dom.radius)
 
     def upper_stem(z: complex) -> CQuaternion:
         c, w = cw(z)
@@ -262,27 +260,12 @@ def _coeff_a(w: complex) -> complex:
     return (1 - cmath.sin(2 * r) / (2 * r)) / w
 
 
-def _coeff_b(w: complex) -> complex:
-    """(1 - cos(2 sqrt w))/(2w), entire; B(0) = 1."""
-    if abs(w) < 1.0:
-        total = 0j
-        term = 1.0                # h = 1: 2/2! = 1
-        for h in range(1, 30):
-            total += term
-            term *= -4.0 * w / ((2 * h + 1) * (2 * h + 2))
-            if abs(term) < 1e-18:
-                break
-        return total
-    r = cmath.sqrt(w)
-    return (1 - cmath.cos(2 * r)) / (2 * w)
-
-
 def exp_derivative_bracket(fz: CQuaternion, dz: CQuaternion) -> CQuaternion:
     """The bracket { df + A(w)[<f_v,df_v> f_v - w df_v] - B(w) f_v ^ df_v }."""
     w = fz.vec_norm2()
     dot = cq_dot(fz, dz)
     a = _coeff_a(w)
-    b = _coeff_b(w)
+    b = even_trig(w).sincr ** 2
     radial = fz.vec() * (a * dot) - dz.vec() * (a * w)
     return dz + radial - cq_wedge(fz, dz) * b
 

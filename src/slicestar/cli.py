@@ -26,6 +26,7 @@ import numpy as np
 
 from . import bch as bchmod
 from .covering import lift_path, lifted_exp_preimage, loop_monodromy
+from .cquaternion import cq_mul
 from .descriptors import (cq_to_json, lift_point_from_json, lift_point_to_json,
                           load_function, path_from_json, quaternion_from_json,
                           quaternion_to_json)
@@ -98,28 +99,38 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_log(args) -> int:
-    f = load_function(args.fn)
-    branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
-    g = star_log(f, branch)
-    eg = star_exp(g)
+def _sampled_branch(args, f: SliceFunction, g: SliceFunction, back: SliceFunction,
+                    prefix: str):
+    """g on the sample grid with the residual |back - f| at each point:
+    the JSON samples, the residual max and mean, and the CSV rows."""
     pts = _function_samples(f, args.seed, args.samples)
     samples, rows, residuals = [], [], []
     for z in pts:
         gz = g.stem_at(z)
-        r = (eg.stem_at(z) - f.stem_at(z)).norm()
+        r = (back.stem_at(z) - f.stem_at(z)).norm()
         residuals.append(r)
         samples.append({"z": [z.real, z.imag], "value": cq_to_json(gz),
                         "residual": r})
         rows.append([z.real, z.imag] + [x for c in gz.components()
                                         for x in (c.real, c.imag)] + [r])
-    payload = {"branch": {"h1": args.h1, "h2": args.h2,
-                          "basepoint": [branch.basepoint.real, branch.basepoint.imag]},
-               "samples": samples,
-               "roundtrip": {"max": max(residuals), "mean": sum(residuals) / len(residuals)}}
-    header = ["z_re", "z_im"] + [f"g{k}_{p}" for k in range(4) for p in ("re", "im")] \
+    stats = {"max": max(residuals), "mean": sum(residuals) / len(residuals)}
+    header = ["z_re", "z_im"] + [f"{prefix}{k}_{p}" for k in range(4) for p in ("re", "im")] \
         + ["residual"]
-    _emit(args, payload, (header, rows))
+    return samples, stats, (header, rows)
+
+
+def _branch_json(branch: LogBranch) -> dict:
+    return {"h1": branch.h1, "h2": branch.h2,
+            "basepoint": [branch.basepoint.real, branch.basepoint.imag]}
+
+
+def cmd_log(args) -> int:
+    f = load_function(args.fn)
+    branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
+    g = star_log(f, branch)
+    samples, stats, rows = _sampled_branch(args, f, g, star_exp(g), "g")
+    _emit(args, {"branch": _branch_json(branch), "samples": samples,
+                 "roundtrip": stats}, rows)
     return EXIT_OK
 
 
@@ -127,26 +138,9 @@ def cmd_root(args) -> int:
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     r = star_root(f, args.n, branch)
-    back = r.star_pow(args.n)
-    pts = _function_samples(f, args.seed, args.samples)
-    samples, rows, residuals = [], [], []
-    for z in pts:
-        rz = r.stem_at(z)
-        res = (back.stem_at(z) - f.stem_at(z)).norm()
-        residuals.append(res)
-        samples.append({"z": [z.real, z.imag], "value": cq_to_json(rz),
-                        "residual": res})
-        rows.append([z.real, z.imag] + [x for c in rz.components()
-                                        for x in (c.real, c.imag)] + [res])
-    payload = {"n": args.n,
-               "branch": {"h1": args.h1, "h2": args.h2,
-                          "basepoint": [branch.basepoint.real, branch.basepoint.imag]},
-               "samples": samples,
-               "power_back": {"max": max(residuals),
-                              "mean": sum(residuals) / len(residuals)}}
-    header = ["z_re", "z_im"] + [f"r{k}_{p}" for k in range(4) for p in ("re", "im")] \
-        + ["residual"]
-    _emit(args, payload, (header, rows))
+    samples, stats, rows = _sampled_branch(args, f, r, r.star_pow(args.n), "r")
+    _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
+                 "power_back": stats}, rows)
     return EXIT_OK
 
 
@@ -166,7 +160,6 @@ def cmd_bch(args) -> int:
         ef, eg, eh = star_exp(f), star_exp(g), star_exp(h)
         residual = 0.0
         hs = []
-        from .cquaternion import cq_mul
         for z in pts:
             hs.append({"z": [z.real, z.imag], "value": cq_to_json(h.stem_at(z))})
             residual = max(residual, (cq_mul(ef.stem_at(z), eg.stem_at(z))
@@ -190,15 +183,20 @@ def cmd_dexp(args) -> int:
     return EXIT_OK
 
 
-def cmd_lift(args) -> int:
+def _path_and_start(args):
+    """The sampled path, and the lift start from --start or else the
+    principal preimage of the path's first sample."""
     with open(args.path) as fh:
         path = path_from_json(json.load(fh))
     if args.start:
         with open(args.start) as fh:
-            start = lift_point_from_json(json.load(fh))
-    else:
-        first = path.start()
-        start = lifted_exp_preimage(first.w0, first.w1, first.s)
+            return path, lift_point_from_json(json.load(fh))
+    first = path.start()
+    return path, lifted_exp_preimage(first.w0, first.w1, first.s)
+
+
+def cmd_lift(args) -> int:
+    path, start = _path_and_start(args)
     lifted = lift_path(path, start)
     _emit(args, {"samples": [dict(t=s.t, **lift_point_to_json(p))
                              for s, p in zip(path.samples, lifted)]})
@@ -206,14 +204,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    with open(args.path) as fh:
-        path = path_from_json(json.load(fh))
-    if args.start:
-        with open(args.start) as fh:
-            start = lift_point_from_json(json.load(fh))
-    else:
-        first = path.start()
-        start = lifted_exp_preimage(first.w0, first.w1, first.s)
+    path, start = _path_and_start(args)
     h = loop_monodromy(path, start)
     _emit(args, {"h1": h.h1, "h2": h.h2})
     return EXIT_OK

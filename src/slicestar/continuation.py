@@ -1,51 +1,78 @@
-"""Branch continuation over a disk, with a lazily filled grid cache.
+"""Branch continuation: one bisection routine for disks and paths.
 
-Several constructions (the continuous square root of f_v^s, *-logarithm
-lifts, the angle recovery of the exponential-product solver) extend a
-multivalued scalar from an anchor point over a simply connected disk.
-Path independence makes any in-disk polyline valid, so each query walks a
-straight segment from the nearest already-computed grid node (disks are
-convex).  A ``stepper`` advances the branch value across one segment and
-returns None when the segment must be bisected; bisection depth is capped,
-making genuine obstructions (a zero of the continued quantity inside the
-disk) fail loudly instead of silently jumping branches.
-
-The cache mutates on first evaluation, so a freshly built continuation
-(and anything holding one, e.g. a *-logarithm) should stay on one thread
-until warmed up; afterwards reads are safe to share.
+The square root of f_v^s, the *-logarithm and the angle of the
+exponential-product solver are continued over a disk, and sampled paths
+are lifted through the covering exponential, all by ``continue_along``.
+A ``step`` carries a value across one segment or refuses it by returning
+the error class that names why; a refused segment is halved, at most
+MAX_DEPTH times, and then that class is raised, so a genuine obstruction
+(a zero of the continued quantity) fails loudly instead of jumping
+branches.  ``BranchContinuation`` walks a straight segment, valid on a
+convex disk, from the nearest node of a lazily filled grid.  The cache
+mutates on first evaluation, so a freshly built continuation (and
+anything holding one, e.g. a *-logarithm) should stay on one thread until
+warmed up; afterwards reads are safe to share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar
-
-from .errors import PathTooWild
+import math
+from typing import Callable, TypeVar
 
 V = TypeVar("V")
 
-#: default lateral resolution of the cache grid
+#: lateral resolution of the cache grid
 GRID = 64
 
-#: default bisection depth per segment
+#: bisection depth per segment
 MAX_DEPTH = 20
 
-Stepper = Callable[[complex, V, complex], Optional[V]]
+#: step(a, value at a, b) -> the value at b, or the error class refusing it
+Stepper = Callable[..., object]
+
+
+def refused(v) -> bool:
+    """Whether a step's result is a refusal, i.e. an error class."""
+    return isinstance(v, type)
+
+
+def nearest_turn(x: float, prev: float) -> int:
+    """The k for which x + 2 pi k lies nearest ``prev``."""
+    return round((prev - x) / (2 * math.pi))
+
+
+def continue_along(step: Stepper, midpoint: Callable, a, v, b):
+    """Carry the value ``v`` at ``a`` to ``b``, halving refused segments at
+    ``midpoint(a, b)``; raise the refusing class after MAX_DEPTH halvings."""
+
+    def carry(a, v, b, depth: int):
+        if b == a:
+            return v
+        out = step(a, v, b)
+        if not refused(out):
+            return out
+        if depth <= 0:
+            raise out(f"continuation from {a} to {b}: refinement depth exhausted")
+        m = midpoint(a, b)
+        return carry(m, carry(a, v, m, depth - 1), b, depth - 1)
+
+    return carry(a, v, b, MAX_DEPTH)
+
+
+def _halve(z0: complex, z1: complex) -> complex:
+    return (z0 + z1) / 2
 
 
 class BranchContinuation:
     """Continue a branch value from an anchor across one disk component."""
 
     def __init__(self, anchor: complex, seed, stepper: Stepper, *,
-                 center: complex, radius: float, grid: int = GRID,
-                 max_depth: int = MAX_DEPTH, error=PathTooWild):
+                 center: complex, radius: float):
         self.anchor = anchor
         self.seed = seed
         self.stepper = stepper
         self.center = center
         self.radius = radius
-        self.grid = grid
-        self.max_depth = max_depth
-        self.error = error
         self._cells: dict[tuple[int, int], tuple[complex, V]] = {}
         self._filled: list[tuple[complex, V]] = [(anchor, seed)]
         self._memo: dict[complex, V] = {anchor: seed}
@@ -54,15 +81,15 @@ class BranchContinuation:
 
     def _cell_of(self, z: complex) -> tuple[int, int]:
         side = 2 * self.radius
-        ix = int((z.real - (self.center.real - self.radius)) / side * self.grid)
-        iy = int((z.imag - (self.center.imag - self.radius)) / side * self.grid)
-        clamp = lambda i: min(max(i, 0), self.grid - 1)
+        ix = int((z.real - (self.center.real - self.radius)) / side * GRID)
+        iy = int((z.imag - (self.center.imag - self.radius)) / side * GRID)
+        clamp = lambda i: min(max(i, 0), GRID - 1)
         return clamp(ix), clamp(iy)
 
     def _node_center(self, ix: int, iy: int) -> complex:
         side = 2 * self.radius
-        z = complex(self.center.real - self.radius + (ix + 0.5) * side / self.grid,
-                    self.center.imag - self.radius + (iy + 0.5) * side / self.grid)
+        z = complex(self.center.real - self.radius + (ix + 0.5) * side / GRID,
+                    self.center.imag - self.radius + (iy + 0.5) * side / GRID)
         # pull corner cells inside the disk so the stem stays evaluable
         d = abs(z - self.center)
         if d > 0.92 * self.radius:
@@ -71,27 +98,13 @@ class BranchContinuation:
 
     # -- continuation ----------------------------------------------------
 
-    def _continue(self, z0: complex, v0, z1: complex, depth: int):
-        if z1 == z0:
-            return v0
-        v = self.stepper(z0, v0, z1)
-        if v is not None:
-            return v
-        if depth <= 0:
-            raise self.error(
-                f"branch continuation failed between {z0} and {z1}: "
-                f"refinement depth exhausted")
-        zm = (z0 + z1) / 2
-        vm = self._continue(z0, v0, zm, depth - 1)
-        return self._continue(zm, vm, z1, depth - 1)
-
     def _fill_cell(self, key: tuple[int, int]):
         hit = self._cells.get(key)
         if hit is not None:
             return hit
         zc = self._node_center(*key)
         zs, vs = min(self._filled, key=lambda t: abs(t[0] - zc))
-        v = self._continue(zs, vs, zc, self.max_depth)
+        v = continue_along(self.stepper, _halve, zs, vs, zc)
         entry = (zc, v)
         self._cells[key] = entry
         self._filled.append(entry)
@@ -102,6 +115,6 @@ class BranchContinuation:
         if hit is not None:
             return hit
         zc, vc = self._fill_cell(self._cell_of(z))
-        v = self._continue(zc, vc, z, self.max_depth)
+        v = continue_along(self.stepper, _halve, zc, vc, z)
         self._memo[z] = v
         return v

@@ -11,7 +11,10 @@ lifted_exp covers (C^2 \\ W) x S, W = {w0^2 + w1^2 = 0}; its fibers are the
 lattice translates (u0 + a*i*pi, u1 + b*pi) with a = b (mod 2), so the
 monodromy group is Z^2, indexed here by BranchIndex (h1, h2) acting as
 (a, b) = (h1+h2, h1-h2).  Paths avoiding W are lifted by continuing the
-scalar logarithms of alpha = w0 + i w1 and beta = w0 - i w1; the loop
+logarithms la, lb of alpha = w0 + i w1 and beta = w0 - i w1 with
+``log_pair_step`` (principal Log + 2 pi i k nearest the previous value),
+the step the *-logarithm takes too, so every lifted point is exact, not a
+sum of increments; (u0, u1) = ((la + lb)/2, (la - lb)/(2i)).  The loop
 monodromy is then (h1, h2) = (winding of alpha, winding of beta).
 """
 
@@ -21,15 +24,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .continuation import continue_along, nearest_turn
 from .cquaternion import CQuaternion
 from .errors import (BadOrder, BadStart, NotALoop, NotDeck, OnVinf, OnW,
                      PathTooWild)
 
 #: tolerance for n(z) ~ 0 when splitting fibers of the double cover
 TAU_FIBER = 1e-10
-
-#: maximum bisection depth while continuing a path segment
-MAX_LIFT_DEPTH = 20
 
 #: largest admissible jump of each lifted coordinate between samples
 MAX_LIFT_STEP = math.pi / 2
@@ -112,6 +113,25 @@ def lifted_exp(p: LiftPoint) -> LiftPoint:
     return LiftPoint(e0 * cmath.cos(p.u1), e0 * cmath.sin(p.u1), p.s)
 
 
+def from_log_pair(la: complex, lb: complex) -> tuple[complex, complex]:
+    """(u0, u1) = ((la + lb)/2, (la - lb)/(2i)) from logs of alpha, beta."""
+    return (la + lb) / 2, (la - lb) / 2j
+
+
+def log_pair_step(alpha: complex, beta: complex, la: complex, lb: complex):
+    """The logarithms of alpha and beta nearest (la, lb), each the principal
+    logarithm plus 2 pi i k; PathTooWild (a refusal: bisect) when either
+    moves by MAX_LIFT_STEP or more."""
+    pair = []
+    for w, prev in ((alpha, la), (beta, lb)):
+        lw = cmath.log(w)
+        lw = lw + 2j * math.pi * nearest_turn(lw.imag, prev.imag)
+        if abs(lw - prev) >= MAX_LIFT_STEP:
+            return PathTooWild
+        pair.append(lw)
+    return tuple(pair)
+
+
 def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
                         branch: BranchIndex = BranchIndex(0, 0),
                         tol: float = TAU_FIBER) -> LiftPoint:
@@ -128,11 +148,9 @@ def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
     beta = w0 - 1j * w1
     if abs(alpha) <= tol or abs(beta) <= tol:
         raise OnW(f"no preimage: w0^2 + w1^2 = {w0 * w0 + w1 * w1}")
-    la = cmath.log(alpha)
-    lb = cmath.log(beta)
-    u0 = (la + lb) / 2 + (branch.h1 + branch.h2) * _IPI
-    u1 = (la - lb) / 2j + (branch.h1 - branch.h2) * math.pi
-    return LiftPoint(u0, u1, s)
+    u0, u1 = from_log_pair(cmath.log(alpha), cmath.log(beta))
+    return LiftPoint(u0 + (branch.h1 + branch.h2) * _IPI,
+                     u1 + (branch.h1 - branch.h2) * math.pi, s)
 
 
 # -- deck transformations ------------------------------------------------
@@ -221,50 +239,32 @@ def concatenate(first: SampledPath, second: SampledPath, tol: float = 1e-9) -> S
     return SampledPath(tuple(samples))
 
 
-def _interp_sample(a: PathSample, b: PathSample, t: float) -> PathSample:
-    """Linear interpolation in (w0, w1); s renormalized back to S."""
-    w0 = a.w0 + (b.w0 - a.w0) * t
-    w1 = a.w1 + (b.w1 - a.w1) * t
-    sv = a.s + (b.s - a.s) * t
-    n = sv.vec_norm2()
-    if abs(n) <= TAU_FIBER:
+def _mid_sample(a: PathSample, b: PathSample) -> PathSample:
+    """Midpoint in (t, w0, w1); s renormalized back to S."""
+    half = lambda x, y: x + (y - x) * 0.5
+    sv = half(a.s, b.s)
+    if abs(sv.vec_norm2()) <= TAU_FIBER:
         raise PathTooWild("s-interpolation crossed n(s) = 0; refine the input path")
-    return PathSample(a.t + (b.t - a.t) * t, w0, w1, unit_imaginary(sv))
+    return PathSample(half(a.t, b.t), half(a.w0, b.w0), half(a.w1, b.w1),
+                      unit_imaginary(sv))
 
 
-def _alpha_beta(sample: PathSample, tol: float) -> tuple[complex, complex]:
+def _alpha_beta(sample: PathSample) -> tuple[complex, complex]:
     alpha = sample.w0 + 1j * sample.w1
     beta = sample.w0 - 1j * sample.w1
-    if abs(alpha) <= tol or abs(beta) <= tol:
+    if abs(alpha) <= TAU_FIBER or abs(beta) <= TAU_FIBER:
         raise OnW(f"path sample on W at t = {sample.t}")
     return alpha, beta
 
 
-def _continue_segment(a: PathSample, b: PathSample, la: complex, lb: complex,
-                      depth: int, tol: float) -> tuple[complex, complex]:
-    """Continue the logs of alpha, beta from sample a to sample b."""
-    aa, ab = _alpha_beta(a, tol)
-    ba, bb = _alpha_beta(b, tol)
-    da = cmath.log(ba / aa)
-    db = cmath.log(bb / ab)
-    if max(abs(da), abs(db)) < MAX_LIFT_STEP:
-        return la + da, lb + db
-    if depth <= 0:
-        raise PathTooWild("bisection depth exhausted while lifting; "
-                          "path moves more than pi/2 per refinable step")
-    mid = _interp_sample(a, b, 0.5)
-    la, lb = _continue_segment(a, mid, la, lb, depth - 1, tol)
-    return _continue_segment(mid, b, la, lb, depth - 1, tol)
-
-
 def lift_path(path: SampledPath, start: LiftPoint, *,
-              tol: float = 1e-9, max_depth: int = MAX_LIFT_DEPTH) -> list[LiftPoint]:
+              tol: float = 1e-9) -> list[LiftPoint]:
     """Lift a path through lifted_exp, one LiftPoint per input sample.
 
     ``start`` must lie on the fiber over path.start().  The lift continues
-    the scalar logarithms of alpha = w0 + i w1 and beta = w0 - i w1 with
-    adaptive bisection; the s component is carried along unchanged by the
-    covering and follows the input samples.
+    the logarithms of alpha = w0 + i w1 and beta = w0 - i w1 with
+    ``log_pair_step``, halving refused segments; the s component is
+    carried along unchanged by the covering and follows the input samples.
     """
     p0 = path.start()
     img = lifted_exp(start)
@@ -272,12 +272,15 @@ def lift_path(path: SampledPath, start: LiftPoint, *,
     if (abs(img.u0 - p0.w0) > tol * scale or abs(img.u1 - p0.w1) > tol * scale
             or (start.s - p0.s).norm() > tol):
         raise BadStart("start point is not on the fiber over path(0)")
-    la = start.u0 + 1j * start.u1
-    lb = start.u0 - 1j * start.u1
+
+    def step(a: PathSample, pair: tuple[complex, complex], b: PathSample):
+        return log_pair_step(*_alpha_beta(b), *pair)
+
+    pair = (start.u0 + 1j * start.u1, start.u0 - 1j * start.u1)
     lifted = [start]
     for a, b in zip(path.samples, path.samples[1:]):
-        la, lb = _continue_segment(a, b, la, lb, max_depth, TAU_FIBER)
-        lifted.append(LiftPoint((la + lb) / 2, (la - lb) / 2j, b.s))
+        pair = continue_along(step, _mid_sample, a, pair, b)
+        lifted.append(LiftPoint(*from_log_pair(*pair), b.s))
     return lifted
 
 

@@ -11,13 +11,14 @@ the anchor and induces
 
     G = u0 + (u1/m) * vec F,   u0 = (la + lb)/2,  u1 = (la - lb)/(2i).
 
-One continuation carries the triple (m, la, lb) over one grid per branch,
-evaluating the stem once per step: each step takes the square root of
-f_v^s nearest the previous m and the principal logarithms of alpha and
-beta plus the 2 pi i k nearest the previous la, lb.  Every value is thus
-exactly +-sqrt or log + 2 pi i k of the stem at that point, not a sum of
-increments along a path, so it does not depend on the order in which
-points are queried.
+This is the lift of z -> F(z) through the covering exponential: one
+continuation carries (m, la, lb) over one grid per branch, evaluating the
+stem once per step and keeping that value for the query.  Each step takes
+the square root of f_v^s nearest the previous m, then the covering's
+``log_pair_step`` of alpha and beta.  Every value is thus exactly +-sqrt
+or log + 2 pi i k of the stem at that point, not a sum of increments
+along a path, so it does not depend on the order in which points are
+queried.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R); on a domain off R the lift is built on the
@@ -37,11 +38,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .continuation import BranchContinuation
-from .covering import BranchIndex
+from .continuation import BranchContinuation, refused
+from .covering import BranchIndex, from_log_pair, log_pair_step
 from .cquaternion import CQuaternion, Locus, classify, cq_exp
-from .errors import (BranchObstruction, HitsVLocus, JNotDefined, OutOfDomain,
-                     PathTooWild)
+from .errors import BranchObstruction, HitsVLocus, JNotDefined, OutOfDomain
 from .slicefn import Domain, SliceFunction, conjugate_mirror, slice_preserving
 
 #: number of deterministic scan points for locus preconditions
@@ -97,20 +97,14 @@ def _require_sqrt_margin(vsyms: list[complex]) -> None:
                                 "no continuous square root")
 
 
-def _sqrt_step(w: complex, prev: complex) -> complex | None:
-    """The square root of w nearest ``prev``, or None (bisect) when it
-    moves by more than 0.3 relative to the two values."""
+def _sqrt_step(w: complex, prev: complex):
+    """The square root of w nearest ``prev``; BranchObstruction (a refusal:
+    bisect) when it moves by more than 0.3 relative to the two values."""
     r = cmath.sqrt(w)
     cand = r if abs(r - prev) <= abs(r + prev) else -r
     if abs(cand - prev) > 0.3 * (abs(cand) + abs(prev)):
-        return None
+        return BranchObstruction
     return cand
-
-
-def _log_near(w: complex, prev: complex) -> complex:
-    """The logarithm of w nearest ``prev``: principal log plus 2 pi i k."""
-    lw = cmath.log(w)
-    return lw + 2j * math.pi * round((prev.imag - lw.imag) / (2 * math.pi))
 
 
 def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunction:
@@ -138,7 +132,7 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunc
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
-                              radius=dom.radius, error=BranchObstruction)
+                              radius=dom.radius)
     return slice_preserving(conjugate_mirror(cont.at, dom, complex.conjugate), dom)
 
 
@@ -175,40 +169,32 @@ def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
                     f"f^s or f_v^s vanishes near z = {z}; no *-logarithm branch")
     _require_sqrt_margin([scanned[z].vec_norm2() for z in mesh])
 
+    # the state (m, la, lb, F) keeps the stem value of the last step
     fa = scanned[anchor]
     m0 = cmath.sqrt(fa.vec_norm2())
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
     seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,
-            cmath.log(b0) + 2j * math.pi * branch.h2)
-    # the check that rejected the last step names the error raised when
-    # bisection runs out: the square root, or the logarithm pair
-    lost = [PathTooWild]
+            cmath.log(b0) + 2j * math.pi * branch.h2, fa)
 
-    def stepper(z0: complex, v0: tuple[complex, complex, complex], z1: complex):
+    def stepper(z0: complex, v0: tuple, z1: complex):
         fz = stem(z1)
         m = _sqrt_step(fz.vec_norm2(), v0[0])
-        if m is None:
-            lost[0] = BranchObstruction
-            return None
-        alpha, beta = _fiber_pair(fz.z0, m, z1)
-        la = _log_near(alpha, v0[1])
-        lb = _log_near(beta, v0[2])
-        if max(abs(la - v0[1]), abs(lb - v0[2])) >= math.pi / 2:
-            lost[0] = PathTooWild
-            return None
-        return m, la, lb
+        if refused(m):
+            return m
+        pair = log_pair_step(*_fiber_pair(fz.z0, m, z1), v0[1], v0[2])
+        if refused(pair):
+            return pair
+        return (m, *pair, fz)
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
-                              radius=dom.radius, error=lambda msg: lost[0](msg))
+                              radius=dom.radius)
 
     def upper_stem(z: complex) -> CQuaternion:
-        m, la, lb = cont.at(z)
-        u0 = (la + lb) / 2
-        u1 = (la - lb) / 2j
-        fv = stem(z)
+        m, la, lb, fz = cont.at(z)
+        u0, u1 = from_log_pair(la, lb)
         c = u1 / m
-        return CQuaternion(u0, c * fv.z1, c * fv.z2, c * fv.z3)
+        return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3)
 
     return SliceFunction(conjugate_mirror(upper_stem, dom), dom)
 

@@ -73,11 +73,11 @@ def _result(cfg, name, default_tol, samples, residual) -> PropertyResult:
     return PropertyResult(name, int(samples), residual, tol, bool(residual < tol))
 
 
-def _rand_quat(rng, scale=1.0) -> Quaternion:
+def rand_quat(rng, scale=1.0) -> Quaternion:
     return Quaternion(*(scale * rng.standard_normal(4)))
 
 
-def _rand_cq(rng, scale=1.0) -> CQuaternion:
+def rand_cq(rng, scale=1.0) -> CQuaternion:
     v = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
     return CQuaternion(*v)
 
@@ -87,14 +87,15 @@ def _rand_unit(rng) -> CQuaternion:
                                             + 0.3j * rng.standard_normal(3))))
 
 
-def _rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
-    coeffs = [_rand_quat(rng, scale)]
+def rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
+    coeffs = [rand_quat(rng, scale)]
     for _ in range(deg):
-        coeffs.append(_rand_quat(rng, extra * scale))
+        coeffs.append(rand_quat(rng, extra * scale))
     return polynomial(coeffs, dom)
 
 
 def quat_exp_series(q: Quaternion, terms: int = 40) -> Quaternion:
+    """Truncated series sum q^n / n!, an oracle independent of quat_exp."""
     acc = Quaternion.one()
     power = Quaternion.one()
     fact = 1.0
@@ -105,7 +106,20 @@ def quat_exp_series(q: Quaternion, terms: int = 40) -> Quaternion:
     return acc
 
 
-def _left_mul_matrix(p: Quaternion) -> np.ndarray:
+def cq_exp_series(z: CQuaternion, terms: int = 60) -> CQuaternion:
+    """Truncated series sum z^n / n!, an oracle independent of cq_exp."""
+    acc = CQuaternion.one()
+    power = CQuaternion.one()
+    fact = 1.0
+    for n in range(1, terms):
+        power = cq_mul(power, z)
+        fact *= n
+        acc = acc + power / fact
+    return acc
+
+
+def left_mul_matrix(p: Quaternion) -> np.ndarray:
+    """4x4 real matrix of left multiplication by p."""
     return np.array([
         [p.q0, -p.q1, -p.q2, -p.q3],
         [p.q1, p.q0, -p.q3, p.q2],
@@ -124,9 +138,9 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 0)
     worst = 0.0
     for _ in range(n):
-        p, q = _rand_quat(rng), _rand_quat(rng)
+        p, q = rand_quat(rng), rand_quat(rng)
         direct = np.array(quat_mul(p, q).components())
-        oracle = _left_mul_matrix(p) @ np.array(q.components())
+        oracle = left_mul_matrix(p) @ np.array(q.components())
         scale = max(1.0, float(np.linalg.norm(oracle)))
         worst = max(worst, float(np.linalg.norm(direct - oracle)) / scale)
     out.append(_result(cfg, "quat_mul_vs_matrix_oracle", 1e-11, n, worst))
@@ -134,7 +148,7 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 1)
     worst = 0.0
     for _ in range(n):
-        p, q = _rand_quat(rng), _rand_quat(rng)
+        p, q = rand_quat(rng), rand_quat(rng)
         worst = max(worst, abs(quat_mul(p, q).norm() - p.norm() * q.norm())
                     / max(1.0, p.norm() * q.norm()))
     out.append(_result(cfg, "quat_norm_multiplicative", 1e-11, n, worst))
@@ -142,7 +156,7 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 2)
     worst = 0.0
     for _ in range(n):
-        p, q, r = (_rand_quat(rng) for _ in range(3))
+        p, q, r = (rand_quat(rng) for _ in range(3))
         a = quat_mul(quat_mul(p, q), r)
         b = quat_mul(p, quat_mul(q, r))
         worst = max(worst, (a - b).norm() / max(1.0, a.norm()))
@@ -151,14 +165,14 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 3)
     worst = 0.0
     for _ in range(min(n, 100)):
-        q = _rand_quat(rng, 1.2)
+        q = rand_quat(rng, 1.2)
         worst = max(worst, (quat_exp(q) - quat_exp_series(q)).norm())
     out.append(_result(cfg, "quat_exp_vs_series", 1e-12, min(n, 100), worst))
 
     rng = _rng(cfg, 4)
     worst = 0.0
     for _ in range(n):
-        z, w = _rand_cq(rng), _rand_cq(rng)
+        z, w = rand_cq(rng), rand_cq(rng)
         zw = cq_mul(z, w)
         lhs = zw.csym()
         rhs = z.csym() * w.csym()
@@ -177,7 +191,7 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     count = 0
     for _ in range(min(n, 80)):
-        z = _rand_cq(rng, 0.8)
+        z = rand_cq(rng, 0.8)
         power = z
         for k in range(2, 7):
             power = cq_mul(power, z)
@@ -189,21 +203,14 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 7)
     worst = 0.0
     for _ in range(min(n, 60)):
-        z = _rand_cq(rng, 0.5)
-        series = CQuaternion.one()
-        power = CQuaternion.one()
-        fact = 1.0
-        for k in range(1, 60):
-            power = cq_mul(power, z)
-            fact *= k
-            series = series + power / fact
-        worst = max(worst, (cq_exp(z) - series).norm())
+        z = rand_cq(rng, 0.5)
+        worst = max(worst, (cq_exp(z) - cq_exp_series(z)).norm())
     out.append(_result(cfg, "cq_exp_vs_series", 1e-10, min(n, 60), worst))
 
     rng = _rng(cfg, 8)
     worst = 0.0
     for _ in range(min(n, 60)):
-        z = _rand_cq(rng, 0.4)
+        z = rand_cq(rng, 0.4)
         series = CQuaternion.zero()
         power = CQuaternion.one()
         for m in range(30):
@@ -215,7 +222,7 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 9)
     worst = 0.0
     for _ in range(n):
-        z = _rand_cq(rng, 0.8)
+        z = rand_cq(rng, 0.8)
         worst = max(worst, (cq_mul(cq_exp(z), cq_exp(-z)) - CQuaternion.one()).norm())
     out.append(_result(cfg, "cq_exp_inverse", 1e-12, n, worst))
 
@@ -258,7 +265,7 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 12)
     worst = 0.0
     for _ in range(n):
-        z = _rand_cq(rng)
+        z = rand_cq(rng)
         worst = max(worst, (cq_exp(scalar_deck(z)) - cq_exp(z)).norm()
                     / max(1.0, cq_exp(z).norm()))
     out.append(_result(cfg, "scalar_deck_fixes_cq_exp", 1e-12, n, worst))
@@ -267,7 +274,7 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     count = 0
     for _ in range(min(n, 100)):
-        z = _rand_cq(rng, 0.5)
+        z = rand_cq(rng, 0.5)
         for k in range(1, 7):
             worst = max(worst, (cq_pow(cq_exp(z), k) - cq_exp(z * k)).norm()
                         / max(1.0, cq_exp(z * k).norm()))
@@ -277,7 +284,7 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
     rng = _rng(cfg, 14)
     worst = 0.0
     for _ in range(n):
-        z = _rand_cq(rng)
+        z = rand_cq(rng)
         if abs(z.vec_norm2()) < 1e-3:
             continue
         f1, f2 = project_fibers(z)
@@ -361,8 +368,8 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
 def _log_setup(rng, two_sided: bool):
     dom = Domain(1.5j, 0.8) if two_sided else Domain(0.0, 1.0)
     for _ in range(40):
-        f = _rand_poly(rng, dom, scale=1.0, deg=2, extra=0.08)
-        base = _rand_quat(rng, 1.0)
+        f = rand_poly(rng, dom, scale=1.0, deg=2, extra=0.08)
+        base = rand_quat(rng, 1.0)
         base = Quaternion(base.q0, *(v + math.copysign(0.6, v) for v in
                                      (base.q1, base.q2, base.q3)))
         f = constant(base, dom) + f * 0.2
@@ -480,8 +487,8 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
     checked = 0
     pairs = max(4, min(20, cfg.samples // 50))
     for _ in range(pairs):
-        f = _rand_poly(rng, dom, scale=0.7, deg=1)
-        g = _rand_poly(rng, dom, scale=0.7, deg=1)
+        f = rand_poly(rng, dom, scale=0.7, deg=1)
+        g = rand_poly(rng, dom, scale=0.7, deg=1)
         try:
             dec = orth_decompose(f, g)
         except Exception:
@@ -514,8 +521,8 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
     attempts = 0
     while built < max(4, min(20, cfg.samples // 40)) and attempts < 200:
         attempts += 1
-        f = _rand_poly(rng, dom, scale=0.6, deg=1)
-        g = _rand_poly(rng, dom, scale=0.6, deg=1)
+        f = rand_poly(rng, dom, scale=0.6, deg=1)
+        g = rand_poly(rng, dom, scale=0.6, deg=1)
         try:
             rep = bchmod.bch_condition(f, g)
         except bchmod.VanishingVectorPart:
@@ -538,8 +545,8 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
     attempts = 0
     while trials < 12 and attempts < 200:
         attempts += 1
-        p = _rand_quat(rng, 0.6)
-        q = _rand_quat(rng, 0.6)
+        p = rand_quat(rng, 0.6)
+        q = rand_quat(rng, 0.6)
         f = constant(p, dom)
         g = constant(q, dom)
         try:
@@ -583,7 +590,7 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
     checked = 0
     funcs = max(4, min(20, cfg.samples // 20))
     for _ in range(funcs):
-        f = _rand_poly(rng, dom, scale=0.8, deg=3, extra=0.2)
+        f = rand_poly(rng, dom, scale=0.8, deg=3, extra=0.2)
         ef = star_exp(f)
         for z in dom.sample_points(rng, 10, margin_frac=0.3):
             closed = bchmod.star_exp_derivative_stem(f, z)
@@ -608,10 +615,10 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     checked = 0
     for _ in range(40):
-        fz = _rand_cq(rng, 0.9)
+        fz = rand_cq(rng, 0.9)
         if abs(fz.vec_norm2()) > 4.0:
             continue
-        dz = _rand_cq(rng, 0.9)
+        dz = rand_cq(rng, 0.9)
         closed = bchmod.exp_derivative_bracket(fz, dz)
         ladder = _ladder_bracket(fz, dz)
         worst = max(worst, (closed - ladder).norm() / max(1.0, ladder.norm()))
@@ -621,7 +628,7 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     for w0 in (1.0, bchmod.TAU_DEG):
         lo = bchmod._coeff_a(w0 * (1 - 1e-9)) - bchmod._coeff_a(w0 * (1 + 1e-9))
-        hi = bchmod._coeff_b(w0 * (1 - 1e-9)) - bchmod._coeff_b(w0 * (1 + 1e-9))
+        hi = even_trig(w0 * (1 - 1e-9)).sincr ** 2 - even_trig(w0 * (1 + 1e-9)).sincr ** 2
         worst = max(worst, abs(lo), abs(hi))
     out.append(_result(cfg, "degenerate_branch_continuity", 1e-9, 4, worst))
 

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from slicestar import (CQuaternion, Domain, Quaternion, constant, cq_mul,
-                       polynomial, quat_mul)
+from slicestar import Domain, Quaternion, constant, quat_mul
+# one copy of the shared generators and oracles, imported by the tests from here
+from slicestar.suites import (cq_exp_series, left_mul_matrix,  # noqa: F401
+                              quat_exp_series, rand_cq, rand_poly, rand_quat)
 
 
 @pytest.fixture
@@ -16,52 +18,10 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def rand_quat(rng, scale=1.0) -> Quaternion:
-    return Quaternion(*(scale * rng.standard_normal(4)))
-
-
-def rand_cq(rng, scale=1.0) -> CQuaternion:
-    v = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    return CQuaternion(*v)
-
-
 def rand_unit_axis(rng):
     from slicestar import ImagUnit
     v = rng.standard_normal(3)
     return ImagUnit.from_vector(*v)
-
-
-def quat_exp_series(q: Quaternion, terms: int = 40) -> Quaternion:
-    """Truncated series sum q^n / n!, an oracle independent of quat_exp."""
-    acc = Quaternion.one()
-    power = Quaternion.one()
-    fact = 1.0
-    for n in range(1, terms):
-        power = quat_mul(power, q)
-        fact *= n
-        acc = acc + power / fact
-    return acc
-
-
-def cq_exp_series(z: CQuaternion, terms: int = 60) -> CQuaternion:
-    acc = CQuaternion.one()
-    power = CQuaternion.one()
-    fact = 1.0
-    for n in range(1, terms):
-        power = cq_mul(power, z)
-        fact *= n
-        acc = acc + power / fact
-    return acc
-
-
-def left_mul_matrix(p: Quaternion) -> np.ndarray:
-    """4x4 real matrix of left multiplication by p."""
-    return np.array([
-        [p.q0, -p.q1, -p.q2, -p.q3],
-        [p.q1, p.q0, -p.q3, p.q2],
-        [p.q2, p.q3, p.q0, -p.q1],
-        [p.q3, -p.q2, p.q1, p.q0],
-    ])
 
 
 def poly_eval_direct(coeffs, q: Quaternion) -> Quaternion:
@@ -81,13 +41,6 @@ def poly_convolve(a_coeffs, b_coeffs):
         for m, b in enumerate(b_coeffs):
             out[n + m] = out[n + m] + quat_mul(a, b)
     return out
-
-
-def rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
-    coeffs = [rand_quat(rng, scale)]
-    for _ in range(deg):
-        coeffs.append(rand_quat(rng, extra * scale))
-    return polynomial(coeffs, dom)
 
 
 def generic_poly(rng, dom: Domain, deg=2, tries=60):

@@ -10,8 +10,8 @@ from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        product_vsym, quat_exp, quat_mul, slice_preserving,
                        star_exp, star_exp_derivative, star_exp_derivative_stem,
                        star_log, stem_symmetry_defect, vanishing_vsym_partner)
-from slicestar.bch import TAU_DEG, _coeff_a, _coeff_b
-from slicestar.errors import (BadExampleInput, NotExponential,
+from slicestar.bch import TAU_DEG, _coeff_a
+from slicestar.errors import (BadExampleInput, DegenerateAngle, NotExponential,
                               VanishingVectorPart)
 
 DOM = Domain(0.0, 1.0)
@@ -269,16 +269,32 @@ def test_combine_stem_symmetry(rng):
         assert stem_symmetry_defect(h, DOM.sample_points(rng, 40)) < 1e-10
 
 
+def test_combine_degenerate_angle():
+    # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so sin(theta) = 0 and the
+    # vector part cannot be recovered; the scan rejects the pair (f_v^s = pi^2
+    # is on the lattice), so force the report through
+    f = constant(Quaternion(0, math.pi, 0, 0), DOM)
+    g = constant(Quaternion(0, 0, 2 * math.pi, 0), DOM)
+    rep = bch_condition(f, g)
+    assert not rep.admissible and not rep.commuting
+    rep.admissible = True
+    h = bch_combine(f, g, report=rep)
+    with pytest.raises(DegenerateAngle):
+        h.stem_at(0.2 + 0.1j)
+
+
 # -- derivative of the *-exponential --------------------------------------------
 
 
 def test_coefficients_series_vs_closed():
-    # A and B are entire; series (|w| < 1) and closed (|w| >= 1) forms meet
+    # A and B are entire; series (|w| < 1) and closed (|w| >= 1) forms meet.
+    # B(w) = (1 - cos 2 sqrt w)/(2w) = (sin sqrt w / sqrt w)^2
+    coeff_b = lambda w: even_trig(w).sincr ** 2
     for w0 in (1.0, TAU_DEG):
         assert abs(_coeff_a(w0 * (1 - 1e-9)) - _coeff_a(w0 * (1 + 1e-9))) < 1e-9
-        assert abs(_coeff_b(w0 * (1 - 1e-9)) - _coeff_b(w0 * (1 + 1e-9))) < 1e-9
+        assert abs(coeff_b(w0 * (1 - 1e-9)) - coeff_b(w0 * (1 + 1e-9))) < 1e-9
     assert abs(_coeff_a(0j) - 2.0 / 3.0) < 1e-15
-    assert abs(_coeff_b(0j) - 1.0) < 1e-15
+    assert abs(coeff_b(0j) - 1.0) < 1e-15
 
 
 def test_bracket_vs_commutator_ladder(rng):

@@ -200,6 +200,24 @@ def test_lift_path_hits_targets(rng):
         assert abs(img.u0 - w0) + abs(img.u1 - w1) < 1e-9
 
 
+def test_lift_is_exact_log_at_every_sample():
+    # each lifted point is Log + 2 pi i k of its own sample, not a sum of
+    # increments, so refining the path leaves the shared samples bitwise equal
+    s = I_VEC
+
+    def path(n):
+        pts = []
+        for k in range(n + 1):
+            t = 2 * math.pi * (k / n)
+            pts.append((k / n, 1.5 * cmath.exp(2j * t) + 0.2,
+                        0.7 * cmath.exp(-1j * t), s))
+        return SampledPath.from_points(pts)
+
+    coarse, fine = path(40), path(80)
+    start = lifted_exp_preimage(coarse.start().w0, coarse.start().w1, s)
+    assert lift_path(coarse, start) == lift_path(fine, start)[::2]
+
+
 def test_lift_errors():
     s = I_VEC
     path = circle_path()

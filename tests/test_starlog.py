@@ -342,4 +342,4 @@ def test_star_log_stem_calls_per_fresh_point(rng, dom):
     calls[0] = 0
     for z in pts:
         g.stem_at(z)
-    assert calls[0] / len(pts) <= 3.0
+    assert calls[0] / len(pts) <= 2.0

@@ -199,7 +199,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     dom = f.domain
     fstem, gstem = f._stem, g._stem
 
-    def cw(z: complex) -> tuple[complex, CQuaternion]:
+    def cw(z: complex) -> tuple[complex, CQuaternion, complex]:
         fz = fstem(z)
         gz = gstem(z)
         ef = even_trig(fz.vec_norm2())
@@ -207,34 +207,36 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         c = ef.cosr * eg.cosr - ef.sincr * eg.sincr * cq_dot(fz, gz)
         w = (gz.vec() * (ef.cosr * eg.sincr) + fz.vec() * (eg.cosr * ef.sincr)
              + cq_wedge(fz, gz) * (ef.sincr * eg.sincr))
-        return c, w
+        return c, w, fz.z0 + gz.z0
 
+    # the state (theta, W, h0) keeps the last step's W and scalar part
     anchor = _anchor(dom, dom.center)
-    seed = cmath.acos(cw(anchor)[0])
+    c, w, h0 = cw(anchor)
+    seed = (cmath.acos(c), w, h0)
 
-    def stepper(z0: complex, th0: complex, z1: complex):
-        base = cmath.acos(cw(z1)[0])
+    def stepper(z0: complex, v0: tuple, z1: complex):
+        c, w, h0 = cw(z1)
+        base = cmath.acos(c)
+        th0 = v0[0]
         best = None
         for sign in (1.0, -1.0):
             k = nearest_turn((sign * base).real, th0.real)
             cand = sign * base + 2 * math.pi * k
             if best is None or abs(cand - th0) < abs(best - th0):
                 best = cand
-        return best if abs(best - th0) <= 0.5 else DegenerateAngle
+        return (best, w, h0) if abs(best - th0) <= 0.5 else DegenerateAngle
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
                               radius=dom.radius)
 
     def upper_stem(z: complex) -> CQuaternion:
-        c, w = cw(z)
-        theta = cont.at(z)
+        theta, w, h0 = cont.at(z)
         ratio = even_trig(theta * theta).sincr   # sin(theta)/theta
         if abs(ratio) < 1e-9:
             raise DegenerateAngle(
                 f"sin(theta)/theta ~ 0 at z = {z}; vector part not recoverable")
         hv = w / ratio
-        h0 = fstem(z).z0 + gstem(z).z0
         return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3)
 
     h = SliceFunction(conjugate_mirror(upper_stem, dom), dom)

@@ -8,16 +8,20 @@ the error class that names why; a refused segment is halved, at most
 MAX_DEPTH times, and then that class is raised, so a genuine obstruction
 (a zero of the continued quantity) fails loudly instead of jumping
 branches.  ``BranchContinuation`` walks a straight segment, valid on a
-convex disk, from the nearest node of a lazily filled grid.  The cache
-mutates on first evaluation, so a freshly built continuation (and
-anything holding one, e.g. a *-logarithm) should stay on one thread until
-warmed up; afterwards reads are safe to share.
+convex disk, from the nearest node of a lazily filled grid; threads that
+fill the same cell store the same value, so one can be shared.
+
+``locus_scan`` continues the logarithms of holomorphic scalars once
+around a disk's boundary circle, so the argument principle counts their
+zeros inside exactly (Delves & Lyness, Math. Comp. 21, 1967) instead of
+sampling the interior for them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 V = TypeVar("V")
 
@@ -26,6 +30,9 @@ GRID = 64
 
 #: bisection depth per segment
 MAX_DEPTH = 20
+
+#: arcs of the boundary circle in a locus scan, before halving
+SCAN_ARCS = 64
 
 #: step(a, value at a, b) -> the value at b, or the error class refusing it
 Stepper = Callable[..., object]
@@ -61,6 +68,68 @@ def continue_along(step: Stepper, midpoint: Callable, a, v, b):
 
 def _halve(z0: complex, z1: complex) -> complex:
     return (z0 + z1) / 2
+
+
+class ZeroCount(NamedTuple):
+    """The zeros of a holomorphic scalar inside a disk (None when its
+    winding could not be resolved) and its extreme moduli on the boundary
+    circle.  With no zeros, the minimum and maximum modulus principles make
+    ``min_abs`` and ``max_abs`` bound the scalar on the whole closed disk."""
+
+    zeros: Optional[int]
+    min_abs: float
+    max_abs: float
+
+
+class _Unresolved(Exception):
+    """A scalar vanishes on the circle or winds too fast to follow."""
+
+
+def locus_scan(values: Callable[[complex], tuple], center: complex,
+               radius: float) -> list[ZeroCount]:
+    """Count the zeros inside the disk of each scalar in ``values(z)``.
+
+    Each scalar's logarithm is continued once around the boundary circle,
+    from SCAN_ARCS arcs: an arc whose argument moves by pi/2 or more is
+    halved by ``continue_along``, and the logarithm takes the 2 pi i k
+    nearest its previous value.  ``values`` is called once per distinct
+    point of the circle, shared by all scalars.
+    """
+    two_pi = 2 * math.pi
+    samples: dict[float, tuple] = {}
+
+    def sample(t: float) -> tuple:
+        t %= two_pi
+        hit = samples.get(t)
+        if hit is None:
+            hit = samples[t] = tuple(values(center + radius * cmath.exp(1j * t)))
+        return hit
+
+    def winding(i: int) -> Optional[int]:
+        def step(t0: float, l0: complex, t1: float):
+            w = sample(t1)[i]
+            if w == 0:
+                return _Unresolved
+            l = cmath.log(w)
+            l += 2j * math.pi * nearest_turn(l.imag, l0.imag)
+            return l if abs(l.imag - l0.imag) < math.pi / 2 else _Unresolved
+
+        start = sample(0.0)[i]
+        if start == 0:
+            return None
+        l0 = l = cmath.log(start)
+        try:
+            for k in range(SCAN_ARCS):
+                l = continue_along(step, _halve, two_pi * k / SCAN_ARCS, l,
+                                   two_pi * (k + 1) / SCAN_ARCS)
+        except _Unresolved:
+            return None
+        return round((l - l0).imag / two_pi)
+
+    zeros = [winding(i) for i in range(len(sample(0.0)))]
+    return [ZeroCount(n, min(abs(v[i]) for v in samples.values()),
+                      max(abs(v[i]) for v in samples.values()))
+            for i, n in enumerate(zeros)]
 
 
 class BranchContinuation:

@@ -38,14 +38,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .continuation import BranchContinuation, refused
+from .continuation import BranchContinuation, ZeroCount, locus_scan, refused
 from .covering import BranchIndex, from_log_pair, log_pair_step
-from .cquaternion import CQuaternion, Locus, classify, cq_exp
+from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import BranchObstruction, HitsVLocus, JNotDefined, OutOfDomain
 from .slicefn import Domain, SliceFunction, conjugate_mirror, slice_preserving
-
-#: number of deterministic scan points for locus preconditions
-SCAN_POINTS = 160
 
 
 @dataclass(frozen=True)
@@ -87,14 +84,14 @@ def star_exp(f: SliceFunction) -> SliceFunction:
     return SliceFunction(lambda z: cq_exp(stem(z)), f.domain, node)
 
 
-def _require_sqrt_margin(vsyms: list[complex]) -> None:
-    """Raise BranchObstruction when the scanned f_v^s values come within
-    1e-12 of zero relative to their largest magnitude."""
-    mags = [abs(w) for w in vsyms]
-    scale = max(mags)
-    if scale < 1e-14 or min(mags) < 1e-12 * scale:
-        raise BranchObstruction("f_v^s vanishes (or nearly) on the domain; "
-                                "no continuous square root")
+def _require_root(vsym: ZeroCount) -> None:
+    """BranchObstruction unless f_v^s has no zero in the disk and keeps
+    above 1e-12 of its largest modulus on the boundary circle."""
+    if vsym.zeros != 0 or not vsym.min_abs > 1e-12 * vsym.max_abs:
+        raise BranchObstruction(
+            f"f_v^s has {vsym.zeros} zero(s) in the disk, |f_v^s| in "
+            f"[{vsym.min_abs:.3e}, {vsym.max_abs:.3e}] on its boundary; "
+            "no continuous square root")
 
 
 def _sqrt_step(w: complex, prev: complex):
@@ -113,7 +110,8 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunc
     The branch takes the value sign * principal_sqrt(f_v^s(basepoint)) at
     the basepoint (reflected to the upper component on domains off R,
     where the lower component is filled in by conjugate symmetry).
-    Requires f_v^s to avoid 0 on the domain.
+    Requires f_v^s to avoid 0 on the domain: its zeros are counted
+    exactly on the boundary circle (``locus_scan``).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -124,7 +122,7 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunc
     def value(z: complex) -> complex:
         return stem(z).vec_norm2()
 
-    _require_sqrt_margin([value(z) for z in dom.mesh_points(SCAN_POINTS)])
+    _require_root(*locus_scan(lambda z: (value(z),), dom.center, dom.radius))
     seed = sign * cmath.sqrt(value(anchor))
 
     def stepper(z0: complex, v0: complex, z1: complex):
@@ -149,8 +147,9 @@ def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
     """The (h1, h2) branch of the *-logarithm: exp_*(result) = f.
 
     Preconditions: the stem avoids V_-1 and V_inf on the whole domain
-    (checked on a deterministic scan), and on domains meeting R only
-    h2 = -h1 is admissible.
+    (f^s and f_v^s have no zeros, counted exactly on the boundary circle
+    by ``locus_scan``), and on domains meeting R only h2 = -h1 is
+    admissible.
     """
     dom = f.domain
     anchor = _anchor(dom, branch.basepoint)
@@ -158,19 +157,22 @@ def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
         raise JNotDefined("on a domain meeting R only branches with h2 = -h1 exist")
     stem = f._stem
 
-    # one pass over the scan: the loci first, then the square-root margin
-    mesh = dom.mesh_points(SCAN_POINTS)
-    scanned: dict[complex, CQuaternion] = {}
-    for z in mesh + [anchor, branch.basepoint]:
-        if z not in scanned:
-            scanned[z] = fz = stem(z)
-            if classify(fz) is not Locus.GENERIC:
-                raise HitsVLocus(
-                    f"f^s or f_v^s vanishes near z = {z}; no *-logarithm branch")
-    _require_sqrt_margin([scanned[z].vec_norm2() for z in mesh])
+    def loci(z: complex) -> tuple[complex, complex]:
+        fz = stem(z)
+        return fz.vec_norm2(), fz.csym()
+
+    vsym, sym = locus_scan(loci, dom.center, dom.radius)
+    if min(vsym.min_abs, sym.min_abs) <= TAU_CLASSIFY:
+        raise HitsVLocus("f^s or f_v^s meets the loci on the boundary circle "
+                         f"(min |f_v^s| {vsym.min_abs:.3e}, min |f^s| "
+                         f"{sym.min_abs:.3e}); no *-logarithm branch")
+    _require_root(vsym)
+    if sym.zeros != 0:
+        raise HitsVLocus(f"f^s has {sym.zeros} zero(s) in the disk; "
+                         "no *-logarithm branch")
 
     # the state (m, la, lb, F) keeps the stem value of the last step
-    fa = scanned[anchor]
+    fa = stem(anchor)
     m0 = cmath.sqrt(fa.vec_norm2())
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
     seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,

@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slicestar import Domain, Quaternion, constant, quat_mul
 # one copy of the shared generators and oracles, imported by the tests from here
 from slicestar.suites import (cq_exp_series, left_mul_matrix,  # noqa: F401
                               quat_exp_series, rand_cq, rand_poly, rand_quat)
+
+
+# property tests draw the same examples on every run
+settings.register_profile("slicestar", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("slicestar")
+
+#: moduli on both sides of the series/closed-form switch at |w| = 1
+SWITCH_MODULI = (0.9, 0.999999, 1.0, 1.000001, 1.1, 3.0)
+
+
+def switch_arguments() -> list[complex]:
+    """24 arguments at each modulus of SWITCH_MODULI."""
+    return [r * cmath.exp(2j * math.pi * (k + 0.25) / 24)
+            for r in SWITCH_MODULI for k in range(24)]
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import pytest
 
-from conftest import generic_poly, quat_exp_series, rand_cq, rand_poly, rand_quat
+import slicestar.bch
+from conftest import (generic_poly, quat_exp_series, rand_cq, rand_poly, rand_quat,
+                      switch_arguments)
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
                        constant, cq_exp, cq_mul, even_trig,
@@ -269,6 +272,33 @@ def test_combine_stem_symmetry(rng):
         assert stem_symmetry_defect(h, DOM.sample_points(rng, 40)) < 1e-10
 
 
+def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
+    # the continuation state carries W and h0, so a fresh point costs one
+    # (C, W) evaluation per step (two even_trig) plus sin(theta)/theta
+    while True:
+        f = rand_poly(rng, DOM, scale=0.6, deg=1)
+        g = rand_poly(rng, DOM, scale=0.6, deg=1)
+        try:
+            rep = bch_condition(f, g)
+        except VanishingVectorPart:
+            continue
+        if rep.admissible and not rep.commuting:
+            break
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return even_trig(w)
+
+    monkeypatch.setattr(slicestar.bch, "even_trig", counted)
+    h = bch_combine(f, g, report=rep)
+    pts = DOM.sample_points(rng, 300)
+    calls[0] = 0
+    for z in pts:
+        h.stem_at(z)
+    assert calls[0] / len(pts) <= 5.0
+
+
 def test_combine_degenerate_angle():
     # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so sin(theta) = 0 and the
     # vector part cannot be recovered; the scan rejects the pair (f_v^s = pi^2
@@ -295,6 +325,16 @@ def test_coefficients_series_vs_closed():
         assert abs(coeff_b(w0 * (1 - 1e-9)) - coeff_b(w0 * (1 + 1e-9))) < 1e-9
     assert abs(_coeff_a(0j) - 2.0 / 3.0) < 1e-15
     assert abs(coeff_b(0j) - 1.0) < 1e-15
+
+
+def test_coeff_a_vs_mpmath_across_series_switch():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for w in switch_arguments():
+            r2 = 2 * mpmath.sqrt(mpmath.mpc(w))
+            want = (1 - mpmath.sin(r2) / r2) / w
+            worst = max(worst, float(abs(_coeff_a(w) - want) / abs(want)))
+    assert worst < 1e-13
 
 
 def test_bracket_vs_commutator_ladder(rng):

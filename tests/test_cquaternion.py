@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
-from conftest import cq_exp_series, rand_cq, rand_quat
+from conftest import cq_exp_series, rand_cq, rand_quat, switch_arguments
 from slicestar import (CQuaternion, Locus, Quaternion, classify, cq_exp,
                        cq_mul, cq_pow, cq_sinc, even_trig, quat_exp, quat_mul,
                        scalar_deck)
@@ -98,6 +99,17 @@ def test_even_trig_continuous_at_series_switch():
         hi = even_trig(w * (1 + 1e-12))
         assert abs(lo.cosr - hi.cosr) < 1e-11
         assert abs(lo.sincr - hi.sincr) < 1e-11
+
+
+def test_even_trig_vs_mpmath_across_series_switch():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for w in switch_arguments():
+            r = mpmath.sqrt(mpmath.mpc(w))
+            et = even_trig(w)
+            for got, want in ((et.cosr, mpmath.cos(r)), (et.sincr, mpmath.sin(r) / r)):
+                worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst < 1e-13
 
 
 def test_power_recurrence(rng):

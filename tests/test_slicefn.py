@@ -12,8 +12,8 @@ from slicestar import (Domain, I_UNIT, ImagUnit, J_UNIT, Quaternion,
                        star_decompose, star_exp, stem_symmetry_defect,
                        unit_vector_part)
 from slicestar.errors import (DegenerateUnits, DomainMismatch, JNotDefined,
-                              NearBoundary, OutOfDomain, RealAxis,
-                              VanishingVectorPart)
+                              NearBoundary, NonIsolatedZero, OutOfDomain,
+                              RealAxis, VanishingVectorPart)
 
 DOM = Domain(0.0, 3.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -383,3 +383,15 @@ def test_orth_decompose_vanishing():
     g = constant(J_UNIT, DOM)
     with pytest.raises(VanishingVectorPart):
         orth_decompose(f, g)
+
+
+def test_orth_decompose_non_isolated_zero():
+    # f_v^s = z^8 is flat at 0: within rel_tol = 1e-2 of zero on every
+    # Cauchy circle that fits, so no isolated-zero circle is found
+    dom = Domain(0.0, 1.0)
+    zero = Quaternion.zero()
+    f = polynomial([Quaternion.one(), zero, zero, zero, I_UNIT], dom)
+    g = polynomial([Quaternion(0.3, 0.2, 0.5, 0.1), Quaternion(0, 0.1, 0, 0.2)], dom)
+    g1, _ = orth_decompose(f, g, rel_tol=1e-2)
+    with pytest.raises(NonIsolatedZero):
+        g1.scalar_value(0j)

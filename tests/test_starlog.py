@@ -1,7 +1,13 @@
 import cmath
 import math
+import random
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
 
 from conftest import generic_poly, rand_quat
 from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
@@ -9,9 +15,9 @@ from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        quat_exp, slice_preserving, sqrt_vsym, star_exp,
                        star_log, star_root, stem_symmetry_defect,
                        unit_vector_part)
+from slicestar.continuation import ZeroCount, locus_scan
 from slicestar.errors import (BranchObstruction, HitsVLocus, JNotDefined,
-                              OutOfDomain, PathTooWild)
-from slicestar.starlog import SCAN_POINTS
+                              OutOfDomain)
 
 DOM = Domain(0.0, 1.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -187,8 +193,8 @@ def test_star_log_precondition():
 
 
 def test_star_log_square_root_margin():
-    # f_v^s = 1e6 (z - zm)^2 with zm 3e-7 off a real scan point: above the
-    # locus tolerance there, but below 1e-12 of the scan's largest |f_v^s|
+    # f_v^s = 1e6 (z - zm)^2 has a double zero inside the disk; f^s has two
+    # zeros there too, and the root's obstruction is reported first
     zm = 0.45 * 0.92 * DOM.radius + 3e-7
     f = polynomial([Quaternion(5, -1e3 * zm, 0, 0), Quaternion(0, 1e3, 0, 0)], DOM)
     with pytest.raises(BranchObstruction):
@@ -198,20 +204,22 @@ def test_star_log_square_root_margin():
 
 
 def test_star_log_interior_zero_names_what_vanished():
-    # simple zeros at z0, inside the upper disk and between scan points: a
-    # query there exhausts bisection (or meets the fiber guard) and the
-    # error names the quantity that vanished
+    # simple zeros at z0, inside the upper disk: the exact count refuses
+    # them at construction and names the quantity that vanishes
     z0 = 0.0123 + 1.5317j
     bp = DOM_OFF.center
     vinf = polynomial([Quaternion(2, -0.0123, 1.5317, 0), I_UNIT], DOM_OFF)
     vm1 = polynomial([Quaternion(-0.0123, 1.5317, 0, 0), Quaternion.one()], DOM_OFF)
     assert abs(vinf.stem_at(z0).vec_norm2()) == 0 == abs(vm1.stem_at(z0).csym())
     with pytest.raises(BranchObstruction):
-        star_log(vinf, LogBranch(0, 0, bp)).stem_at(z0)
-    with pytest.raises(PathTooWild):
-        star_log(vm1, LogBranch(0, 0, bp)).stem_at(z0 + 1e-9)
+        star_log(vinf, LogBranch(0, 0, bp))
+    with pytest.raises(BranchObstruction):
+        sqrt_vsym(vinf, bp, +1)
     with pytest.raises(HitsVLocus):
-        star_log(vm1, LogBranch(0, 0, bp)).stem_at(z0)
+        star_log(vm1, LogBranch(0, 0, bp))
+    # f_v^s of the V_-1 twin is the constant 1.5317^2: its root exists
+    m = sqrt_vsym(vm1, bp, +1)
+    assert abs(m.scalar_value(z0) - 1.5317) < 1e-12
 
 
 def test_branch_differences_match_translation(rng):
@@ -329,9 +337,8 @@ def test_branch_values_independent_of_query_order(rng, dom):
 def test_star_log_construction_scans_each_point_once(rng, dom):
     f, calls = _counted(generic_poly(rng, dom, deg=2))
     star_log(f, _branch(dom))
-    # SCAN_POINTS + 3 off R; a disk meeting R adds its real trace to the scan
-    assert len(DOM_OFF.mesh_points(SCAN_POINTS)) == SCAN_POINTS
-    assert calls[0] <= len(dom.mesh_points(SCAN_POINTS)) + 3
+    # SCAN_ARCS boundary points, a few halved arcs and the anchor
+    assert calls[0] <= 80
 
 
 @pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
@@ -343,3 +350,100 @@ def test_star_log_stem_calls_per_fresh_point(rng, dom):
     for z in pts:
         g.stem_at(z)
     assert calls[0] / len(pts) <= 2.0
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_branch_values_shared_across_threads(rng, dom):
+    # four threads fill one fresh branch, each in its own order; every
+    # value is the one a single thread computes, bit for bit
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 400)
+    single = [_bits(v) for v in map(star_log(f, _branch(dom)).stem_at, pts)]
+    g = star_log(f, _branch(dom))
+    got: list[dict] = [{} for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def query(i: int):
+        order = list(range(len(pts)))
+        random.Random(i).shuffle(order)
+        start.wait()
+        for k in order:
+            got[i][k] = _bits(g.stem_at(pts[k]))
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # interleave the fills finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seen in got:
+        assert [seen[k] for k in range(len(pts))] == single
+
+
+# -- exact zero counts --------------------------------------------------------
+
+
+def test_locus_scan_counts_zeros_and_bounds():
+    c, r = 0.3 + 1.5j, 0.8
+    inside = [c + 0.5, c - 0.2j, c + 0.79j]
+    outside = [c + 0.81, c - 2]
+    prod = lambda z, zs: math.prod(z - a for a in zs)
+    counts = locus_scan(lambda z: (prod(z, inside), prod(z, outside), 2.0, 0j),
+                        c, r)
+    assert [n.zeros for n in counts] == [3, 0, 0, None]
+    assert counts[2] == ZeroCount(0, 2.0, 2.0)
+    # no zeros: the boundary extremes bound the scalar inside
+    free = counts[1]
+    assert free.min_abs <= abs(prod(c, outside)) <= free.max_abs
+    # a zero on the circle, at a sample or between samples, cannot be followed
+    for t in (0.0, 0.1):
+        on = c + r * cmath.exp(1j * t)
+        assert locus_scan(lambda z: (z - on,), c, r)[0].zeros is None
+
+
+def _zero_family(kind: str, x0: float, y0: float, dom: Domain):
+    """A function with simple zeros at x0 +- i y0: of f_v^s ("vinf", whose
+    f^s vanishes at x0 +- i sqrt(y0^2 + 4)) or of f^s ("vm1", whose f_v^s
+    is the constant y0^2).  Returns it with its zeros of f_v^s and f^s."""
+    pair = [complex(x0, y0), complex(x0, -y0)]
+    if kind == "vinf":
+        f = polynomial([Quaternion(2, -x0, y0, 0), I_UNIT], dom)
+        h = math.sqrt(y0 * y0 + 4)
+        return f, pair, [complex(x0, h), complex(x0, -h)]
+    f = polynomial([Quaternion(-x0, y0, 0, 0), Quaternion.one()], dom)
+    return f, [], pair
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+@given(kind=st.sampled_from(["vinf", "vm1"]),
+       u=st.floats(-2.0, 2.0), v=st.floats(-2.0, 2.0))
+def test_star_log_refuses_exactly_interior_zeros(dom, kind, u, v):
+    x0 = dom.center.real + u * dom.radius
+    y0 = dom.center.imag + v * dom.radius
+    assume(abs(y0) >= 1e-3)
+    f, vsym_zeros, sym_zeros = _zero_family(kind, x0, y0, dom)
+    # keep every zero off the annulus 0.95 r <= |z - c| <= 1.05 r
+    assume(all(abs(dom.boundary_distance(z)) > 0.05 * dom.radius
+               for z in vsym_zeros + sym_zeros))
+    vsym_inside = any(dom.contains(z) for z in vsym_zeros)
+    sym_inside = any(dom.contains(z) for z in sym_zeros)
+    event(f"{kind}: f_v^s zero inside {vsym_inside}, f^s zero inside {sym_inside}")
+    branch = _branch(dom)
+    if vsym_inside:
+        with pytest.raises(BranchObstruction):
+            sqrt_vsym(f, branch.basepoint, +1)
+    else:
+        sqrt_vsym(f, branch.basepoint, +1)
+    if vsym_inside or sym_inside:
+        with pytest.raises(BranchObstruction if vsym_inside else HitsVLocus):
+            star_log(f, branch)
+        return
+    eg = star_exp(star_log(f, branch))
+    for z in dom.sample_points(np.random.default_rng(0), 16):
+        fz = f.stem_at(z)
+        assert (eg.stem_at(z) - fz).norm() <= 1e-8 * max(1.0, fz.norm())

@@ -21,17 +21,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import bch as bchmod
 from .covering import lift_path, lifted_exp_preimage, loop_monodromy
-from .cquaternion import cq_mul
+from .cquaternion import CQuaternion, cq_exp, cq_mul
 from .descriptors import (cq_to_json, lift_point_from_json, lift_point_to_json,
                           load_function, path_from_json, quaternion_from_json,
                           quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
-from .slicefn import SliceFunction
+from .slicefn import SliceFunction, induce_value
 from .starlog import LogBranch, star_exp, star_log, star_root
 from .suites import SuiteConfig, run_suite
 
@@ -99,24 +100,38 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sampled_branch(args, f: SliceFunction, g: SliceFunction, back: SliceFunction,
-                    prefix: str):
-    """g on the sample grid with the residual |back - f| at each point:
-    the JSON samples, the residual max and mean, and the CSV rows."""
+def _sampled_branch(args, f: SliceFunction, g: SliceFunction,
+                    back: Callable[[CQuaternion], CQuaternion], prefix: str):
+    """g on the sample grid with the residual |back(g) - f| at each point,
+    ``back`` mapping a value of g pointwise: the JSON samples, the residual
+    max and mean, and the CSV rows when --csv asks for them."""
     pts = _function_samples(f, args.seed, args.samples)
-    samples, rows, residuals = [], [], []
+    samples, residuals = [], []
     for z in pts:
         gz = g.stem_at(z)
-        r = (back.stem_at(z) - f.stem_at(z)).norm()
+        r = (back(gz) - f.stem_at(z)).norm()
         residuals.append(r)
         samples.append({"z": [z.real, z.imag], "value": cq_to_json(gz),
                         "residual": r})
-        rows.append([z.real, z.imag] + [x for c in gz.components()
-                                        for x in (c.real, c.imag)] + [r])
     stats = {"max": max(residuals), "mean": sum(residuals) / len(residuals)}
+    if args.fmt != "csv":
+        return samples, stats, None
     header = ["z_re", "z_im"] + [f"{prefix}{k}_{p}" for k in range(4) for p in ("re", "im")] \
         + ["residual"]
+    rows = [s["z"] + [x for c in s["value"] for x in c] + [s["residual"]]
+            for s in samples]
     return samples, stats, (header, rows)
+
+
+def _star_pow_value(n: int) -> Callable[[CQuaternion], CQuaternion]:
+    """The stem value of ``star_pow(n)`` from the base's, multiplied in
+    the same order."""
+    def power(v: CQuaternion) -> CQuaternion:
+        out = v
+        for _ in range(n - 1):
+            out = cq_mul(out, v)
+        return out
+    return power
 
 
 def _branch_json(branch: LogBranch) -> dict:
@@ -128,7 +143,7 @@ def cmd_log(args) -> int:
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     g = star_log(f, branch)
-    samples, stats, rows = _sampled_branch(args, f, g, star_exp(g), "g")
+    samples, stats, rows = _sampled_branch(args, f, g, cq_exp, "g")
     _emit(args, {"branch": _branch_json(branch), "samples": samples,
                  "roundtrip": stats}, rows)
     return EXIT_OK
@@ -138,7 +153,8 @@ def cmd_root(args) -> int:
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     r = star_root(f, args.n, branch)
-    samples, stats, rows = _sampled_branch(args, f, r, r.star_pow(args.n), "r")
+    samples, stats, rows = _sampled_branch(args, f, r, _star_pow_value(args.n),
+                                            "r")
     _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
                  "power_back": stats}, rows)
     return EXIT_OK
@@ -157,13 +173,14 @@ def cmd_bch(args) -> int:
     if report.admissible or report.commuting:
         h = bchmod.bch_combine(f, g, report=report)
         pts = _function_samples(f, args.seed, min(args.samples, 32))
-        ef, eg, eh = star_exp(f), star_exp(g), star_exp(h)
+        ef, eg = star_exp(f), star_exp(g)
         residual = 0.0
         hs = []
         for z in pts:
-            hs.append({"z": [z.real, z.imag], "value": cq_to_json(h.stem_at(z))})
+            hz = h.stem_at(z)
+            hs.append({"z": [z.real, z.imag], "value": cq_to_json(hz)})
             residual = max(residual, (cq_mul(ef.stem_at(z), eg.stem_at(z))
-                                      - eh.stem_at(z)).norm())
+                                      - cq_exp(hz)).norm())
         payload["h_samples"] = hs
         payload["residual"] = residual
     _emit(args, payload)
@@ -173,12 +190,12 @@ def cmd_bch(args) -> int:
 def cmd_dexp(args) -> int:
     f = load_function(args.f)
     q = quaternion_from_json(json.loads(args.at))
-    value = bchmod.star_exp_derivative(f, q)
     z = f.slice_point(q)
+    d = bchmod.star_exp_derivative_stem(f, z)
     oracle = star_exp(f).stem_derivative_at(z)
-    residual = (bchmod.star_exp_derivative_stem(f, z) - oracle).norm()
+    residual = (d - oracle).norm()
     _emit(args, {"f": args.f, "at": quaternion_to_json(q),
-                 "value": quaternion_to_json(value),
+                 "value": quaternion_to_json(induce_value(d, q)),
                  "oracle_residual": residual})
     return EXIT_OK
 
@@ -281,9 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every ``main`` call.
+    Parsing leaves it unchanged; two threads racing here at most build it
+    twice."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.run(args)
     except OutOfDomain as exc:

@@ -175,9 +175,12 @@ class BranchContinuation:
         zs, vs = min(self._filled, key=lambda t: abs(t[0] - zc))
         v = continue_along(self.stepper, _halve, zs, vs, zc)
         entry = (zc, v)
-        self._cells[key] = entry
-        self._filled.append(entry)
-        return entry
+        # threads that missed the same cell compute the same value; only
+        # the entry that lands in the grid becomes a start node
+        stored = self._cells.setdefault(key, entry)
+        if stored is entry:
+            self._filled.append(entry)
+        return stored
 
     def at(self, z: complex):
         hit = self._memo.get(z)

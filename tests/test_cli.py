@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from slicestar.cli import main
 
 FN_IDENTITY = {"fn": {"kind": "poly", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]},
@@ -223,3 +225,44 @@ def test_bch_verb_inadmissible(tmp_path, capsys):
     data = json.loads(out)
     assert data["admissible"] is False
     assert "h_samples" not in data
+
+
+# -- one parser shared by in-process calls -------------------------------------
+
+
+def test_parser_built_once_across_calls(tmp_path, capsys, monkeypatch):
+    from slicestar import cli
+    original, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    fn = write(tmp_path, "f.json", FN_IDENTITY)
+    for at in ("[1,2,0,0]", "[0,1,1,0]", "[0.5,0,0,2]"):
+        code, out = run(capsys, ["eval", "--fn", fn, "--at", at])
+        assert code == 0 and json.loads(out)["at"] == json.loads(at)
+    assert len(built) == 1
+
+
+def test_tol_override_does_not_leak_into_next_call(tmp_path):
+    argv = ["verify", "--suite", "algebra", "--samples", "20"]
+    first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(argv + ["--tol", "quat_mul_vs_matrix_oracle=1e-30",
+                        "--out", str(first)]) == 1
+    assert main(argv + ["--out", str(second)]) == 0
+    assert json.loads(first.read_text())["pass"] is False
+    assert json.loads(second.read_text())["pass"] is True
+
+
+def test_valid_call_after_argparse_error(tmp_path, capsys):
+    fn = write(tmp_path, "f.json", FN_IDENTITY)
+    with pytest.raises(SystemExit) as stop:
+        main(["eval", "--fn", fn])          # --at is required
+    assert stop.value.code == 2
+    assert "--at" in capsys.readouterr().err
+    code, out = run(capsys, ["eval", "--fn", fn, "--at", "[1,2,0,0]"])
+    assert code == 0
+    assert json.loads(out)["value"] == [1.0, 2.0, 0.0, 0.0]

@@ -15,7 +15,7 @@ from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        quat_exp, slice_preserving, sqrt_vsym, star_exp,
                        star_log, star_root, stem_symmetry_defect,
                        unit_vector_part)
-from slicestar.continuation import ZeroCount, locus_scan
+from slicestar.continuation import BranchContinuation, ZeroCount, locus_scan
 from slicestar.errors import (BranchObstruction, HitsVLocus, JNotDefined,
                               OutOfDomain)
 
@@ -352,6 +352,19 @@ def test_star_log_stem_calls_per_fresh_point(rng, dom):
     assert calls[0] / len(pts) <= 2.0
 
 
+def _continuation_of(g: SliceFunction) -> BranchContinuation:
+    """The grid behind a continued branch, found through its stem's closures."""
+    todo = [g._stem]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, BranchContinuation):
+                return v
+            if callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    raise AssertionError("no BranchContinuation behind this function")
+
+
 @pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
 def test_branch_values_shared_across_threads(rng, dom):
     # four threads fill one fresh branch, each in its own order; every
@@ -383,6 +396,9 @@ def test_branch_values_shared_across_threads(rng, dom):
     assert not any(t.is_alive() for t in threads)
     for seen in got:
         assert [seen[k] for k in range(len(pts))] == single
+    # a cell filled by several threads is one start node, plus the anchor
+    cont = _continuation_of(g)
+    assert len(cont._filled) == len(cont._cells) + 1
 
 
 # -- exact zero counts --------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from .descriptors import (cq_to_json, lift_point_from_json, lift_point_to_json,
                           quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
 from .slicefn import SliceFunction, induce_value
-from .starlog import LogBranch, star_exp, star_log, star_root
+from .starlog import LogBranch, star_exp, star_log
 from .suites import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -71,14 +72,42 @@ def _parse_complex(text: str) -> complex:
     return complex(float(re_s), float(im_s or 0.0))
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, for
+    objects whose dict keys are strings, without the pure-Python encoder
+    that ``indent`` forces; ``pad`` indents every line after the first.
+    Finite floats are written with ``float.__repr__`` and strings with
+    ``encode_basestring_ascii``; every other scalar (NaN, infinities, ints,
+    bools, None) and every empty container goes to ``json.dumps``.  Each
+    container is joined into one string as soon as it is written, so the
+    pieces held at once stay few.
+    """
+    if type(obj) is float and obj - obj == 0.0:
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
+                 for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [_json_text(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit(args, payload, csv_rows=None) -> None:
+    """Write the CSV rows when --csv asks for them, else the payload as
+    ``json.dumps(payload, indent=2, sort_keys=True)`` writes it, byte for
+    byte (``_json_text``), with a final newline."""
     if args.fmt == "csv" and csv_rows is not None:
         header, rows = csv_rows
         lines = [",".join(header)]
         lines += [",".join(repr(c) for c in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -91,6 +120,12 @@ def _function_samples(f: SliceFunction, seed: int, n: int):
     return f.domain.sample_points(rng, n)
 
 
+def _require_samples(args) -> None:
+    """A config error when a sample grid gets --samples below 1."""
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
 def cmd_eval(args) -> int:
     f = load_function(args.fn)
     q = quaternion_from_json(json.loads(args.at))
@@ -100,16 +135,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sampled_branch(args, f: SliceFunction, g: SliceFunction,
+def _sampled_branch(args, f: SliceFunction,
+                    pair: Callable[[complex], tuple[CQuaternion, CQuaternion]],
                     back: Callable[[CQuaternion], CQuaternion], prefix: str):
-    """g on the sample grid with the residual |back(g) - f| at each point,
-    ``back`` mapping a value of g pointwise: the JSON samples, the residual
-    max and mean, and the CSV rows when --csv asks for them."""
+    """A branch on the sample grid with the residual |back(g) - F| at each
+    point, where ``pair(z)`` gives the branch value g and f's stem F from
+    one continuation state and ``back`` maps g pointwise: the JSON samples,
+    the residual max and mean, and the CSV rows when --csv asks for them."""
     pts = _function_samples(f, args.seed, args.samples)
     samples, residuals = [], []
     for z in pts:
-        gz = g.stem_at(z)
-        r = (back(gz) - f.stem_at(z)).norm()
+        gz, fz = pair(z)
+        r = (back(gz) - fz).norm()
         residuals.append(r)
         samples.append({"z": [z.real, z.imag], "value": cq_to_json(gz),
                         "residual": r})
@@ -140,27 +177,39 @@ def _branch_json(branch: LogBranch) -> dict:
 
 
 def cmd_log(args) -> int:
+    _require_samples(args)
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     g = star_log(f, branch)
-    samples, stats, rows = _sampled_branch(args, f, g, cq_exp, "g")
+    samples, stats, rows = _sampled_branch(args, f, g.pair, cq_exp, "g")
     _emit(args, {"branch": _branch_json(branch), "samples": samples,
                  "roundtrip": stats}, rows)
     return EXIT_OK
 
 
 def cmd_root(args) -> int:
+    _require_samples(args)
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
-    r = star_root(f, args.n, branch)
-    samples, stats, rows = _sampled_branch(args, f, r, _star_pow_value(args.n),
-                                            "r")
+    if args.n < 1:
+        raise ValueError(f"root order must be a positive integer, got {args.n}")
+    g = star_log(f, branch)
+    scale = 1.0 / args.n
+
+    def root_pair(z: complex) -> tuple[CQuaternion, CQuaternion]:
+        # star_root's exp_*(log_*(f) / n), with the same arithmetic
+        gz, fz = g.pair(z)
+        return cq_exp(gz * scale), fz
+
+    samples, stats, rows = _sampled_branch(args, f, root_pair,
+                                            _star_pow_value(args.n), "r")
     _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
                  "power_back": stats}, rows)
     return EXIT_OK
 
 
 def cmd_bch(args) -> int:
+    _require_samples(args)
     f = load_function(args.f)
     g = load_function(args.g)
     tols = _parse_tols(args.tol)

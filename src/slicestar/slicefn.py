@@ -120,14 +120,21 @@ class Domain:
         return pts
 
     def sample_points(self, rng, n: int, margin_frac: float = 0.05) -> list[complex]:
-        """n random points, uniform in each component (both components used)."""
+        """n random points, uniform in each component (both components used).
+
+        One call draws k uniforms per point (radius, angle and, on two-sided
+        domains, the side), in the order k scalar draws per point would take
+        them, so points and generator state match a scalar-draw loop.
+        """
         rmax = self.radius * (1.0 - margin_frac)
+        k = 3 if self.two_sided else 2
+        u = rng.uniform(size=k * n).tolist()
         out = []
-        for _ in range(n):
-            r = rmax * math.sqrt(rng.uniform())
-            th = rng.uniform() * 2 * math.pi
+        for i in range(0, k * n, k):
+            r = rmax * math.sqrt(u[i])
+            th = u[i + 1] * 2 * math.pi
             z = self.center + r * cmath.exp(1j * th)
-            if self.two_sided and rng.uniform() < 0.5:
+            if k == 3 and u[i + 2] < 0.5:
                 z = z.conjugate()
             out.append(z)
         return out

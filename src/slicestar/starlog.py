@@ -143,7 +143,25 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
+class StarLog(SliceFunction):
+    """A *-logarithm g = log_*(f) that also reads f's stem from its
+    continuation: ``pair(z)`` is (G(z), F(z)), both from one state and both
+    mirrored with ``bar`` on the lower disk of a two-sided domain, so a
+    caller checking exp_*(g) = f evaluates f no further."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, stem, pair, domain: Domain):
+        super().__init__(stem, domain)
+        self.pair = pair
+
+
+def _bar_pair(pair: tuple[CQuaternion, CQuaternion]) -> tuple[CQuaternion, CQuaternion]:
+    g, fz = pair
+    return g.bar(), fz.bar()
+
+
+def star_log(f: SliceFunction, branch: LogBranch) -> StarLog:
     """The (h1, h2) branch of the *-logarithm: exp_*(result) = f.
 
     Preconditions: the stem avoids V_-1 and V_inf on the whole domain
@@ -198,7 +216,15 @@ def star_log(f: SliceFunction, branch: LogBranch) -> SliceFunction:
         c = u1 / m
         return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3)
 
-    return SliceFunction(conjugate_mirror(upper_stem, dom), dom)
+    # the same arithmetic as upper_stem, inlined to keep the stem path one call
+    def upper_pair(z: complex) -> tuple[CQuaternion, CQuaternion]:
+        m, la, lb, fz = cont.at(z)
+        u0, u1 = from_log_pair(la, lb)
+        c = u1 / m
+        return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3), fz
+
+    return StarLog(conjugate_mirror(upper_stem, dom),
+                   conjugate_mirror(upper_pair, dom, _bar_pair), dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

@@ -1,7 +1,9 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slicestar.cli import main
 
@@ -266,3 +268,84 @@ def test_valid_call_after_argparse_error(tmp_path, capsys):
     code, out = run(capsys, ["eval", "--fn", fn, "--at", "[1,2,0,0]"])
     assert code == 0
     assert json.loads(out)["value"] == [1.0, 2.0, 0.0, 0.0]
+
+
+# -- sample grids: counts, stem calls and the JSON writer ----------------------
+
+DATA = Path(__file__).parent / "data" / "cli"
+
+GRID_VERBS = {
+    "log": ["log", "--fn", str(DATA / "f-real.json"), "--h1", "0", "--h2", "0",
+            "--basepoint", "0.1,0.0"],
+    "root": ["root", "--fn", str(DATA / "f-real.json"), "--n", "2",
+             "--basepoint", "0.1,0.0"],
+    "bch": ["bch", "--f", str(DATA / "bch-f.json"), "--g", str(DATA / "bch-g.json")],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GRID_VERBS))
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_grid_verbs_reject_sample_count_below_one(capsys, monkeypatch, verb, samples):
+    from slicestar import Domain
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample points drawn")
+
+    monkeypatch.setattr(Domain, "sample_points", no_draw)
+    code = main(GRID_VERBS[verb] + ["--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("verb", ["log", "root"])
+@pytest.mark.parametrize("fn, basepoint", [("f-real.json", "0.1,0.0"),
+                                           ("f-two-sided.json", "0.2,-1.4")])
+def test_log_and_root_stem_calls_per_sample(capsys, monkeypatch, verb, fn, basepoint):
+    # the residual's F(z) comes from the branch's continuation state, so a
+    # sample costs only the continuation's own stem calls
+    from slicestar import cli
+    from slicestar.slicefn import SliceFunction
+    calls = [0]
+
+    def counted_load(path):
+        f = load(path)
+        stem = f._stem
+
+        def count(z):
+            calls[0] += 1
+            return stem(z)
+
+        return SliceFunction(count, f.domain)
+
+    load = cli.load_function
+    monkeypatch.setattr(cli, "load_function", counted_load)
+    argv = [verb, "--fn", str(DATA / fn), "--basepoint", basepoint, "--samples", "300"]
+    argv += ["--n", "3"] if verb == "root" else ["--h1", "0", "--h2", "0"]
+    code = main(argv)
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["samples"]) == 300
+    # 64 boundary points and the anchor, then at most two calls per sample
+    assert calls[0] <= 65 + 2 * 300
+
+
+# drawn under the derandomized `slicestar` profile (conftest.py), so every
+# run checks the same payloads
+_names = st.text(st.characters(codec="utf-8"), max_size=6)
+_scalars = (st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16,
+                                           -1e16, math.inf, -math.inf, math.nan])
+            | st.integers() | st.booleans() | st.none() | _names)
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_names, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_payloads)
+@example({"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16],
+          "tuple": (1, True, None, "\u00e9\n\"", []), "": {}})
+def test_json_writer_matches_json_dumps(obj):
+    from slicestar.cli import _json_text
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -395,3 +396,31 @@ def test_orth_decompose_non_isolated_zero():
     g1, _ = orth_decompose(f, g, rel_tol=1e-2)
     with pytest.raises(NonIsolatedZero):
         g1.scalar_value(0j)
+
+
+def _scalar_draw_points(dom: Domain, rng, n: int, margin_frac: float) -> list[complex]:
+    """The reference: sample_points with one scalar draw per uniform."""
+    rmax = dom.radius * (1.0 - margin_frac)
+    out = []
+    for _ in range(n):
+        r = rmax * math.sqrt(rng.uniform())
+        th = rng.uniform() * 2 * math.pi
+        z = dom.center + r * cmath.exp(1j * th)
+        if dom.two_sided and rng.uniform() < 0.5:
+            z = z.conjugate()
+        out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, np.random.RandomState],
+                         ids=["generator", "random-state"])
+@pytest.mark.parametrize("dom", [Domain(0, 1), DOM_OFF], ids=["real", "off"])
+@pytest.mark.parametrize("margin_frac", [0.05, 0.3])
+def test_sample_points_match_scalar_draws(make_rng, dom, margin_frac):
+    fast, slow = make_rng(11), make_rng(11)
+    got = dom.sample_points(fast, 300, margin_frac=margin_frac)
+    want = _scalar_draw_points(dom, slow, 300, margin_frac)
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
+    assert all(type(z) is complex for z in got)
+    assert fast.uniform() == slow.uniform()

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, value_type
 
 #: absolute tolerance for membership in the V_-1 / V_inf loci
 TAU_CLASSIFY = 1e-10
@@ -34,8 +34,14 @@ _SERIES_RADIUS = 1.0
 _SERIES_MAX_TERMS = 25
 
 
-@dataclass(frozen=True)
-class CQuaternion:
+@value_type
+class CQuaternion(NamedTuple):
+    """An element z0 + z1*i + z2*j + z3*k of C (x) H: an immutable tuple of
+    four complex numbers, equal only to another CQuaternion with equal
+    entries, which a numpy scalar multiplies through ``__rmul__`` (see
+    :func:`slicestar.quaternion.value_type`).
+    """
+
     z0: complex
     z1: complex
     z2: complex
@@ -43,30 +49,36 @@ class CQuaternion:
 
     # -- algebra -------------------------------------------------------
 
+    # The kernels unpack their operands: a tuple unpack is cheaper than
+    # four field reads through the class's attribute descriptors.
+
     def __add__(self, other: "CQuaternion") -> "CQuaternion":
-        return CQuaternion(self.z0 + other.z0, self.z1 + other.z1,
-                           self.z2 + other.z2, self.z3 + other.z3)
+        a0, a1, a2, a3 = self
+        b0, b1, b2, b3 = other
+        return CQuaternion(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
     def __sub__(self, other: "CQuaternion") -> "CQuaternion":
-        return CQuaternion(self.z0 - other.z0, self.z1 - other.z1,
-                           self.z2 - other.z2, self.z3 - other.z3)
+        a0, a1, a2, a3 = self
+        b0, b1, b2, b3 = other
+        return CQuaternion(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
 
     def __neg__(self) -> "CQuaternion":
-        return CQuaternion(-self.z0, -self.z1, -self.z2, -self.z3)
+        a0, a1, a2, a3 = self
+        return CQuaternion(-a0, -a1, -a2, -a3)
 
     def __mul__(self, other):
         if isinstance(other, CQuaternion):
             return cq_mul(self, other)
-        return CQuaternion(self.z0 * other, self.z1 * other,
-                           self.z2 * other, self.z3 * other)
+        a0, a1, a2, a3 = self
+        return CQuaternion(a0 * other, a1 * other, a2 * other, a3 * other)
 
     def __rmul__(self, other) -> "CQuaternion":
-        return CQuaternion(self.z0 * other, self.z1 * other,
-                           self.z2 * other, self.z3 * other)
+        a0, a1, a2, a3 = self
+        return CQuaternion(a0 * other, a1 * other, a2 * other, a3 * other)
 
     def __truediv__(self, scalar: complex) -> "CQuaternion":
-        return CQuaternion(self.z0 / scalar, self.z1 / scalar,
-                           self.z2 / scalar, self.z3 / scalar)
+        a0, a1, a2, a3 = self
+        return CQuaternion(a0 / scalar, a1 / scalar, a2 / scalar, a3 / scalar)
 
     # -- conjugations and invariants ------------------------------------
 
@@ -87,7 +99,8 @@ class CQuaternion:
 
     def vec_norm2(self) -> complex:
         """n(z) = z1^2 + z2^2 + z3^2 (a complex scalar, not a norm)."""
-        return self.z1 * self.z1 + self.z2 * self.z2 + self.z3 * self.z3
+        _, a1, a2, a3 = self
+        return a1 * a1 + a2 * a2 + a3 * a3
 
     def csym(self) -> complex:
         """z z^c = z0^2 + n(z)."""
@@ -99,7 +112,7 @@ class CQuaternion:
                          + abs(self.z2) ** 2 + abs(self.z3) ** 2)
 
     def components(self) -> tuple[complex, complex, complex, complex]:
-        return (self.z0, self.z1, self.z2, self.z3)
+        return tuple(self)
 
     # -- embedding of H --------------------------------------------------
 
@@ -108,10 +121,12 @@ class CQuaternion:
         return CQuaternion(complex(q.q0), complex(q.q1), complex(q.q2), complex(q.q3))
 
     def real_part(self) -> Quaternion:
-        return Quaternion(self.z0.real, self.z1.real, self.z2.real, self.z3.real)
+        a0, a1, a2, a3 = self
+        return Quaternion(a0.real, a1.real, a2.real, a3.real)
 
     def imag_part(self) -> Quaternion:
-        return Quaternion(self.z0.imag, self.z1.imag, self.z2.imag, self.z3.imag)
+        a0, a1, a2, a3 = self
+        return Quaternion(a0.imag, a1.imag, a2.imag, a3.imag)
 
     @staticmethod
     def zero() -> "CQuaternion":
@@ -124,11 +139,13 @@ class CQuaternion:
 
 def cq_mul(z: CQuaternion, w: CQuaternion) -> CQuaternion:
     """Product in C (x) H (formally the quaternion product over C)."""
+    z0, z1, z2, z3 = z
+    w0, w1, w2, w3 = w
     return CQuaternion(
-        z.z0 * w.z0 - z.z1 * w.z1 - z.z2 * w.z2 - z.z3 * w.z3,
-        z.z0 * w.z1 + z.z1 * w.z0 + z.z2 * w.z3 - z.z3 * w.z2,
-        z.z0 * w.z2 - z.z1 * w.z3 + z.z2 * w.z0 + z.z3 * w.z1,
-        z.z0 * w.z3 + z.z1 * w.z2 - z.z2 * w.z1 + z.z3 * w.z0,
+        z0 * w0 - z1 * w1 - z2 * w2 - z3 * w3,
+        z0 * w1 + z1 * w0 + z2 * w3 - z3 * w2,
+        z0 * w2 - z1 * w3 + z2 * w0 + z3 * w1,
+        z0 * w3 + z1 * w2 - z2 * w1 + z3 * w0,
     )
 
 
@@ -167,9 +184,14 @@ def classify(z: CQuaternion, tol: float = TAU_CLASSIFY) -> Locus:
     return Locus.GENERIC
 
 
-@dataclass(frozen=True)
-class EvenTrigPair:
-    """Values of cos(sqrt w) and sin(sqrt w)/sqrt w; satisfies cosr^2 + w*sincr^2 = 1."""
+@value_type
+class EvenTrigPair(NamedTuple):
+    """Values of cos(sqrt w) and sin(sqrt w)/sqrt w; satisfies cosr^2 + w*sincr^2 = 1.
+
+    An immutable tuple of two complex numbers, equal only to another
+    EvenTrigPair with equal entries, over which numpy does not broadcast
+    (see :func:`slicestar.quaternion.value_type`).
+    """
 
     cosr: complex
     sincr: complex
@@ -222,11 +244,12 @@ def cq_exp(z: CQuaternion) -> CQuaternion:
     Restricts to quat_exp on real-embedded inputs and is invariant under
     adding 2*pi*1j to z0 (the scalar deck shift).
     """
-    et = even_trig(z.vec_norm2())
-    e0 = cmath.exp(z.z0)
-    c = e0 * et.cosr
-    s = e0 * et.sincr
-    return CQuaternion(c, s * z.z1, s * z.z2, s * z.z3)
+    z0, z1, z2, z3 = z
+    cosr, sincr = even_trig(z1 * z1 + z2 * z2 + z3 * z3)
+    e0 = cmath.exp(z0)
+    c = e0 * cosr
+    s = e0 * sincr
+    return CQuaternion(c, s * z1, s * z2, s * z3)
 
 
 def cq_sinc(z: CQuaternion) -> CQuaternion:

@@ -27,10 +27,18 @@ from .slicefn import Domain, SliceFunction, constant, polynomial
 from .starlog import star_exp
 
 
+def _float(x, what: str) -> float:
+    """float(x); a JSON array, object or null raises a ValueError naming ``what``."""
+    try:
+        return float(x)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {x!r}") from None
+
+
 def quaternion_from_json(obj) -> Quaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise ValueError(f"quaternion JSON must be a 4-array, got {obj!r}")
-    return Quaternion(*(float(x) for x in obj))
+    return Quaternion(*(_float(x, "quaternion entry") for x in obj))
 
 
 def quaternion_to_json(q: Quaternion) -> list:
@@ -40,7 +48,7 @@ def quaternion_to_json(q: Quaternion) -> list:
 def _complex_from_json(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex JSON must be [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(_float(obj[0], "real part"), _float(obj[1], "imaginary part"))
 
 
 def _complex_to_json(z: complex) -> list:
@@ -68,7 +76,24 @@ def _vector_to_json(s: CQuaternion) -> list:
     return [_complex_to_json(s.z1), _complex_to_json(s.z2), _complex_to_json(s.z3)]
 
 
+def _member(obj, key: str, kind: type, what: str, nonempty: bool = False):
+    """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
+    ``kind`` (dict for an object, list for an array); otherwise a
+    ValueError that names ``what`` and shows ``obj``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    value = obj.get(key)
+    kinds = (list, tuple) if kind is list else kind
+    if not isinstance(value, kinds) or (nonempty and not value):
+        need = "an object" if kind is dict else \
+            "a non-empty array" if nonempty else "an array"
+        raise ValueError(f"{what} {obj!r}: {key!r} must be {need}")
+    return value
+
+
 def lift_point_from_json(obj: dict) -> LiftPoint:
+    if not isinstance(obj, dict):
+        raise ValueError(f"lift point must be a JSON object, got {obj!r}")
     return LiftPoint(_complex_from_json(obj["u0"]), _complex_from_json(obj["u1"]),
                      _vector_from_json(obj["s"]))
 
@@ -80,8 +105,11 @@ def lift_point_to_json(p: LiftPoint) -> dict:
 
 def path_from_json(obj: dict) -> SampledPath:
     samples = []
-    for s in obj["samples"]:
-        samples.append(PathSample(float(s["t"]), _complex_from_json(s["w0"]),
+    for s in _member(obj, "samples", list, "path"):
+        if not isinstance(s, dict):
+            raise ValueError(f"path sample must be a JSON object, got {s!r}")
+        samples.append(PathSample(_float(s["t"], 'path sample "t"'),
+                                  _complex_from_json(s["w0"]),
                                   _complex_from_json(s["w1"]),
                                   _vector_from_json(s["s"])))
     return SampledPath(tuple(samples))
@@ -94,32 +122,31 @@ def path_to_json(path: SampledPath) -> dict:
 
 
 def build_function(desc: dict, domain: Domain) -> SliceFunction:
-    """Build a slice function from a descriptor node on the given domain."""
+    """Build a slice function from a descriptor node on the given domain.
+
+    A node of the wrong shape raises a ValueError that shows the node."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"descriptor node must be a JSON object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "poly":
-        coeffs = [quaternion_from_json(c) for c in desc["coeffs"]]
-        return polynomial(coeffs, domain)
+        coeffs = _member(desc, "coeffs", list, "descriptor node")
+        return polynomial([quaternion_from_json(c) for c in coeffs], domain)
     if kind == "const":
-        return constant(quaternion_from_json(desc["value"]), domain)
-    if kind == "add":
-        parts = [build_function(d, domain) for d in desc["args"]]
+        return constant(quaternion_from_json(desc.get("value")), domain)
+    if kind in ("add", "mul"):
+        args = _member(desc, "args", list, "descriptor node", nonempty=True)
+        parts = [build_function(d, domain) for d in args]
         out = parts[0]
         for p in parts[1:]:
-            out = out + p
-        return out
-    if kind == "mul":
-        parts = [build_function(d, domain) for d in desc["args"]]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.star(p)
+            out = out + p if kind == "add" else out.star(p)
         return out
     if kind == "exp":
-        return star_exp(build_function(desc["arg"], domain))
+        return star_exp(build_function(_member(desc, "arg", dict, "descriptor node"), domain))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
 def function_from_obj(obj: dict) -> SliceFunction:
-    if "fn" not in obj or "domain" not in obj:
+    if not isinstance(obj, dict) or "fn" not in obj or "domain" not in obj:
         raise ValueError('function file needs "fn" and "domain" keys')
     return build_function(obj["fn"], Domain.from_json(obj["domain"]))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RealAxis
 
@@ -24,8 +25,35 @@ TAU_STRATUM = 1e-9
 _SMALL_ANGLE = 1e-4
 
 
-@dataclass(frozen=True)
-class Quaternion:
+def value_type(cls):
+    """Give a NamedTuple class the contract of the algebra's values.
+
+    Instances stay immutable tuples: assigning a field raises
+    AttributeError.  They compare and hash as tuples, but only with
+    instances of the same class, so a Quaternion never equals a
+    CQuaternion or a plain tuple with the same entries.
+    ``__array_ufunc__ = None`` makes a numpy scalar on the left of ``*``
+    defer to the class's ``__rmul__``; without it, numpy would broadcast
+    over the tuple and return an ndarray.
+    """
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    cls.__array_ufunc__ = None
+    return cls
+
+
+@value_type
+class Quaternion(NamedTuple):
+    """A quaternion q0 + q1*i + q2*j + q3*k: an immutable tuple of four
+    floats, equal only to another Quaternion with equal entries, which a
+    numpy scalar multiplies through ``__rmul__`` (see :func:`value_type`).
+    """
+
     q0: float
     q1: float
     q2: float
@@ -33,31 +61,37 @@ class Quaternion:
 
     # -- algebra -------------------------------------------------------
 
+    # The kernels unpack their operands: a tuple unpack is cheaper than
+    # four field reads through the class's attribute descriptors.
+
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
+        p0, p1, p2, p3 = self
+        q0, q1, q2, q3 = other
+        return Quaternion(p0 + q0, p1 + q1, p2 + q2, p3 + q3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
-                          self.q2 - other.q2, self.q3 - other.q3)
+        p0, p1, p2, p3 = self
+        q0, q1, q2, q3 = other
+        return Quaternion(p0 - q0, p1 - q1, p2 - q2, p3 - q3)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        p0, p1, p2, p3 = self
+        return Quaternion(-p0, -p1, -p2, -p3)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return quat_mul(self, other)
-        return Quaternion(self.q0 * other, self.q1 * other,
-                          self.q2 * other, self.q3 * other)
+        p0, p1, p2, p3 = self
+        return Quaternion(p0 * other, p1 * other, p2 * other, p3 * other)
 
     def __rmul__(self, other) -> "Quaternion":
         # scalar * q; quaternion * quaternion is handled by __mul__
-        return Quaternion(self.q0 * other, self.q1 * other,
-                          self.q2 * other, self.q3 * other)
+        p0, p1, p2, p3 = self
+        return Quaternion(p0 * other, p1 * other, p2 * other, p3 * other)
 
     def __truediv__(self, scalar: float) -> "Quaternion":
-        return Quaternion(self.q0 / scalar, self.q1 / scalar,
-                          self.q2 / scalar, self.q3 / scalar)
+        p0, p1, p2, p3 = self
+        return Quaternion(p0 / scalar, p1 / scalar, p2 / scalar, p3 / scalar)
 
     # -- structure -----------------------------------------------------
 
@@ -71,11 +105,12 @@ class Quaternion:
         return Quaternion(0.0, self.q1, self.q2, self.q3)
 
     def vec_norm(self) -> float:
-        return math.sqrt(self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3)
+        _, p1, p2, p3 = self
+        return math.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
 
     def norm2(self) -> float:
-        return (self.q0 * self.q0 + self.q1 * self.q1
-                + self.q2 * self.q2 + self.q3 * self.q3)
+        p0, p1, p2, p3 = self
+        return p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
 
     def norm(self) -> float:
         return math.sqrt(self.norm2())
@@ -87,7 +122,7 @@ class Quaternion:
         return self.conj() / n2
 
     def components(self) -> tuple[float, float, float, float]:
-        return (self.q0, self.q1, self.q2, self.q3)
+        return tuple(self)
 
     def is_real(self, tol: float = 0.0) -> bool:
         return self.vec_norm() <= tol
@@ -145,11 +180,13 @@ class ImagUnit:
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Quaternion product p*q (scalar/vector form; |pq| = |p||q|)."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
     return Quaternion(
-        p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
-        p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
-        p.q0 * q.q2 - p.q1 * q.q3 + p.q2 * q.q0 + p.q3 * q.q1,
-        p.q0 * q.q3 + p.q1 * q.q2 - p.q2 * q.q1 + p.q3 * q.q0,
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
     )
 
 

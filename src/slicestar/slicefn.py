@@ -154,6 +154,11 @@ class Domain:
 
     @staticmethod
     def from_json(obj: dict) -> "Domain":
+        shaped = (isinstance(obj, dict) and isinstance(obj.get("center"), (list, tuple))
+                  and len(obj["center"]) == 2
+                  and all(isinstance(x, (int, float)) for x in (*obj["center"], obj.get("radius"))))
+        if not shaped:
+            raise ValueError(f'domain must be {{"center": [re, im], "radius": r}}, got {obj!r}')
         c = complex(obj["center"][0], obj["center"][1])
         dom = Domain(c, float(obj["radius"]))
         if "realIntersecting" in obj and bool(obj["realIntersecting"]) != dom.real_intersecting:
@@ -337,16 +342,25 @@ def constant(c: Quaternion, domain: Domain) -> SliceFunction:
 
 
 def polynomial(coeffs: Sequence[Quaternion], domain: Domain) -> SliceFunction:
-    """Polynomial q -> sum q^n a_n with right quaternion coefficients a_n."""
-    cs = [CQuaternion.from_quaternion(a) for a in coeffs]
-    if not cs:
-        cs = [CQuaternion.zero()]
+    """Polynomial q -> sum q^n a_n with right quaternion coefficients a_n.
+
+    The stem is Horner's rule run on each of the four components, with
+    the arithmetic of ``acc = acc * z + a`` on CQuaternions, so its values
+    are those bit for bit; it builds one CQuaternion per call.
+    """
+    cs = [CQuaternion.from_quaternion(a) for a in coeffs] or [CQuaternion.zero()]
+    # the leading coefficient's components, then the others from degree n-1 down
+    top0, top1, top2, top3 = cs[-1]
+    lower = tuple(reversed(cs[:-1]))
 
     def stem(z: complex) -> CQuaternion:
-        acc = cs[-1]
-        for a in reversed(cs[:-1]):
-            acc = acc * z + a
-        return acc
+        a0, a1, a2, a3 = top0, top1, top2, top3
+        for c0, c1, c2, c3 in lower:
+            a0 = a0 * z + c0
+            a1 = a1 * z + c1
+            a2 = a2 * z + c2
+            a3 = a3 * z + c3
+        return CQuaternion(a0, a1, a2, a3)
 
     return SliceFunction(stem, domain,
                          {"kind": "poly", "coeffs": [list(a.components()) for a in coeffs]})

@@ -82,6 +82,60 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+MALFORMED_FN = {
+    "add-no-args": ({"kind": "add", "args": []},
+                    "descriptor node {'kind': 'add', 'args': []}: 'args' must be a non-empty array"),
+    "poly-scalar-coeffs": ({"kind": "poly", "coeffs": 5},
+                           "descriptor node {'kind': 'poly', 'coeffs': 5}: 'coeffs' must be an array"),
+    "fn-string": ("poly", "descriptor node must be a JSON object, got 'poly'"),
+    "const-null-entry": ({"kind": "const", "value": [None, 0, 0, 0]},
+                         "quaternion entry must be a number, got None"),
+}
+MALFORMED_DOMAIN = {
+    "center-scalar": {"center": 5, "radius": 1},
+    "center-short": {"center": [0], "radius": 1},
+    "radius-array": {"center": [0, 0], "radius": [1]},
+}
+MALFORMED_PATH = {
+    "samples-scalar": ({"samples": 5}, "path {'samples': 5}: 'samples' must be an array"),
+    "sample-scalar": ({"samples": [5]}, "path sample must be a JSON object, got 5"),
+    "t-array": ({"samples": [{"t": [0], "w0": [1, 0], "w1": [0, 0], "s": [[1, 0], [0, 0], [0, 0]]}]},
+                'path sample "t" must be a number, got [0]'),
+}
+
+
+def _assert_one_line_config_error(code, capsys, message):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FN))
+def test_malformed_descriptor_exits_2(tmp_path, capsys, case):
+    node, message = MALFORMED_FN[case]
+    fn = write(tmp_path, "f.json", {"fn": node, "domain": FN_IDENTITY["domain"]})
+    code = main(["eval", "--fn", fn, "--at", "[0,0,0,0]"])
+    _assert_one_line_config_error(code, capsys, message)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOMAIN))
+def test_malformed_domain_exits_2(tmp_path, capsys, case):
+    domain = MALFORMED_DOMAIN[case]
+    fn = write(tmp_path, "f.json", {"fn": FN_IDENTITY["fn"], "domain": domain})
+    code = main(["eval", "--fn", fn, "--at", "[0,0,0,0]"])
+    _assert_one_line_config_error(
+        code, capsys, f'domain must be {{"center": [re, im], "radius": r}}, got {domain!r}')
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATH))
+def test_malformed_path_exits_2(tmp_path, capsys, case):
+    obj, message = MALFORMED_PATH[case]
+    path = write(tmp_path, "path.json", obj)
+    code = main(["lift", "--path", path])
+    _assert_one_line_config_error(code, capsys, message)
+
+
 def test_log_verb_round_trip(tmp_path, capsys):
     fn = write(tmp_path, "f.json", FN_GENERIC)
     code, out = run(capsys, ["log", "--fn", fn, "--h1", "1", "--h2", "-1",
@@ -144,6 +198,13 @@ def _loop_json(n=48):
                         "w1": [math.sin(t), 0.0],
                         "s": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
     return {"samples": samples}
+
+
+def test_malformed_lift_start_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "loop.json", _loop_json())
+    start = write(tmp_path, "start.json", [1, 2])
+    code = main(["lift", "--path", path, "--start", start])
+    _assert_one_line_config_error(code, capsys, "lift point must be a JSON object, got [1, 2]")
 
 
 def test_lift_and_monodromy_verbs(tmp_path, capsys):

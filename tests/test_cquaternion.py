@@ -2,10 +2,11 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from conftest import cq_exp_series, rand_cq, rand_quat, switch_arguments
-from slicestar import (CQuaternion, Locus, Quaternion, classify, cq_exp,
+from slicestar import (CQuaternion, EvenTrigPair, Locus, Quaternion, classify, cq_exp,
                        cq_mul, cq_pow, cq_sinc, even_trig, quat_exp, quat_mul,
                        scalar_deck)
 
@@ -218,3 +219,54 @@ def test_sinc_vs_direct_series(rng):
             series = series + power * ((-1) ** m / math.factorial(2 * m + 1))
             power = cq_mul(power, z)
         assert (cq_sinc(z) - series).norm() < 1e-12
+
+
+# -- the value types' contract --------------------------------------------
+
+VALUES = [
+    (CQuaternion(1 + 2j, 0j, -1j, 0.5 + 0j), "CQuaternion(z0=(1+2j), z1=0j, z2=(-0-1j), z3=(0.5+0j))"),
+    (Quaternion(1.0, -2.5, 0.0, 3.0), "Quaternion(q0=1.0, q1=-2.5, q2=0.0, q3=3.0)"),
+    (EvenTrigPair(1 + 0j, 0.5 - 0.25j), "EvenTrigPair(cosr=(1+0j), sincr=(0.5-0.25j))"),
+]
+VALUE_IDS = [type(v).__name__ for v, _ in VALUES]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def test_value_types_are_immutable(value, text):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+    with pytest.raises(AttributeError):
+        value.extra = 0.0
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def test_value_types_hash_like_their_fields(value, text):
+    twin = type(value)(*(c + 0 for c in value))
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    assert len({value, twin}) == 1
+
+
+def test_value_types_equal_only_within_their_class():
+    cq, q = CQuaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)
+    for other in (q, (1, 0, 0, 0), [1, 0, 0, 0]):
+        assert cq != other and not cq == other
+        assert other != cq and not other == cq
+    assert q != (1, 0, 0, 0) and (1, 0, 0, 0) != q
+    assert EvenTrigPair(1, 0) != (1, 0) and (1, 0) != EvenTrigPair(1, 0)
+
+
+@pytest.mark.parametrize("scalar", [np.float64(0.75), np.complex128(0.5 - 1.25j)],
+                         ids=["float64", "complex128"])
+def test_numpy_scalars_scale_value_types(scalar):
+    # numpy scalars defer to __rmul__ instead of broadcasting over the tuple
+    py = scalar.item()
+    values = [CQuaternion(1 + 2j, -0.5j, 3 + 0j, 0.25 - 1j)]
+    if isinstance(py, float):
+        values.append(Quaternion(1.0, -2.5, 0.5, 3.0))
+    for v in values:
+        for got in (scalar * v, v * scalar):
+            assert type(got) is type(v)
+            assert got == py * v == v * py

@@ -1,12 +1,14 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (generic_poly, poly_convolve, poly_eval_direct, rand_poly,
                       rand_quat, rand_unit_axis)
-from slicestar import (Domain, I_UNIT, ImagUnit, J_UNIT, Quaternion,
+from slicestar import (CQuaternion, Domain, I_UNIT, ImagUnit, J_UNIT, Quaternion,
                        constant, idempotent_minus, idempotent_plus, identity,
                        orth_decompose, polynomial, quat_exp, quat_mul,
                        representation_formula, slice_preserving,
@@ -424,3 +426,43 @@ def test_sample_points_match_scalar_draws(make_rng, dom, margin_frac):
         [(z.real.hex(), z.imag.hex()) for z in want]
     assert all(type(z) is complex for z in got)
     assert fast.uniform() == slow.uniform()
+
+
+def _horner_reference(coeffs, z):
+    """The polynomial stem as a CQuaternion Horner loop, acc = acc * z + a."""
+    cs = [CQuaternion.from_quaternion(a) for a in coeffs] or [CQuaternion.zero()]
+    acc = cs[-1]
+    for a in reversed(cs[:-1]):
+        acc = acc * z + a
+    return acc
+
+
+def _bits(v: CQuaternion) -> bytes:
+    return struct.pack("<8d", *(x for c in v.components() for x in (c.real, c.imag)))
+
+
+def _disk_points(center: complex, radius: float):
+    return st.builds(lambda r, t: center + 0.999 * radius * math.sqrt(r) * cmath.exp(2j * math.pi * t),
+                     st.floats(0, 1), st.floats(0, 1))
+
+
+_UNIT_DISK = Domain(0, 1)
+#: (domain, z): both disks of DOM_OFF, and the unit disk with real z as a
+#: complex and as a float
+_STEM_POINTS = st.one_of(
+    st.tuples(st.just(DOM_OFF), _disk_points(DOM_OFF.center, DOM_OFF.radius)),
+    st.tuples(st.just(DOM_OFF), _disk_points(DOM_OFF.center.conjugate(), DOM_OFF.radius)),
+    st.tuples(st.just(_UNIT_DISK), _disk_points(0j, 1.0)),
+    st.tuples(st.just(_UNIT_DISK), st.floats(-0.999, 0.999).map(lambda x: complex(x, 0.0))),
+    st.tuples(st.just(_UNIT_DISK), st.floats(-0.999, 0.999)))
+_COEFF = st.builds(Quaternion, *(st.floats(-1e3, 1e3) for _ in range(4)))
+
+
+@pytest.mark.parametrize("degree", range(-1, 7))   # -1: no coefficients
+@given(data=st.data(), point=_STEM_POINTS)
+def test_polynomial_stem_bitwise_matches_horner_loop(degree, data, point):
+    coeffs = data.draw(st.lists(_COEFF, min_size=degree + 1, max_size=degree + 1))
+    dom, z = point
+    got = polynomial(coeffs, dom).stem_at(z)
+    assert type(got) is CQuaternion
+    assert _bits(got) == _bits(_horner_reference(coeffs, z))

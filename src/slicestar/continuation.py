@@ -52,18 +52,27 @@ def continue_along(step: Stepper, midpoint: Callable, a, v, b):
     """Carry the value ``v`` at ``a`` to ``b``, halving refused segments at
     ``midpoint(a, b)``; raise the refusing class after MAX_DEPTH halvings."""
 
+    # most segments need no halving, so the whole one is tried before the
+    # recursion is built
+    if b == a:
+        return v
+    out = step(a, v, b)
+    if not refused(out):
+        return out
+
     def carry(a, v, b, depth: int):
         if b == a:
             return v
         out = step(a, v, b)
-        if not refused(out):
-            return out
+        return halve(a, v, b, out, depth) if refused(out) else out
+
+    def halve(a, v, b, refusal, depth: int):
         if depth <= 0:
-            raise out(f"continuation from {a} to {b}: refinement depth exhausted")
+            raise refusal(f"continuation from {a} to {b}: refinement depth exhausted")
         m = midpoint(a, b)
         return carry(m, carry(a, v, m, depth - 1), b, depth - 1)
 
-    return carry(a, v, b, MAX_DEPTH)
+    return halve(a, v, b, out, MAX_DEPTH)
 
 
 def _halve(z0: complex, z1: complex) -> complex:
@@ -144,7 +153,6 @@ class BranchContinuation:
         self.radius = radius
         self._cells: dict[tuple[int, int], tuple[complex, V]] = {}
         self._filled: list[tuple[complex, V]] = [(anchor, seed)]
-        self._memo: dict[complex, V] = {anchor: seed}
 
     # -- grid helpers ----------------------------------------------------
 
@@ -183,10 +191,7 @@ class BranchContinuation:
         return stored
 
     def at(self, z: complex):
-        hit = self._memo.get(z)
-        if hit is not None:
-            return hit
+        """The value at z, one segment from its cell's node.  Only cells are
+        stored, so memory is bounded by GRID**2 states plus the anchor."""
         zc, vc = self._fill_cell(self._cell_of(z))
-        v = continue_along(self.stepper, _halve, zc, vc, z)
-        self._memo[z] = v
-        return v
+        return continue_along(self.stepper, _halve, zc, vc, z)

@@ -152,8 +152,14 @@ def function_from_obj(obj: dict) -> SliceFunction:
 
 
 def load_function(path: str) -> SliceFunction:
+    """The function in a function file; a descriptor nested deeper than the
+    interpreter's recursion limit allows raises a ValueError."""
     with open(path) as fh:
-        return function_from_obj(json.load(fh))
+        try:
+            return function_from_obj(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"function file {path}: descriptor nested too deeply "
+                             "to load") from None
 
 
 def function_to_obj(f: SliceFunction) -> dict[str, Any]:

@@ -25,6 +25,7 @@ conjugate disks that avoid R.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -166,6 +167,16 @@ class Domain:
         return dom
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_roots(npts: int) -> tuple[tuple[complex, complex], ...]:
+    """The quadrature nodes (w_k, conj w_k), w_k = exp(2 pi i k / npts)."""
+    out = []
+    for k in range(npts):
+        w = cmath.exp(1j * (2 * math.pi * k / npts))
+        out.append((w, w.conjugate()))
+    return tuple(out)
+
+
 def induce_value(value: CQuaternion, q: Quaternion) -> Quaternion:
     """Evaluate the slice function with stem value ``value`` at q = alpha + I*beta."""
     beta = q.vec_norm()
@@ -303,17 +314,32 @@ class SliceFunction:
     # -- derivatives -------------------------------------------------------
 
     def stem_derivative_at(self, z: complex, npts: int = QUAD_POINTS) -> CQuaternion:
-        """dF/dz by trapezoidal Cauchy quadrature on a safe circle around z."""
-        d = self.domain.boundary_distance(z)
+        """dF/dz by trapezoidal Cauchy quadrature on a safe circle around z.
+
+        The mean of F(z + r w) conj(w) over the npts-th roots of unity w,
+        divided by r, accumulated per component in the order of
+        ``acc = acc + F(z + r w) * conj(w)`` on CQuaternions, so the
+        result is that sum's bit for bit.
+        """
+        dom = self.domain
+        d = dom.boundary_distance(z)
         if d <= BOUNDARY_FLOOR:
             raise NearBoundary(f"{z} too close to the domain boundary for quadrature")
         r = min(QUAD_RADIUS, d / 2)
-        acc = CQuaternion.zero()
-        for k in range(npts):
-            th = 2 * math.pi * k / npts
-            w = cmath.exp(1j * th)
-            acc = acc + self.stem_at(z + r * w) * w.conjugate()
-        return acc / (npts * r)
+        # every node lies within r of z, so one check keeps them all inside
+        if not dom.contains(z, margin=r - 1e-12):
+            raise OutOfDomain(f"quadrature circle of radius {r} around {z} leaves the "
+                              f"domain (center {dom.center}, radius {dom.radius})")
+        stem = self._stem
+        a0 = a1 = a2 = a3 = 0j
+        for w, wc in _unit_roots(npts):
+            f0, f1, f2, f3 = stem(z + r * w)
+            a0 = a0 + f0 * wc
+            a1 = a1 + f1 * wc
+            a2 = a2 + f2 * wc
+            a3 = a3 + f3 * wc
+        s = npts * r
+        return CQuaternion(a0 / s, a1 / s, a2 / s, a3 / s)
 
     def derivative(self) -> "SliceFunction":
         """Slice derivative as a slice function (quadrature-backed stem)."""

@@ -119,6 +119,30 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, case):
     _assert_one_line_config_error(code, capsys, message)
 
 
+def test_descriptor_nested_too_deeply_exits_2(tmp_path, capsys):
+    # built as text: json.dump itself recurses on a 600-deep object
+    node = '{"kind": "const", "value": [1, 0, 0, 0]}'
+    for _ in range(600):
+        node = f'{{"kind": "add", "args": [{node}, {{"kind": "poly", "coeffs": []}}]}}'
+    fn = tmp_path / "f.json"
+    fn.write_text(f'{{"fn": {node}, "domain": {{"center": [0, 0], "radius": 1}}}}')
+    code = main(["eval", "--fn", str(fn), "--at", "[0,0,0,0]"])
+    _assert_one_line_config_error(
+        code, capsys, f"function file {fn}: descriptor nested too deeply to load")
+
+
+def test_exp_overflow_is_a_library_failure(tmp_path, capsys):
+    fn = write(tmp_path, "f.json", {"fn": {"kind": "exp", "arg": {"kind": "const",
+                                                                  "value": [800, 0, 0, 0]}},
+                                    "domain": {"center": [0, 0], "radius": 1}})
+    code = main(["eval", "--fn", fn, "--at", "[0,0,0,0]"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: OverflowError: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOMAIN))
 def test_malformed_domain_exits_2(tmp_path, capsys, case):
     domain = MALFORMED_DOMAIN[case]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import struct
 
@@ -8,15 +9,16 @@ from hypothesis import given, strategies as st
 
 from conftest import (generic_poly, poly_convolve, poly_eval_direct, rand_poly,
                       rand_quat, rand_unit_axis)
-from slicestar import (CQuaternion, Domain, I_UNIT, ImagUnit, J_UNIT, Quaternion,
-                       constant, idempotent_minus, idempotent_plus, identity,
-                       orth_decompose, polynomial, quat_exp, quat_mul,
-                       representation_formula, slice_preserving,
-                       star_decompose, star_exp, stem_symmetry_defect,
-                       unit_vector_part)
+from slicestar import (CQuaternion, Domain, I_UNIT, ImagUnit, J_UNIT, LogBranch,
+                       Quaternion, SliceFunction, constant, idempotent_minus,
+                       idempotent_plus, identity, orth_decompose, polynomial,
+                       quat_exp, quat_mul, representation_formula,
+                       slice_preserving, star_decompose, star_exp, star_log,
+                       stem_symmetry_defect, unit_vector_part)
 from slicestar.errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                               NearBoundary, NonIsolatedZero, OutOfDomain,
-                              RealAxis, VanishingVectorPart)
+                              RealAxis, SliceStarError, VanishingVectorPart)
+from slicestar.slicefn import BOUNDARY_FLOOR, QUAD_POINTS, QUAD_RADIUS
 
 DOM = Domain(0.0, 3.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -277,6 +279,11 @@ def test_derivative_near_boundary():
     f = identity(Domain(0.0, 1.0))
     with pytest.raises(NearBoundary):
         f.stem_derivative_at(1.0 - 1e-9 + 0j)
+    # a boundary distance of exactly BOUNDARY_FLOOR is refused too
+    tiny = Domain(0.0, 2 * BOUNDARY_FLOOR)
+    assert tiny.boundary_distance(BOUNDARY_FLOOR) == BOUNDARY_FLOOR
+    with pytest.raises(NearBoundary):
+        identity(tiny).stem_derivative_at(complex(BOUNDARY_FLOOR, 0.0))
 
 
 def test_spherical_derivative():
@@ -466,3 +473,104 @@ def test_polynomial_stem_bitwise_matches_horner_loop(degree, data, point):
     got = polynomial(coeffs, dom).stem_at(z)
     assert type(got) is CQuaternion
     assert _bits(got) == _bits(_horner_reference(coeffs, z))
+
+
+# -- the quadrature kernel -----------------------------------------------------
+
+
+def _quadrature_reference(f: SliceFunction, z, npts: int) -> CQuaternion:
+    """dF/dz as the CQuaternion loop acc = acc + F(z + r w) * conj(w), with
+    the domain checked by ``stem_at`` at every node."""
+    d = f.domain.boundary_distance(z)
+    if d <= BOUNDARY_FLOOR:
+        raise NearBoundary(f"{z} too close to the domain boundary for quadrature")
+    r = min(QUAD_RADIUS, d / 2)
+    acc = CQuaternion.zero()
+    for k in range(npts):
+        th = 2 * math.pi * k / npts
+        w = cmath.exp(1j * th)
+        acc = acc + f.stem_at(z + r * w) * w.conjugate()
+    return acc / (npts * r)
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or the class of the error it raises."""
+    try:
+        return _bits(fn(*args))
+    except SliceStarError as exc:
+        return type(exc)
+
+
+def _quad_points(dom: Domain):
+    """z on every component of dom: anywhere in the disk, at a boundary
+    distance just above BOUNDARY_FLOOR, and real floats on a disk meeting R."""
+    edge = dom.radius - 1.5 * BOUNDARY_FLOOR
+    centers = [dom.center, dom.center.conjugate()] if dom.two_sided else [dom.center]
+    options = [s for c in centers for s in (
+        _disk_points(c, dom.radius),
+        st.floats(0, 1).map(lambda t, c=c: c + edge * cmath.exp(2j * math.pi * t)))]
+    if dom.real_intersecting:
+        options.append(st.floats(dom.center.real - 0.999 * dom.radius,
+                                 dom.center.real + 0.999 * dom.radius))
+    return st.one_of(*options)
+
+
+@functools.cache
+def _log_branch() -> SliceFunction:
+    f = generic_poly(np.random.default_rng(8), DOM_OFF, deg=2)
+    return star_log(f, LogBranch(1, 0, DOM_OFF.center))
+
+
+_SMALL_COEFF = st.builds(Quaternion, *(st.floats(-2, 2) for _ in range(4)))
+
+
+def _quad_function(kind: str, data) -> SliceFunction:
+    if kind == "log":
+        return _log_branch()            # both disks of DOM_OFF
+    dom = data.draw(st.sampled_from([_UNIT_DISK, DOM_OFF]))
+    if kind == "exp":
+        return star_exp(polynomial(data.draw(st.lists(_SMALL_COEFF, min_size=3, max_size=3)),
+                                   dom))
+    if kind == "derivative":
+        return polynomial(data.draw(st.lists(_COEFF, min_size=4, max_size=4)), dom).derivative()
+    degree = int(kind)
+    return polynomial(data.draw(st.lists(_COEFF, min_size=degree + 1, max_size=degree + 1)), dom)
+
+
+@pytest.mark.parametrize("npts", [8, 32, 64])
+@pytest.mark.parametrize("kind", ["0", "1", "2", "3", "4", "exp", "log", "derivative"])
+@given(data=st.data())
+def test_quadrature_bitwise_matches_reference_loop(kind, npts, data):
+    f = _quad_function(kind, data)
+    z = data.draw(_quad_points(f.domain))
+    want = _outcome(_quadrature_reference, f, z, npts)
+    assert _outcome(f.stem_derivative_at, z, npts) == want
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return f.stem_at(w)
+
+    counted_got = _outcome(SliceFunction(counted, f.domain).stem_derivative_at, z, npts)
+    assert counted_got == want
+    if not isinstance(want, type):     # a refused inner derivative stops early
+        assert calls[0] == npts
+
+
+@pytest.mark.parametrize("dom", [_UNIT_DISK, DOM_OFF], ids=["real", "off"])
+def test_quadrature_refuses_where_the_reference_loop_refuses(dom):
+    f = polynomial([Quaternion(1, 2, 3, 4), Quaternion(0.5, -1, 0, 2)], dom)
+    centers = [dom.center, dom.center.conjugate()] if dom.two_sided else [dom.center]
+    seen = []
+    for c in centers:
+        for k in range(8):
+            u = cmath.exp(2j * math.pi * (k + 0.3) / 8)
+            for gap in (-0.5, -1e-6, 0.0, 5e-7, BOUNDARY_FLOOR, 1.0000001e-6, 1.5e-6, 1e-3):
+                z = c + (dom.radius - gap) * u
+                want = _outcome(_quadrature_reference, f, z, QUAD_POINTS)
+                assert _outcome(f.stem_derivative_at, z) == want
+                seen.append(want)
+    nan = complex(math.nan, 0.0)
+    assert _outcome(f.stem_derivative_at, nan) == \
+        _outcome(_quadrature_reference, f, nan, QUAD_POINTS) == OutOfDomain
+    assert NearBoundary in seen and any(isinstance(v, bytes) for v in seen)

@@ -15,7 +15,7 @@ from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        quat_exp, slice_preserving, sqrt_vsym, star_exp,
                        star_log, star_root, stem_symmetry_defect,
                        unit_vector_part)
-from slicestar.continuation import BranchContinuation, ZeroCount, locus_scan
+from slicestar.continuation import GRID, BranchContinuation, ZeroCount, locus_scan
 from slicestar.errors import (BranchObstruction, HitsVLocus, JNotDefined,
                               OutOfDomain)
 
@@ -399,6 +399,22 @@ def test_branch_values_shared_across_threads(rng, dom):
     # a cell filled by several threads is one start node, plus the anchor
     cont = _continuation_of(g)
     assert len(cont._filled) == len(cont._cells) + 1
+
+
+def test_branch_memory_is_bounded_by_the_grid(rng):
+    # only grid cells are stored: 5000 distinct points leave at most one
+    # state per cell plus the anchor, and asking again gives the same bits
+    f = generic_poly(rng, DOM_OFF, deg=2)
+    g = star_log(f, _branch(DOM_OFF))
+    pts = DOM_OFF.sample_points(rng, 5000)
+    assert len(set(pts)) == 5000
+    first = [_bits(g.stem_at(z)) for z in pts]
+    assert [_bits(g.stem_at(z)) for z in pts] == first
+    cont = _continuation_of(g)
+    held = {k for k, v in vars(cont).items() if isinstance(v, (dict, list, set))}
+    assert held == {"_cells", "_filled"}
+    assert len(cont._cells) <= GRID ** 2
+    assert len(cont._filled) <= GRID ** 2 + 1
 
 
 # -- exact zero counts --------------------------------------------------------

@@ -13,12 +13,13 @@ e^{f0+g0} (C + W) where
 and C^2 + n(W) = 1 identically.  A *-logarithm branch of the product is
 h = f0 + g0 + W / sincr(theta^2) with a continuous angle theta solving
 cos(theta) = C, recovered by arccos continuation from the domain anchor.
-The product fails to be a *-exponential exactly where the branch-free
-obstruction
+The obstruction to the product being a *-exponential is
 
-    Theta = (cf*sg*<f_v,g_v>_* + cg*sf*f_v^s)^2 + sg^2 * f_v^s * (g_perp)_v^s
+    Theta = f_v^s * n(W) = f_v^s * (1 - C^2),
 
-vanishes (Theta equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s).
+which equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s and is entire: it
+needs no division by f_v^s.  ``exp_stem_product`` computes C and W once
+per point for both the admissibility scan and the solver.
 
 The slice derivative of exp_*(f) has the closed form
 
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .continuation import BranchContinuation, nearest_turn
+from .continuation import BranchContinuation, locus_scan, nearest_turn
 from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
@@ -46,7 +47,7 @@ from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
 from .quaternion import J_UNIT, Quaternion
 from .slicefn import (SliceFunction, conjugate_mirror, constant, idempotent_plus,
                       induce_value)
-from .starlog import _anchor, star_exp
+from .starlog import _anchor
 
 #: admissibility threshold on the obstruction value
 TAU_BCH = 1e-8
@@ -72,7 +73,6 @@ class BCHReport:
     commuting: bool
     admissible: bool
     tol: float = TAU_BCH
-    h: Optional[SliceFunction] = field(default=None, repr=False)
 
 
 def _lattice_distance(v: complex) -> float:
@@ -120,51 +120,57 @@ def vanishing_vsym_partner(f: SliceFunction) -> SliceFunction:
     dom = f.domain
     if dom.real_intersecting:
         raise BadExampleInput("the construction needs a domain off the real axis")
-    pts = dom.mesh_points(80)
-    vals = [f.stem_at(z) for z in pts]
-    scale = max(v.norm() for v in vals) or 1.0
-    if max(abs(v.z2) + abs(v.z3) for v in vals) > 1e-10 * scale:
+    # the components are holomorphic, so their boundary maxima bound them on
+    # the disk, and the zeros of f^s inside are counted exactly
+    stem = f._stem
+
+    def components(z: complex) -> tuple:
+        fz = stem(z)
+        return (*fz, fz.csym())
+
+    f0, f1, f2, f3, sym = locus_scan(components, dom.center, dom.radius)
+    scale = max(f0.max_abs, f1.max_abs, f2.max_abs, f3.max_abs) or 1.0
+    if f2.max_abs + f3.max_abs > 1e-10 * scale:
         raise BadExampleInput("f must be C_i-preserving (components j, k vanish)")
-    if max(abs(v.z1) for v in vals) < 1e-10 * scale:
+    if f1.max_abs < 1e-10 * scale:
         raise BadExampleInput("f must have non-vanishing i component")
-    if min(abs(v.csym()) for v in vals) < 1e-10 * scale ** 2:
+    if sym.zeros != 0 or sym.min_abs < 1e-10 * scale ** 2:
         raise BadExampleInput("f^s must not vanish")
     return -f.conj() + idempotent_plus(dom).star(constant(J_UNIT, dom))
 
 
-def _condition_data(f: SliceFunction, g: SliceFunction, z: complex):
-    fz = f.stem_at(z)
-    gz = g.stem_at(z)
+def exp_stem_product(fz: CQuaternion, gz: CQuaternion):
+    """The product of the exponential stems at one point, e^{f0+g0} (C + W),
+    as (C, W, f0 + g0, f_v^s, g_v^s, f_v ^ g_v)."""
     fvs = fz.vec_norm2()
     gvs = gz.vec_norm2()
-    if abs(fvs) < 1e-12:
-        raise VanishingVectorPart(f"f_v^s ~ 0 at z = {z}")
-    ef = even_trig(fvs)
-    eg = even_trig(gvs)
-    dot = cq_dot(fz, gz)
-    perp = gz.vec() - (dot / fvs) * fz.vec()
-    theta = ((ef.cosr * eg.sincr * dot + eg.cosr * ef.sincr * fvs) ** 2
-             + eg.sincr ** 2 * fvs * perp.vec_norm2())
-    return theta, fvs, gvs, cq_wedge(fz, gz).norm(), max(fz.norm(), gz.norm())
+    cf, sf = even_trig(fvs)
+    cg, sg = even_trig(gvs)
+    wedge = cq_wedge(fz, gz)
+    c = cf * cg - sf * sg * cq_dot(fz, gz)
+    w = gz.vec() * (cf * sg) + fz.vec() * (cg * sf) + wedge * (sf * sg)
+    return c, w, fz.z0 + gz.z0, fvs, gvs, wedge
 
 
 def bch_condition(f: SliceFunction, g: SliceFunction, *,
-                  tol: float = TAU_BCH,
-                  samples: int = CONDITION_SAMPLES) -> BCHReport:
-    """Scan the obstruction Theta; the product of the *-exponentials is a
-    *-exponential when Theta stays away from zero (and the vector
-    symmetrizations keep clear of the lattice {n^2 pi^2})."""
+                  tol: float = TAU_BCH) -> BCHReport:
+    """Scan the obstruction Theta = f_v^s (1 - C^2) on CONDITION_SAMPLES mesh
+    points; the product of the *-exponentials is a *-exponential when Theta
+    stays away from zero (and the vector symmetrizations keep clear of the
+    lattice {n^2 pi^2})."""
     f._require_same_domain(g)
-    pts = f.domain.mesh_points(samples)
+    fstem, gstem = f._stem, g._stem
+    pts = f.domain.mesh_points(CONDITION_SAMPLES)
     values = []
     lattice_ok = True
     wedge_max = 0.0
     scale_max = 1.0
     for z in pts:
-        theta, fvs, gvs, wedge, scale = _condition_data(f, g, z)
-        values.append(theta)
-        wedge_max = max(wedge_max, wedge)
-        scale_max = max(scale_max, scale)
+        fz, gz = fstem(z), gstem(z)
+        c, _, _, fvs, gvs, wedge = exp_stem_product(fz, gz)
+        values.append(fvs * (1 - c * c))
+        wedge_max = max(wedge_max, wedge.norm())
+        scale_max = max(scale_max, fz.norm(), gz.norm())
         if min(_lattice_distance(fvs), _lattice_distance(gvs)) < TAU_LATTICE:
             lattice_ok = False
     min_abs = min(abs(v) for v in values)
@@ -188,9 +194,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     if report is None:
         report = bch_condition(f, g)
     if report.commuting:
-        h = f + g
-        report.h = h
-        return h
+        return f + g
     if not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
@@ -199,23 +203,13 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     dom = f.domain
     fstem, gstem = f._stem, g._stem
 
-    def cw(z: complex) -> tuple[complex, CQuaternion, complex]:
-        fz = fstem(z)
-        gz = gstem(z)
-        ef = even_trig(fz.vec_norm2())
-        eg = even_trig(gz.vec_norm2())
-        c = ef.cosr * eg.cosr - ef.sincr * eg.sincr * cq_dot(fz, gz)
-        w = (gz.vec() * (ef.cosr * eg.sincr) + fz.vec() * (eg.cosr * ef.sincr)
-             + cq_wedge(fz, gz) * (ef.sincr * eg.sincr))
-        return c, w, fz.z0 + gz.z0
-
     # the state (theta, W, h0) keeps the last step's W and scalar part
     anchor = _anchor(dom, dom.center)
-    c, w, h0 = cw(anchor)
+    c, w, h0, _, _, _ = exp_stem_product(fstem(anchor), gstem(anchor))
     seed = (cmath.acos(c), w, h0)
 
     def stepper(z0: complex, v0: tuple, z1: complex):
-        c, w, h0 = cw(z1)
+        c, w, h0, _, _, _ = exp_stem_product(fstem(z1), gstem(z1))
         base = cmath.acos(c)
         th0 = v0[0]
         best = None
@@ -239,9 +233,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         hv = w / ratio
         return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3)
 
-    h = SliceFunction(conjugate_mirror(upper_stem, dom), dom)
-    report.h = h
-    return h
+    return SliceFunction(conjugate_mirror(upper_stem, dom), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

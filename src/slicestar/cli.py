@@ -33,9 +33,9 @@ from .descriptors import (cq_to_json, lift_point_from_json, lift_point_to_json,
                           load_function, path_from_json, quaternion_from_json,
                           quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
-from .slicefn import SliceFunction, induce_value
+from .slicefn import SliceFunction, induce_value, star_pow_value
 from .starlog import LogBranch, star_exp, star_log
-from .suites import SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,18 +43,24 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=1, help="random seed")
-    parser.add_argument("--samples", type=int, default=200,
-                        help="sample count for grids and suites")
-    parser.add_argument("--tol", action="append", default=[],
-                        metavar="KEY=VAL", help="tolerance override (repeatable)")
+def _options(parser: argparse.ArgumentParser, *, sampled: bool = False,
+             tol: bool = False, fmt: bool = False) -> None:
+    """--out on every verb; --seed and --samples, --tol, and --json/--csv
+    only on the verbs that read them."""
+    if sampled:
+        parser.add_argument("--seed", type=int, default=1, help="random seed")
+        parser.add_argument("--samples", type=int, default=200,
+                            help="sample count for grids and suites")
+    if tol:
+        parser.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
+                            help="tolerance override (repeatable)")
     parser.add_argument("--out", default=None, help="write output to this path")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
-                     default="json", help="JSON output (default)")
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
-                     help="CSV output for sample grids")
+    if fmt:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--json", dest="fmt", action="store_const", const="json",
+                           default="json", help="JSON output (default)")
+        group.add_argument("--csv", dest="fmt", action="store_const", const="csv",
+                           help="CSV output for sample grids")
 
 
 def _parse_tols(pairs: list[str]) -> dict:
@@ -98,10 +104,10 @@ def _json_text(obj, pad: str = "") -> str:
 
 
 def _emit(args, payload, csv_rows=None) -> None:
-    """Write the CSV rows when --csv asks for them, else the payload as
+    """Write the CSV rows when given (--csv), else the payload as
     ``json.dumps(payload, indent=2, sort_keys=True)`` writes it, byte for
     byte (``_json_text``), with a final newline."""
-    if args.fmt == "csv" and csv_rows is not None:
+    if csv_rows is not None:
         header, rows = csv_rows
         lines = [",".join(header)]
         lines += [",".join(repr(c) for c in row) for row in rows]
@@ -160,17 +166,6 @@ def _sampled_branch(args, f: SliceFunction,
     return samples, stats, (header, rows)
 
 
-def _star_pow_value(n: int) -> Callable[[CQuaternion], CQuaternion]:
-    """The stem value of ``star_pow(n)`` from the base's, multiplied in
-    the same order."""
-    def power(v: CQuaternion) -> CQuaternion:
-        out = v
-        for _ in range(n - 1):
-            out = cq_mul(out, v)
-        return out
-    return power
-
-
 def _branch_json(branch: LogBranch) -> dict:
     return {"h1": branch.h1, "h2": branch.h2,
             "basepoint": [branch.basepoint.real, branch.basepoint.imag]}
@@ -202,7 +197,7 @@ def cmd_root(args) -> int:
         return cq_exp(gz * scale), fz
 
     samples, stats, rows = _sampled_branch(args, f, root_pair,
-                                            _star_pow_value(args.n), "r")
+                                            lambda r: star_pow_value(r, args.n), "r")
     _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
                  "power_back": stats}, rows)
     return EXIT_OK
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a function at a quaternion")
     p.add_argument("--fn", required=True, help="function JSON file")
     p.add_argument("--at", required=True, help="quaternion as JSON [q0,q1,q2,q3]")
-    _common(p)
+    _options(p)
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("log", help="*-logarithm branch with residual statistics")
@@ -302,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=int, required=True)
     p.add_argument("--h2", type=int, required=True)
     p.add_argument("--basepoint", required=True, metavar="RE,IM")
-    _common(p)
+    _options(p, sampled=True, fmt=True)
     p.set_defaults(run=cmd_log)
 
     p = sub.add_parser("root", help="n-th *-root with power-back residuals")
@@ -311,37 +306,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=int, default=0)
     p.add_argument("--h2", type=int, default=0)
     p.add_argument("--basepoint", required=True, metavar="RE,IM")
-    _common(p)
+    _options(p, sampled=True, fmt=True)
     p.set_defaults(run=cmd_root)
 
     p = sub.add_parser("bch", help="exponential-product report and solution")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    _common(p)
+    _options(p, sampled=True, tol=True)
     p.set_defaults(run=cmd_bch)
 
     p = sub.add_parser("dexp", help="derivative of exp_*(f) at a point")
     p.add_argument("--f", required=True)
     p.add_argument("--at", required=True)
-    _common(p)
+    _options(p)
     p.set_defaults(run=cmd_dexp)
 
     p = sub.add_parser("lift", help="lift a sampled path through the covering")
     p.add_argument("--path", required=True)
     p.add_argument("--start", default=None)
-    _common(p)
+    _options(p)
     p.set_defaults(run=cmd_lift)
 
     p = sub.add_parser("monodromy", help="monodromy index of a sampled loop")
     p.add_argument("--path", required=True)
     p.add_argument("--start", default=None)
-    _common(p)
+    _options(p)
     p.set_defaults(run=cmd_monodromy)
 
     p = sub.add_parser("verify", help="run seeded property suites")
     p.add_argument("--suite", default="all",
-                   choices=("algebra", "covering", "log", "bch", "derivative", "all"))
-    _common(p)
+                   choices=SUITE_NAMES + ("all",))
+    _options(p, sampled=True, tol=True)
     p.set_defaults(run=cmd_verify)
 
     return parser

@@ -46,6 +46,12 @@ QUAD_RADIUS = 0.1
 #: minimum boundary distance at which derivatives are still attempted
 BOUNDARY_FLOOR = 1e-6
 
+#: mesh points with which orth_decompose looks for zeros of f_v^s
+ORTH_SCAN = 200
+
+#: |f_v^s| below this fraction of its mesh maximum counts as a zero
+ORTH_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -177,6 +183,15 @@ def _unit_roots(npts: int) -> tuple[tuple[complex, complex], ...]:
     return tuple(out)
 
 
+def star_pow_value(v: CQuaternion, n: int) -> CQuaternion:
+    """v^n multiplied left to right, ((v v) v) ... v: the stem value of
+    ``star_pow(n)`` from its base's."""
+    out = v
+    for _ in range(n - 1):
+        out = cq_mul(out, v)
+    return out
+
+
 def induce_value(value: CQuaternion, q: Quaternion) -> Quaternion:
     """Evaluate the slice function with stem value ``value`` at q = alpha + I*beta."""
     beta = q.vec_norm()
@@ -260,12 +275,15 @@ class SliceFunction:
         return SliceFunction(lambda z: f(z) * r, self.domain)
 
     def star_pow(self, n: int) -> "SliceFunction":
+        """f * ... * f (n factors), from one evaluation of f per point."""
         if n < 1:
             raise ValueError("star power needs n >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.star(self)
-        return out
+        f = self._stem
+        node = self.node
+        if node is not None:
+            for _ in range(n - 1):
+                node = {"kind": "mul", "args": [node, self.node]}
+        return SliceFunction(lambda z: star_pow_value(f(z), n), self.domain, node)
 
     # -- derived functions -------------------------------------------------
 
@@ -505,8 +523,7 @@ def _cluster(points: list[complex], spacing: float) -> list[complex]:
     return [c[0] / c[1] for c in centers]
 
 
-def orth_decompose(f: SliceFunction, g: SliceFunction, *,
-                   scan: int = 200, rel_tol: float = 1e-8):
+def orth_decompose(f: SliceFunction, g: SliceFunction):
     """Split g = g1 * f_v + g_perp with g1 slice preserving and <f_v, g_perp>_* = 0.
 
     g1 = <g_v, f_v>_* / f_v^s wherever f_v^s != 0; across isolated zeros of
@@ -519,13 +536,13 @@ def orth_decompose(f: SliceFunction, g: SliceFunction, *,
     fs = f._stem
     gs = g._stem
 
-    pts = dom.mesh_points(scan)
+    pts = dom.mesh_points(ORTH_SCAN)
     vals = [fs(z).vec_norm2() for z in pts]
     scale = max(abs(v) for v in vals)
     if scale < 1e-14:
         raise VanishingVectorPart("f_v^s vanishes identically (within tolerance)")
 
-    zero_thresh = rel_tol * scale
+    zero_thresh = ORTH_REL_TOL * scale
     spacing = 4.0 * dom.radius / math.sqrt(max(len(pts), 1))
     zeros = _cluster([z for z, v in zip(pts, vals) if abs(v) < math.sqrt(zero_thresh * scale)],
                      spacing)

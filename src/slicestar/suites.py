@@ -523,10 +523,7 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
         attempts += 1
         f = rand_poly(rng, dom, scale=0.6, deg=1)
         g = rand_poly(rng, dom, scale=0.6, deg=1)
-        try:
-            rep = bchmod.bch_condition(f, g)
-        except bchmod.VanishingVectorPart:
-            continue
+        rep = bchmod.bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         built += 1
@@ -549,10 +546,7 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
         q = rand_quat(rng, 0.6)
         f = constant(p, dom)
         g = constant(q, dom)
-        try:
-            rep = bchmod.bch_condition(f, g)
-        except bchmod.VanishingVectorPart:
-            continue
+        rep = bchmod.bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         trials += 1

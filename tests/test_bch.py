@@ -2,13 +2,14 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 import slicestar.bch
 from conftest import (generic_poly, quat_exp_series, rand_cq, rand_poly, rand_quat,
                       switch_arguments)
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
-                       constant, cq_exp, cq_mul, even_trig,
+                       constant, cq_dot, cq_exp, cq_mul, even_trig,
                        exp_derivative_bracket, orth_decompose, polynomial,
                        product_vsym, quat_exp, quat_mul, slice_preserving,
                        star_exp, star_exp_derivative, star_exp_derivative_stem,
@@ -105,6 +106,15 @@ def test_vanishing_partner_hypotheses():
         vanishing_vsym_partner(constant(Quaternion(1, 0, 0, 0), DOM_OFF))  # f1 = 0
 
 
+def test_vanishing_partner_counts_zeros_of_sym():
+    # f^s = (z - 0.13)^2 + 1.7^2 vanishes at 0.13 + 1.7i, inside the upper
+    # disk but between the points of a mesh: the boundary scan counts it
+    f = polynomial([Quaternion(-0.13, 1.7, 0, 0), Quaternion(1, 0, 0, 0)], DOM_OFF)
+    assert abs(f.sym().scalar_value(0.13 + 1.7j)) < 1e-12
+    with pytest.raises(BadExampleInput, match="f\\^s must not vanish"):
+        vanishing_vsym_partner(f)
+
+
 # -- admissibility and the combined exponent ------------------------------------
 
 
@@ -113,6 +123,47 @@ def test_condition_small_constants_admissible():
     g = constant(Quaternion(-0.2, 0.0, 0.25, 0.3), DOM)
     rep = bch_condition(f, g)
     assert rep.admissible and not rep.commuting and rep.lattice_ok
+
+
+def test_condition_at_a_zero_of_fvs():
+    # f_v^s = z^2 vanishes at the mesh's centre point; Theta = f_v^s (1 - C^2)
+    # is entire, so the scan reports Theta = 0 there instead of refusing
+    f = polynomial([Quaternion(0.1, 0, 0, 0), I_UNIT], DOM)
+    g = constant(Quaternion(-0.2, 0.0, 0.25, 0.3), DOM)
+    rep = bch_condition(f, g)
+    assert 0j in rep.points
+    assert rep.min_abs == 0 and not rep.admissible and not rep.commuting
+
+
+def _theta_reference(fz: CQuaternion, gz: CQuaternion) -> tuple[complex, float]:
+    """The obstruction expanded along the split g_v = (<f_v,g_v>/f_v^s) f_v
+    + g_perp, which divides by f_v^s, and the size of the rounding that
+    division brings."""
+    fvs = fz.vec_norm2()
+    ef = even_trig(fvs)
+    eg = even_trig(gz.vec_norm2())
+    dot = cq_dot(fz, gz)
+    perp = gz.vec() - (dot / fvs) * fz.vec()
+    theta = ((ef.cosr * eg.sincr * dot + eg.cosr * ef.sincr * fvs) ** 2
+             + eg.sincr ** 2 * fvs * perp.vec_norm2())
+    return theta, abs(eg.sincr * dot) ** 2 * fz.vec().norm() ** 2 / abs(fvs)
+
+
+_COEFFS = st.builds(Quaternion, *(st.floats(-1, 1) for _ in range(4)))
+
+
+@given(dom=st.sampled_from([DOM, DOM_OFF]),
+       fc=st.lists(_COEFFS, min_size=1, max_size=2),
+       gc=st.lists(_COEFFS, min_size=1, max_size=2))
+def test_condition_matches_expanded_obstruction(dom, fc, gc):
+    f, g = polynomial(fc, dom), polynomial(gc, dom)
+    rep = bch_condition(f, g)
+    for z, theta in zip(rep.points, rep.values):
+        fz, gz = f.stem_at(z), g.stem_at(z)
+        if abs(fz.vec_norm2()) < 1e-12:
+            continue
+        want, rounding = _theta_reference(fz, gz)
+        assert abs(theta - want) <= 1e-12 * max(1.0, abs(want), rounding)
 
 
 def test_condition_flags_commuting(rng):
@@ -194,10 +245,7 @@ def test_combine_random_polynomials(rng):
     while built < 6:
         f = rand_poly(rng, DOM, scale=0.6, deg=1)
         g = rand_poly(rng, DOM, scale=0.6, deg=1)
-        try:
-            rep = bch_condition(f, g)
-        except VanishingVectorPart:
-            continue
+        rep = bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         built += 1
@@ -213,10 +261,7 @@ def test_combine_satisfies_cos_sin_system(rng):
     while built < 4:
         f = rand_poly(rng, DOM, scale=0.6, deg=1)
         g = rand_poly(rng, DOM, scale=0.6, deg=1)
-        try:
-            rep = bch_condition(f, g)
-        except VanishingVectorPart:
-            continue
+        rep = bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         built += 1
@@ -240,10 +285,7 @@ def test_combine_on_two_sided_domain(rng):
     while built < 3:
         f = generic_poly(rng, DOM_OFF, deg=1)
         g = generic_poly(rng, DOM_OFF, deg=1)
-        try:
-            rep = bch_condition(f, g)
-        except VanishingVectorPart:
-            continue
+        rep = bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         built += 1
@@ -261,10 +303,7 @@ def test_combine_stem_symmetry(rng):
     while built < 2:
         f = rand_poly(rng, DOM, scale=0.5, deg=1)
         g = rand_poly(rng, DOM, scale=0.5, deg=1)
-        try:
-            rep = bch_condition(f, g)
-        except VanishingVectorPart:
-            continue
+        rep = bch_condition(f, g)
         if not rep.admissible or rep.commuting:
             continue
         built += 1
@@ -278,10 +317,7 @@ def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
     while True:
         f = rand_poly(rng, DOM, scale=0.6, deg=1)
         g = rand_poly(rng, DOM, scale=0.6, deg=1)
-        try:
-            rep = bch_condition(f, g)
-        except VanishingVectorPart:
-            continue
+        rep = bch_condition(f, g)
         if rep.admissible and not rep.commuting:
             break
     calls = [0]

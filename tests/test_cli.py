@@ -355,9 +355,52 @@ def test_valid_call_after_argparse_error(tmp_path, capsys):
     assert json.loads(out)["value"] == [1.0, 2.0, 0.0, 0.0]
 
 
-# -- sample grids: counts, stem calls and the JSON writer ----------------------
+# -- each verb accepts only the options it reads --------------------------------
 
 DATA = Path(__file__).parent / "data" / "cli"
+
+#: a valid call of each verb, and the shared options it does not read
+VERB_OPTIONS = {
+    "eval": (["eval", "--fn", "f-two-sided.json", "--at", "[0.1,0.9,-1.2,0.3]"],
+             ["--seed=2", "--samples=3", "--tol=x=1", "--json", "--csv"]),
+    "log": (["log", "--fn", "f-real.json", "--h1", "0", "--h2", "0",
+             "--basepoint", "0.1,0.0", "--samples", "2"], ["--tol=x=1"]),
+    "root": (["root", "--fn", "f-real.json", "--n", "2", "--basepoint", "0.1,0.0",
+              "--samples", "2"], ["--tol=x=1"]),
+    "bch": (["bch", "--f", "bch-f.json", "--g", "bch-g.json", "--samples", "2"],
+            ["--json", "--csv"]),
+    "dexp": (["dexp", "--f", "f-real.json", "--at", "[0.2,0.3,-0.1,0.25]"],
+             ["--seed=2", "--samples=3", "--tol=x=1", "--json", "--csv"]),
+    "lift": (["lift", "--path", "path.json"],
+             ["--seed=2", "--samples=3", "--tol=x=1", "--json", "--csv"]),
+    "monodromy": (["monodromy", "--path", "loop.json"],
+                  ["--seed=2", "--samples=3", "--tol=x=1", "--json", "--csv"]),
+    "verify": (["verify", "--suite", "algebra", "--samples", "4"], ["--json", "--csv"]),
+}
+
+
+@pytest.mark.parametrize("verb, option", [(v, o) for v, (_, opts) in VERB_OPTIONS.items()
+                                          for o in opts])
+def test_option_a_verb_does_not_read_exits_2(capsys, monkeypatch, verb, option):
+    monkeypatch.chdir(DATA)
+    with pytest.raises(SystemExit) as stop:
+        main(VERB_OPTIONS[verb][0] + [option])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + option in captured.err
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_OPTIONS))
+def test_every_verb_writes_to_out(tmp_path, capsys, monkeypatch, verb):
+    monkeypatch.chdir(DATA)
+    target = tmp_path / "out.txt"
+    assert main(VERB_OPTIONS[verb][0] + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text())
+
+
+# -- sample grids: counts, stem calls and the JSON writer ----------------------
 
 GRID_VERBS = {
     "log": ["log", "--fn", str(DATA / "f-real.json"), "--h1", "0", "--h2", "0",

@@ -3,14 +3,15 @@
 The inputs and the expected outputs live in ``tests/data/cli/``; each verb
 runs in-process with that directory as the working directory, so the file
 names echoed in the output are stable.  A change of numerics must say so
-and regenerate the goldens with
+and regenerate the goldens it changes, by name (no name: all of them), with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 """
 
 import contextlib
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,11 @@ def test_cli_output_matches_golden_byte_for_byte(name):
 
 
 if __name__ == "__main__":
-    for name in sorted(CASES):
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown golden(s): {', '.join(sorted(unknown))}; "
+                 f"choose from {', '.join(sorted(CASES))}")
+    for name in sys.argv[1:] or sorted(CASES):
         code, out = run_case(name)
         assert code == 0, (name, code)
         (DATA / f"{name}.out").write_text(out)

@@ -396,13 +396,13 @@ def test_orth_decompose_vanishing():
 
 
 def test_orth_decompose_non_isolated_zero():
-    # f_v^s = z^8 is flat at 0: within rel_tol = 1e-2 of zero on every
+    # f_v^s = z^10 is flat at 0: within ORTH_REL_TOL of zero on every
     # Cauchy circle that fits, so no isolated-zero circle is found
     dom = Domain(0.0, 1.0)
     zero = Quaternion.zero()
-    f = polynomial([Quaternion.one(), zero, zero, zero, I_UNIT], dom)
+    f = polynomial([Quaternion.one(), zero, zero, zero, zero, I_UNIT], dom)
     g = polynomial([Quaternion(0.3, 0.2, 0.5, 0.1), Quaternion(0, 0.1, 0, 0.2)], dom)
-    g1, _ = orth_decompose(f, g, rel_tol=1e-2)
+    g1, _ = orth_decompose(f, g)
     with pytest.raises(NonIsolatedZero):
         g1.scalar_value(0j)
 
@@ -574,3 +574,32 @@ def test_quadrature_refuses_where_the_reference_loop_refuses(dom):
     assert _outcome(f.stem_derivative_at, nan) == \
         _outcome(_quadrature_reference, f, nan, QUAD_POINTS) == OutOfDomain
     assert NearBoundary in seen and any(isinstance(v, bytes) for v in seen)
+
+
+def _nested_star_pow(f: SliceFunction, n: int) -> SliceFunction:
+    """The reference: n - 1 nested *-products, each evaluating f again."""
+    out = f
+    for _ in range(n - 1):
+        out = out.star(f)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_star_pow_evaluates_base_once_per_point(rng, n):
+    base = star_exp(rand_poly(rng, DOM_OFF, deg=2))
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return base._stem(z)
+
+    power = SliceFunction(counted, base.domain, base.node).star_pow(n)
+    want = _nested_star_pow(base, n)
+    pts = DOM_OFF.sample_points(rng, 40)
+    for z in pts + [p.conjugate() for p in pts[:5]]:
+        calls[0] = 0
+        got = power.stem_at(z)
+        assert calls[0] == 1
+        assert _bits(got) == _bits(want.stem_at(z))
+    assert power.node == want.node
+

@@ -45,8 +45,8 @@ from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
                      VanishingVectorPart)
 from .quaternion import J_UNIT, Quaternion
-from .slicefn import (SliceFunction, conjugate_mirror, constant, idempotent_plus,
-                      induce_value)
+from .slicefn import (ContinuedFunction, SliceFunction, bar_each, conjugate_mirror,
+                      constant, idempotent_plus, induce_value)
 from .starlog import _anchor
 
 #: admissibility threshold on the obstruction value
@@ -181,8 +181,9 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
 
 
 def bch_combine(f: SliceFunction, g: SliceFunction, *,
-                report: Optional[BCHReport] = None) -> SliceFunction:
-    """Solve exp_*(f) * exp_*(g) = exp_*(h) for h.
+                report: Optional[BCHReport] = None) -> ContinuedFunction:
+    """Solve exp_*(f) * exp_*(g) = exp_*(h) for h; ``with_inputs(z)`` of
+    the result is (H(z), F(z), G(z)).
 
     Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h0 = f0+g0
     and h_v = W / sincr(theta^2) with theta the continued solution of
@@ -193,23 +194,31 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     f._require_same_domain(g)
     if report is None:
         report = bch_condition(f, g)
+    dom = f.domain
+    fstem, gstem = f._stem, g._stem
     if report.commuting:
-        return f + g
+        total = f + g
+
+        def summed(z: complex) -> tuple:
+            fz, gz = fstem(z), gstem(z)
+            return fz + gz, fz, gz
+
+        return ContinuedFunction(total._stem, summed, dom, total.node)
     if not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
             "the product is not a *-exponential on this domain")
 
-    dom = f.domain
-    fstem, gstem = f._stem, g._stem
-
-    # the state (theta, W, h0) keeps the last step's W and scalar part
+    # the state (theta, W, h0, F, G) keeps the last step's W, scalar part
+    # and stem values
     anchor = _anchor(dom, dom.center)
-    c, w, h0, _, _, _ = exp_stem_product(fstem(anchor), gstem(anchor))
-    seed = (cmath.acos(c), w, h0)
+    fa, ga = fstem(anchor), gstem(anchor)
+    c, w, h0, _, _, _ = exp_stem_product(fa, ga)
+    seed = (cmath.acos(c), w, h0, fa, ga)
 
     def stepper(z0: complex, v0: tuple, z1: complex):
-        c, w, h0, _, _, _ = exp_stem_product(fstem(z1), gstem(z1))
+        fz, gz = fstem(z1), gstem(z1)
+        c, w, h0, _, _, _ = exp_stem_product(fz, gz)
         base = cmath.acos(c)
         th0 = v0[0]
         best = None
@@ -218,22 +227,26 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
             cand = sign * base + 2 * math.pi * k
             if best is None or abs(cand - th0) < abs(best - th0):
                 best = cand
-        return (best, w, h0) if abs(best - th0) <= 0.5 else DegenerateAngle
+        return (best, w, h0, fz, gz) if abs(best - th0) <= 0.5 else DegenerateAngle
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
                               radius=dom.radius)
 
-    def upper_stem(z: complex) -> CQuaternion:
-        theta, w, h0 = cont.at(z)
+    def upper_inputs(z: complex) -> tuple:
+        theta, w, h0, fz, gz = cont.at(z)
         ratio = even_trig(theta * theta).sincr   # sin(theta)/theta
         if abs(ratio) < 1e-9:
             raise DegenerateAngle(
                 f"sin(theta)/theta ~ 0 at z = {z}; vector part not recoverable")
         hv = w / ratio
-        return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3)
+        return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3), fz, gz
 
-    return SliceFunction(conjugate_mirror(upper_stem, dom), dom)
+    def upper_stem(z: complex) -> CQuaternion:
+        return upper_inputs(z)[0]
+
+    return ContinuedFunction(conjugate_mirror(upper_stem, dom),
+                             conjugate_mirror(upper_inputs, dom, bar_each), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

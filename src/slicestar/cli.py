@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,9 +32,8 @@ import numpy as np
 from . import bch as bchmod
 from .covering import lift_path, lifted_exp_preimage, loop_monodromy
 from .cquaternion import CQuaternion, cq_exp, cq_mul
-from .descriptors import (cq_to_json, lift_point_from_json, lift_point_to_json,
-                          load_function, path_from_json, quaternion_from_json,
-                          quaternion_to_json)
+from .descriptors import (lift_point_from_json, load_function, path_from_json,
+                          quaternion_from_json, quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
 from .slicefn import SliceFunction, induce_value, star_pow_value
 from .starlog import LogBranch, star_exp, star_log
@@ -86,12 +88,15 @@ def _json_text(obj, pad: str = "") -> str:
     ``encode_basestring_ascii``; every other scalar (NaN, infinities, ints,
     bools, None) and every empty container goes to ``json.dumps``.  Each
     container is joined into one string as soon as it is written, so the
-    pieces held at once stay few.
+    pieces held at once stay few.  ``_Rows`` are written as the list of
+    their JSON forms.
     """
     if type(obj) is float and obj - obj == 0.0:
         return float.__repr__(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if type(obj) is _Rows:
+        return obj.text(pad)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
@@ -103,6 +108,79 @@ def _json_text(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
+#: a JSON string, or a JSON number (group 1)
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?[0-9][-+.0-9eE]*)')
+
+
+class _Rows:
+    """Samples of one JSON shape: each row is a flat tuple of floats and
+    ``shape(row)`` its JSON form, dicts and lists whose only scalars are
+    the row's floats.  ``text`` writes them all through one template:
+    ``_json_text`` of the shape of the row (0.0, 1.0, ...), whose numbers
+    name the slot each float fills, so the byte format keeps one definition.
+    A row with a non-finite float writes each float with ``_json_text``."""
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: Callable[[tuple], object], rows: list[tuple]):
+        self.shape = shape
+        self.rows = rows
+
+    def text(self, pad: str) -> str:
+        if not self.rows:
+            return "[]"
+        inner = pad + "  "
+        example = _json_text(self.shape(tuple(map(float, range(len(self.rows[0]))))),
+                             inner)
+        pieces, slots, end = [], [], 0
+        for m in _TOKEN.finditer(example):
+            if m.group(1) is not None:
+                pieces.append(example[end:m.start()].replace("%", "%%"))
+                slots.append(int(float(m.group(1))))
+                end = m.end()
+        pieces.append(example[end:].replace("%", "%%"))
+        template = "%s".join(pieces)
+        pick = itemgetter(*slots)
+        texts = [template % tuple(map(float.__repr__, pick(row))) if isfinite(sum(row))
+                 else template % tuple(map(_json_text, pick(row)))
+                 for row in self.rows]
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
+def _pairs(flat) -> list:
+    """[[re, im], ...] from a flat run of floats."""
+    return [[flat[i], flat[i + 1]] for i in range(0, len(flat), 2)]
+
+
+def _cq_floats(q: CQuaternion) -> tuple:
+    """The real and imaginary parts of q's four components, in order."""
+    a, b, c, d = q
+    return a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+
+
+def _branch_sample(row: tuple) -> dict:
+    """(z_re, z_im, 8 value floats, residual): a log or root sample."""
+    return {"z": [row[0], row[1]], "value": _pairs(row[2:10]), "residual": row[10]}
+
+
+def _condition_sample(row: tuple) -> dict:
+    """(z_re, z_im, value_re, value_im): a point of the BCH condition scan."""
+    return {"z": [row[0], row[1]], "value": [row[2], row[3]]}
+
+
+def _h_sample(row: tuple) -> dict:
+    """(z_re, z_im, 8 value floats): a sample of the BCH solution h."""
+    return {"z": [row[0], row[1]], "value": _pairs(row[2:10])}
+
+
+def _lift_sample(row: tuple) -> dict:
+    """(t, u0_re, u0_im, u1_re, u1_im, 6 floats of s's vector part): a
+    lifted path sample, the lift point as ``lift_point_from_json`` reads
+    it plus t."""
+    return {"t": row[0], "u0": [row[1], row[2]], "u1": [row[3], row[4]],
+            "s": _pairs(row[5:11])}
+
+
 def _emit(args, payload, csv_rows=None) -> None:
     """Write the CSV rows when given (--csv), else the payload as
     ``json.dumps(payload, indent=2, sort_keys=True)`` writes it, byte for
@@ -110,7 +188,7 @@ def _emit(args, payload, csv_rows=None) -> None:
     if csv_rows is not None:
         header, rows = csv_rows
         lines = [",".join(header)]
-        lines += [",".join(repr(c) for c in row) for row in rows]
+        lines += [",".join(map(repr, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = _json_text(payload) + "\n"
@@ -147,23 +225,20 @@ def _sampled_branch(args, f: SliceFunction,
     """A branch on the sample grid with the residual |back(g) - F| at each
     point, where ``pair(z)`` gives the branch value g and f's stem F from
     one continuation state and ``back`` maps g pointwise: the JSON samples,
-    the residual max and mean, and the CSV rows when --csv asks for them."""
+    the residual max and mean, and the CSV rows when --csv asks for them.
+    Each sample is one ``_branch_sample`` row."""
     pts = _function_samples(f, args.seed, args.samples)
-    samples, residuals = [], []
+    rows = []
     for z in pts:
         gz, fz = pair(z)
-        r = (back(gz) - fz).norm()
-        residuals.append(r)
-        samples.append({"z": [z.real, z.imag], "value": cq_to_json(gz),
-                        "residual": r})
+        rows.append((z.real, z.imag, *_cq_floats(gz), (back(gz) - fz).norm()))
+    residuals = [row[10] for row in rows]
     stats = {"max": max(residuals), "mean": sum(residuals) / len(residuals)}
     if args.fmt != "csv":
-        return samples, stats, None
+        return _Rows(_branch_sample, rows), stats, None
     header = ["z_re", "z_im"] + [f"{prefix}{k}_{p}" for k in range(4) for p in ("re", "im")] \
         + ["residual"]
-    rows = [s["z"] + [x for c in s["value"] for x in c] + [s["residual"]]
-            for s in samples]
-    return samples, stats, (header, rows)
+    return None, stats, (header, rows)
 
 
 def _branch_json(branch: LogBranch) -> dict:
@@ -176,7 +251,7 @@ def cmd_log(args) -> int:
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     g = star_log(f, branch)
-    samples, stats, rows = _sampled_branch(args, f, g.pair, cq_exp, "g")
+    samples, stats, rows = _sampled_branch(args, f, g.with_inputs, cq_exp, "g")
     _emit(args, {"branch": _branch_json(branch), "samples": samples,
                  "roundtrip": stats}, rows)
     return EXIT_OK
@@ -193,7 +268,7 @@ def cmd_root(args) -> int:
 
     def root_pair(z: complex) -> tuple[CQuaternion, CQuaternion]:
         # star_root's exp_*(log_*(f) / n), with the same arithmetic
-        gz, fz = g.pair(z)
+        gz, fz = g.with_inputs(z)
         return cq_exp(gz * scale), fz
 
     samples, stats, rows = _sampled_branch(args, f, root_pair,
@@ -205,27 +280,28 @@ def cmd_root(args) -> int:
 
 def cmd_bch(args) -> int:
     _require_samples(args)
+    tols = _parse_tols(args.tol)
+    unknown = sorted(set(tols) - {"bch"})
+    if unknown:
+        raise ValueError(f"unknown --tol key(s) {', '.join(unknown)}; bch reads only 'bch'")
     f = load_function(args.f)
     g = load_function(args.g)
-    tols = _parse_tols(args.tol)
     report = bchmod.bch_condition(f, g, tol=tols.get("bch", bchmod.TAU_BCH))
+    condition = [(z.real, z.imag, v.real, v.imag)
+                 for z, v in zip(report.points, report.values)]
     payload = {"admissible": report.admissible, "commuting": report.commuting,
                "lattice_ok": report.lattice_ok, "min_abs": report.min_abs,
-               "tol": report.tol,
-               "condition": [{"z": [z.real, z.imag], "value": [v.real, v.imag]}
-                             for z, v in zip(report.points, report.values)]}
+               "tol": report.tol, "condition": _Rows(_condition_sample, condition)}
     if report.admissible or report.commuting:
         h = bchmod.bch_combine(f, g, report=report)
         pts = _function_samples(f, args.seed, min(args.samples, 32))
-        ef, eg = star_exp(f), star_exp(g)
         residual = 0.0
         hs = []
         for z in pts:
-            hz = h.stem_at(z)
-            hs.append({"z": [z.real, z.imag], "value": cq_to_json(hz)})
-            residual = max(residual, (cq_mul(ef.stem_at(z), eg.stem_at(z))
-                                      - cq_exp(hz)).norm())
-        payload["h_samples"] = hs
+            hz, fz, gz = h.with_inputs(z)
+            hs.append((z.real, z.imag, *_cq_floats(hz)))
+            residual = max(residual, (cq_mul(cq_exp(fz), cq_exp(gz)) - cq_exp(hz)).norm())
+        payload["h_samples"] = _Rows(_h_sample, hs)
         payload["residual"] = residual
     _emit(args, payload)
     return EXIT_OK
@@ -259,8 +335,10 @@ def _path_and_start(args):
 def cmd_lift(args) -> int:
     path, start = _path_and_start(args)
     lifted = lift_path(path, start)
-    _emit(args, {"samples": [dict(t=s.t, **lift_point_to_json(p))
-                             for s, p in zip(path.samples, lifted)]})
+    rows = [(s.t, p.u0.real, p.u0.imag, p.u1.real, p.u1.imag, p.s.z1.real,
+             p.s.z1.imag, p.s.z2.real, p.s.z2.imag, p.s.z3.real, p.s.z3.imag)
+            for s, p in zip(path.samples, lifted)]
+    _emit(args, {"samples": _Rows(_lift_sample, rows)})
     return EXIT_OK
 
 

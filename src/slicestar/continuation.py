@@ -8,8 +8,10 @@ the error class that names why; a refused segment is halved, at most
 MAX_DEPTH times, and then that class is raised, so a genuine obstruction
 (a zero of the continued quantity) fails loudly instead of jumping
 branches.  ``BranchContinuation`` walks a straight segment, valid on a
-convex disk, from the nearest node of a lazily filled grid; threads that
-fill the same cell store the same value, so one can be shared.
+convex disk, from the nearest stored node.  Its nodes are the first
+queries, at most one per cell of a GRID x GRID grid, each stored with its
+value; every value is exact at its own point, so it does not matter which
+of several threads that miss one cell stores its node.
 
 ``locus_scan`` continues the logarithms of holomorphic scalars once
 around a disk's boundary circle, so the argument principle counts their
@@ -163,35 +165,23 @@ class BranchContinuation:
         clamp = lambda i: min(max(i, 0), GRID - 1)
         return clamp(ix), clamp(iy)
 
-    def _node_center(self, ix: int, iy: int) -> complex:
-        side = 2 * self.radius
-        z = complex(self.center.real - self.radius + (ix + 0.5) * side / GRID,
-                    self.center.imag - self.radius + (iy + 0.5) * side / GRID)
-        # pull corner cells inside the disk so the stem stays evaluable
-        d = abs(z - self.center)
-        if d > 0.92 * self.radius:
-            z = self.center + (z - self.center) * (0.92 * self.radius / d)
-        return z
-
     # -- continuation ----------------------------------------------------
 
-    def _fill_cell(self, key: tuple[int, int]):
+    def at(self, z: complex):
+        """The value at z.  The first query in a cell is continued from the
+        nearest stored node straight to z and becomes that cell's node; a
+        later query is one segment from that node, and none at the node's
+        own point.  Memory is bounded by GRID**2 states plus the anchor."""
+        key = self._cell_of(z)
         hit = self._cells.get(key)
         if hit is not None:
-            return hit
-        zc = self._node_center(*key)
-        zs, vs = min(self._filled, key=lambda t: abs(t[0] - zc))
-        v = continue_along(self.stepper, _halve, zs, vs, zc)
-        entry = (zc, v)
-        # threads that missed the same cell compute the same value; only
-        # the entry that lands in the grid becomes a start node
-        stored = self._cells.setdefault(key, entry)
-        if stored is entry:
+            return continue_along(self.stepper, _halve, hit[0], hit[1], z)
+        zs, vs = min(self._filled, key=lambda t: abs(t[0] - z))
+        v = continue_along(self.stepper, _halve, zs, vs, z)
+        entry = (z, v)
+        # threads that missed the same cell store values that are each exact
+        # at their own point; only the entry that lands in the grid becomes
+        # a start node
+        if self._cells.setdefault(key, entry) is entry:
             self._filled.append(entry)
-        return stored
-
-    def at(self, z: complex):
-        """The value at z, one segment from its cell's node.  Only cells are
-        stored, so memory is bounded by GRID**2 states plus the anchor."""
-        zc, vc = self._fill_cell(self._cell_of(z))
-        return continue_along(self.stepper, _halve, zc, vc, z)
+        return v

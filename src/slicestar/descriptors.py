@@ -61,10 +61,6 @@ def cq_from_json(obj) -> CQuaternion:
     return CQuaternion(*(_complex_from_json(c) for c in obj))
 
 
-def cq_to_json(z: CQuaternion) -> list:
-    return [_complex_to_json(c) for c in z.components()]
-
-
 def _vector_from_json(obj) -> CQuaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ValueError(f"vector JSON must be 3 pairs, got {obj!r}")
@@ -96,11 +92,6 @@ def lift_point_from_json(obj: dict) -> LiftPoint:
         raise ValueError(f"lift point must be a JSON object, got {obj!r}")
     return LiftPoint(_complex_from_json(obj["u0"]), _complex_from_json(obj["u1"]),
                      _vector_from_json(obj["s"]))
-
-
-def lift_point_to_json(p: LiftPoint) -> dict:
-    return {"u0": _complex_to_json(p.u0), "u1": _complex_to_json(p.u1),
-            "s": _vector_to_json(p.s)}
 
 
 def path_from_json(obj: dict) -> SampledPath:

@@ -507,6 +507,27 @@ def conjugate_mirror(upper: Callable, domain: Domain, conj: Callable = CQuaterni
     return mirrored
 
 
+class ContinuedFunction(SliceFunction):
+    """A slice function whose stem comes with the input stems it was built
+    from: ``with_inputs(z)`` is (its stem at z, then the inputs' stems at
+    z), all read from one continuation state and all mirrored with ``bar``
+    on the lower disk of a two-sided domain, so a caller checking the
+    result against its inputs evaluates them no further."""
+
+    __slots__ = ("with_inputs",)
+
+    def __init__(self, stem, with_inputs: Callable[[complex], tuple], domain: Domain,
+                 node: Optional[dict] = None):
+        super().__init__(stem, domain, node)
+        self.with_inputs = with_inputs
+
+
+def bar_each(values: tuple) -> tuple:
+    """``CQuaternion.bar`` of each stem value: ``conjugate_mirror``'s
+    ``conj`` for a ``with_inputs`` tuple."""
+    return tuple(map(CQuaternion.bar, values))
+
+
 # -- orthogonal decomposition along f_v ---------------------------------------
 
 

@@ -42,7 +42,8 @@ from .continuation import BranchContinuation, ZeroCount, locus_scan, refused
 from .covering import BranchIndex, from_log_pair, log_pair_step
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import BranchObstruction, HitsVLocus, JNotDefined, OutOfDomain
-from .slicefn import Domain, SliceFunction, conjugate_mirror, slice_preserving
+from .slicefn import (ContinuedFunction, Domain, SliceFunction, bar_each,
+                      conjugate_mirror, slice_preserving)
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,9 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
-class StarLog(SliceFunction):
-    """A *-logarithm g = log_*(f) that also reads f's stem from its
-    continuation: ``pair(z)`` is (G(z), F(z)), both from one state and both
-    mirrored with ``bar`` on the lower disk of a two-sided domain, so a
-    caller checking exp_*(g) = f evaluates f no further."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, stem, pair, domain: Domain):
-        super().__init__(stem, domain)
-        self.pair = pair
-
-
-def _bar_pair(pair: tuple[CQuaternion, CQuaternion]) -> tuple[CQuaternion, CQuaternion]:
-    g, fz = pair
-    return g.bar(), fz.bar()
-
-
-def star_log(f: SliceFunction, branch: LogBranch) -> StarLog:
-    """The (h1, h2) branch of the *-logarithm: exp_*(result) = f.
+def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
+    """The (h1, h2) branch of the *-logarithm: exp_*(result) = f; its
+    ``with_inputs(z)`` is (G(z), F(z)).
 
     Preconditions: the stem avoids V_-1 and V_inf on the whole domain
     (f^s and f_v^s have no zeros, counted exactly on the boundary circle
@@ -223,8 +207,8 @@ def star_log(f: SliceFunction, branch: LogBranch) -> StarLog:
         c = u1 / m
         return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3), fz
 
-    return StarLog(conjugate_mirror(upper_stem, dom),
-                   conjugate_mirror(upper_pair, dom, _bar_pair), dom)
+    return ContinuedFunction(conjugate_mirror(upper_stem, dom),
+                             conjugate_mirror(upper_pair, dom, bar_each), dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

@@ -639,11 +639,17 @@ _RUNNERS = {
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Run the configured suite(s); deterministic given the seed."""
+    """Run the configured suite(s); deterministic given the seed.  A
+    ValueError when a tolerance key names no property of the suites run."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     results = {}
     for name in sorted(names):
         results[name] = [r.to_json() for r in _RUNNERS[name](cfg)]
+    unknown = sorted(set(cfg.tolerances)
+                     - {r["name"] for rs in results.values() for r in rs})
+    if unknown:
+        raise ValueError(f"unknown tolerance key(s) {', '.join(unknown)}: no property "
+                         f"of suite {cfg.suite!r} has that name")
     all_pass = all(r["pass"] for rs in results.values() for r in rs)
     return {"suite": cfg.suite, "seed": cfg.seed, "samples": cfg.samples,
             "results": results, "pass": all_pass}

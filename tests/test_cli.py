@@ -427,34 +427,69 @@ def test_grid_verbs_reject_sample_count_below_one(capsys, monkeypatch, verb, sam
     assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
-@pytest.mark.parametrize("verb", ["log", "root"])
-@pytest.mark.parametrize("fn, basepoint", [("f-real.json", "0.1,0.0"),
-                                           ("f-two-sided.json", "0.2,-1.4")])
-def test_log_and_root_stem_calls_per_sample(capsys, monkeypatch, verb, fn, basepoint):
-    # the residual's F(z) comes from the branch's continuation state, so a
-    # sample costs only the continuation's own stem calls
+def _count_stem_calls(monkeypatch) -> dict:
+    """Make the CLI load functions whose stems count their calls, per file."""
     from slicestar import cli
     from slicestar.slicefn import SliceFunction
-    calls = [0]
+    calls = {}
+    load = cli.load_function
 
     def counted_load(path):
         f = load(path)
         stem = f._stem
+        calls[path] = 0
 
         def count(z):
-            calls[0] += 1
+            calls[path] += 1
             return stem(z)
 
         return SliceFunction(count, f.domain)
 
-    load = cli.load_function
     monkeypatch.setattr(cli, "load_function", counted_load)
+    return calls
+
+
+@pytest.mark.parametrize("verb", ["log", "root"])
+@pytest.mark.parametrize("fn, basepoint", [("f-real.json", "0.1,0.0"),
+                                           ("f-two-sided.json", "0.2,-1.4")])
+def test_log_and_root_stem_calls_per_sample(capsys, monkeypatch, verb, fn, basepoint):
+    # the residual's F(z) comes from the branch's continuation state, and a
+    # fresh point is continued straight from the nearest node, so a sample
+    # costs one stem call
+    calls = _count_stem_calls(monkeypatch)
     argv = [verb, "--fn", str(DATA / fn), "--basepoint", basepoint, "--samples", "300"]
     argv += ["--n", "3"] if verb == "root" else ["--h1", "0", "--h2", "0"]
     code = main(argv)
     assert code == 0 and len(json.loads(capsys.readouterr().out)["samples"]) == 300
-    # 64 boundary points and the anchor, then at most two calls per sample
-    assert calls[0] <= 65 + 2 * 300
+    # 64 boundary points and the anchor, then one call per sample
+    assert calls == {str(DATA / fn): 65 + 300}
+
+
+def test_bch_stem_calls_per_sample(capsys, monkeypatch):
+    # the residual's F(z) and G(z) come from bch_combine's continuation
+    # state, so each h sample costs one call of each stem
+    calls = _count_stem_calls(monkeypatch)
+    seen = {}
+    for samples in (1, 32):
+        argv = ["bch", "--f", str(DATA / "bch-f.json"), "--g", str(DATA / "bch-g.json"),
+                "--samples", str(samples)]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["h_samples"]) == samples
+        seen[samples] = sorted(calls.values())
+    assert seen[32] == [n + 31 for n in seen[1]]
+    # 64 condition points, the anchor and a few bisections, then the samples
+    assert max(seen[32]) <= 102
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bch", "--f", "bch-f.json", "--g", "bch-g.json", "--tol", "bhc=0.5"],
+     "unknown --tol key(s) bhc; bch reads only 'bch'"),
+    (["verify", "--suite", "algebra", "--tol", "nosuchprop=1e-30"],
+     "unknown tolerance key(s) nosuchprop: no property of suite 'algebra' has that name"),
+])
+def test_misspelled_tol_key_exits_2(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(DATA)
+    _assert_one_line_config_error(main(argv), capsys, message)
 
 
 # drawn under the derandomized `slicestar` profile (conftest.py), so every
@@ -477,3 +512,22 @@ _payloads = st.recursive(
 def test_json_writer_matches_json_dumps(obj):
     from slicestar.cli import _json_text
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_row_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                              5e-324, 1e16])
+
+
+@pytest.mark.parametrize("shape, width", [("_branch_sample", 11), ("_condition_sample", 4),
+                                          ("_h_sample", 10), ("_lift_sample", 11)])
+@given(data=st.data())
+def test_row_template_matches_json_dumps(shape, width, data):
+    from slicestar import cli
+    form = getattr(cli, shape)
+    rows = data.draw(st.lists(st.tuples(*[_row_floats] * width), max_size=4))
+    # a list at the top level and one nested deeper, next to other keys
+    payload = {"samples": cli._Rows(form, rows), "n": 1.5,
+               "nested": {"deeper": cli._Rows(form, rows)}}
+    expected = {"samples": [form(row) for row in rows], "n": 1.5,
+                "nested": {"deeper": [form(row) for row in rows]}}
+    assert cli._json_text(payload) == json.dumps(expected, indent=2, sort_keys=True)

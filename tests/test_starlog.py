@@ -417,6 +417,32 @@ def test_branch_memory_is_bounded_by_the_grid(rng):
     assert len(cont._filled) <= GRID ** 2 + 1
 
 
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_branch_nodes_are_the_first_queries(rng, dom):
+    # the first query in a cell is continued straight to and stored as the
+    # cell's node: one stem call per fresh point, none at a node's own point
+    f, calls = _counted(generic_poly(rng, dom, deg=2))
+    g = star_log(f, _branch(dom))
+    cont = _continuation_of(g)
+    pts = dom.sample_points(rng, 300)
+    calls[0] = 0
+    first = {z: _bits(g.stem_at(z)) for z in pts}
+    assert calls[0] == len(pts)
+    # the continuation runs on the upper disk; lower points are mirrored
+    upper = [z if z.imag >= 0 or not dom.two_sided else z.conjugate() for z in pts]
+    firsts = {}
+    for z in upper:
+        firsts.setdefault(cont._cell_of(z), z)
+    assert {key: node[0] for key, node in cont._cells.items()} == firsts
+    assert cont._filled[0] == (cont.anchor, cont.seed)
+    assert len(cont._filled) == len(cont._cells) + 1
+    calls[0] = 0
+    for z, zu in zip(pts, upper):
+        if cont._cells[cont._cell_of(zu)][0] == zu:
+            assert _bits(g.stem_at(z)) == first[z]
+    assert calls[0] == 0
+
+
 # -- exact zero counts --------------------------------------------------------
 
 

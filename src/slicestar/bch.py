@@ -45,8 +45,8 @@ from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
                      VanishingVectorPart)
 from .quaternion import J_UNIT, Quaternion
-from .slicefn import (ContinuedFunction, SliceFunction, bar_each, conjugate_mirror,
-                      constant, idempotent_plus, induce_value)
+from .slicefn import (ContinuedFunction, SliceFunction, constant, idempotent_plus,
+                      induce_value)
 from .starlog import _anchor
 
 #: admissibility threshold on the obstruction value
@@ -183,7 +183,8 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
 def bch_combine(f: SliceFunction, g: SliceFunction, *,
                 report: Optional[BCHReport] = None) -> ContinuedFunction:
     """Solve exp_*(f) * exp_*(g) = exp_*(h) for h; ``with_inputs(z)`` of
-    the result is (H(z), F(z), G(z)).
+    the result is (H(z), F(z), G(z)), and ``with_inputs_at(zs)`` the list
+    of those triples from one walk of the angle's branch.
 
     Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h0 = f0+g0
     and h_v = W / sincr(theta^2) with theta the continued solution of
@@ -233,8 +234,8 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
                               center=dom.component_center(anchor),
                               radius=dom.radius)
 
-    def upper_inputs(z: complex) -> tuple:
-        theta, w, h0, fz, gz = cont.at(z)
+    def read(z: complex, state: tuple) -> tuple:
+        theta, w, h0, fz, gz = state
         ratio = even_trig(theta * theta).sincr   # sin(theta)/theta
         if abs(ratio) < 1e-9:
             raise DegenerateAngle(
@@ -242,11 +243,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         hv = w / ratio
         return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3), fz, gz
 
-    def upper_stem(z: complex) -> CQuaternion:
-        return upper_inputs(z)[0]
-
-    return ContinuedFunction(conjugate_mirror(upper_stem, dom),
-                             conjugate_mirror(upper_inputs, dom, bar_each), dom)
+    return ContinuedFunction.from_branch(read, cont, dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -220,18 +220,17 @@ def cmd_eval(args) -> int:
 
 
 def _sampled_branch(args, f: SliceFunction,
-                    pair: Callable[[complex], tuple[CQuaternion, CQuaternion]],
+                    pairs: Callable[[list], list[tuple[CQuaternion, CQuaternion]]],
                     back: Callable[[CQuaternion], CQuaternion], prefix: str):
     """A branch on the sample grid with the residual |back(g) - F| at each
-    point, where ``pair(z)`` gives the branch value g and f's stem F from
-    one continuation state and ``back`` maps g pointwise: the JSON samples,
-    the residual max and mean, and the CSV rows when --csv asks for them.
-    Each sample is one ``_branch_sample`` row."""
+    point, where ``pairs(pts)`` gives the branch value g and f's stem F at
+    each point, from one walk of the branch, and ``back`` maps g pointwise:
+    the JSON samples, the residual max and mean, and the CSV rows when
+    --csv asks for them.  Each sample is one ``_branch_sample`` row, in
+    the order the points were drawn."""
     pts = _function_samples(f, args.seed, args.samples)
-    rows = []
-    for z in pts:
-        gz, fz = pair(z)
-        rows.append((z.real, z.imag, *_cq_floats(gz), (back(gz) - fz).norm()))
+    rows = [(z.real, z.imag, *_cq_floats(gz), (back(gz) - fz).norm())
+            for z, (gz, fz) in zip(pts, pairs(pts))]
     residuals = [row[10] for row in rows]
     stats = {"max": max(residuals), "mean": sum(residuals) / len(residuals)}
     if args.fmt != "csv":
@@ -251,7 +250,7 @@ def cmd_log(args) -> int:
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
     g = star_log(f, branch)
-    samples, stats, rows = _sampled_branch(args, f, g.with_inputs, cq_exp, "g")
+    samples, stats, rows = _sampled_branch(args, f, g.with_inputs_at, cq_exp, "g")
     _emit(args, {"branch": _branch_json(branch), "samples": samples,
                  "roundtrip": stats}, rows)
     return EXIT_OK
@@ -266,12 +265,11 @@ def cmd_root(args) -> int:
     g = star_log(f, branch)
     scale = 1.0 / args.n
 
-    def root_pair(z: complex) -> tuple[CQuaternion, CQuaternion]:
+    def root_pairs(pts: list) -> list[tuple[CQuaternion, CQuaternion]]:
         # star_root's exp_*(log_*(f) / n), with the same arithmetic
-        gz, fz = g.with_inputs(z)
-        return cq_exp(gz * scale), fz
+        return [(cq_exp(gz * scale), fz) for gz, fz in g.with_inputs_at(pts)]
 
-    samples, stats, rows = _sampled_branch(args, f, root_pair,
+    samples, stats, rows = _sampled_branch(args, f, root_pairs,
                                             lambda r: star_pow_value(r, args.n), "r")
     _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
                  "power_back": stats}, rows)
@@ -297,8 +295,7 @@ def cmd_bch(args) -> int:
         pts = _function_samples(f, args.seed, min(args.samples, 32))
         residual = 0.0
         hs = []
-        for z in pts:
-            hz, fz, gz = h.with_inputs(z)
+        for z, (hz, fz, gz) in zip(pts, h.with_inputs_at(pts)):
             hs.append((z.real, z.imag, *_cq_floats(hz)))
             residual = max(residual, (cq_mul(cq_exp(fz), cq_exp(gz)) - cq_exp(hz)).norm())
         payload["h_samples"] = _Rows(_h_sample, hs)

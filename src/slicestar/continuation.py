@@ -11,7 +11,12 @@ branches.  ``BranchContinuation`` walks a straight segment, valid on a
 convex disk, from the nearest stored node.  Its nodes are the first
 queries, at most one per cell of a GRID x GRID grid, each stored with its
 value; every value is exact at its own point, so it does not matter which
-of several threads that miss one cell stores its node.
+of several threads that miss one cell stores its node.  A batch of
+queries (``at_many``) is walked in Hilbert-curve order of its cells, each
+fresh point continued from the previous point of the walk instead of the
+nearest node: the start only selects the branch, never the bits of the
+value, so the batch returns and stores exactly what one query after the
+other would.
 
 ``locus_scan`` continues the logarithms of holomorphic scalars once
 around a disk's boundary circle, so the argument principle counts their
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 V = TypeVar("V")
 
@@ -79,6 +84,26 @@ def continue_along(step: Stepper, midpoint: Callable, a, v, b):
 
 def _halve(z0: complex, z1: complex) -> complex:
     return (z0 + z1) / 2
+
+
+def hilbert_index(cell: tuple[int, int]) -> int:
+    """The position of a GRID x GRID cell along the Hilbert curve through
+    the grid (Hilbert, Math. Ann. 38, 1891): cells next to each other on
+    the curve are next to each other in the plane."""
+    x, y = cell
+    d = 0
+    s = GRID >> 1
+    while s:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
+        if not ry:
+            if rx:
+                x = GRID - 1 - x
+                y = GRID - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
 
 
 class ZeroCount(NamedTuple):
@@ -185,3 +210,36 @@ class BranchContinuation:
         if self._cells.setdefault(key, entry) is entry:
             self._filled.append(entry)
         return v
+
+    def at_many(self, zs: Sequence[complex]) -> list:
+        """The values at each of ``zs``, in their order: bit for bit
+        ``[self.at(z) for z in zs]``, leaving the same node in every cell.
+
+        The queries are walked in Hilbert order of their cells, a stable
+        sort keeping the input order inside a cell, so each cell's node is
+        still its first query in input order.  A query in a cell with a
+        node is one segment from it, as in ``at``; a query in a fresh cell
+        is continued from the previous query of the walk, a cell or so
+        away, so only the first fresh query of a batch searches the nodes.
+        Each value is exact at its own point, so the start changes no bit.
+        """
+        keys = list(map(self._cell_of, zs))
+        out = [None] * len(keys)
+        cells, step = self._cells, self.stepper
+        prev = None
+        for i in sorted(range(len(keys)), key=lambda i: hilbert_index(keys[i])):
+            z, key = zs[i], keys[i]
+            hit = cells.get(key)
+            if hit is not None:
+                v = continue_along(step, _halve, hit[0], hit[1], z)
+            else:
+                if z == self.anchor or prev is None:
+                    # as ``at`` does; at the anchor this finds the seed
+                    prev = min(self._filled, key=lambda t: abs(t[0] - z))
+                v = continue_along(step, _halve, prev[0], prev[1], z)
+                entry = (z, v)
+                if cells.setdefault(key, entry) is entry:
+                    self._filled.append(entry)
+            out[i] = v
+            prev = (z, v)
+        return out

@@ -51,10 +51,6 @@ def _complex_from_json(obj) -> complex:
     return complex(_float(obj[0], "real part"), _float(obj[1], "imaginary part"))
 
 
-def _complex_to_json(z: complex) -> list:
-    return [z.real, z.imag]
-
-
 def cq_from_json(obj) -> CQuaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise ValueError(f"algebra-element JSON must be a 4-array of pairs, got {obj!r}")
@@ -66,10 +62,6 @@ def _vector_from_json(obj) -> CQuaternion:
         raise ValueError(f"vector JSON must be 3 pairs, got {obj!r}")
     v1, v2, v3 = (_complex_from_json(c) for c in obj)
     return CQuaternion(0j, v1, v2, v3)
-
-
-def _vector_to_json(s: CQuaternion) -> list:
-    return [_complex_to_json(s.z1), _complex_to_json(s.z2), _complex_to_json(s.z3)]
 
 
 def _member(obj, key: str, kind: type, what: str, nonempty: bool = False):
@@ -104,12 +96,6 @@ def path_from_json(obj: dict) -> SampledPath:
                                   _complex_from_json(s["w1"]),
                                   _vector_from_json(s["s"])))
     return SampledPath(tuple(samples))
-
-
-def path_to_json(path: SampledPath) -> dict:
-    return {"samples": [{"t": p.t, "w0": _complex_to_json(p.w0),
-                         "w1": _complex_to_json(p.w1), "s": _vector_to_json(p.s)}
-                        for p in path.samples]}
 
 
 def build_function(desc: dict, domain: Domain) -> SliceFunction:

@@ -74,6 +74,10 @@ class JNotDefined(SliceStarError):
     """Branch index requires the unit-vector function on a domain meeting R."""
 
 
+class BranchIndexTooLarge(SliceStarError):
+    """Branch index so large that 2 pi i h swamps the logarithm in floats."""
+
+
 class BranchObstruction(SliceStarError):
     """Continuous square-root branch lost (value crossed zero)."""
 

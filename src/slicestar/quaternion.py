@@ -124,9 +124,6 @@ class Quaternion(NamedTuple):
     def components(self) -> tuple[float, float, float, float]:
         return tuple(self)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.vec_norm() <= tol
-
     # -- slice form q = alpha + I*beta ----------------------------------
 
     def slice_coords(self) -> tuple[float, float, "ImagUnit | None"]:

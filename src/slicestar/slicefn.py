@@ -488,16 +488,28 @@ def stem_symmetry_defect(f: SliceFunction, points: Sequence[complex]) -> float:
     return worst
 
 
-def conjugate_mirror(upper: Callable, domain: Domain, conj: Callable = CQuaternion.bar):
+def conjugate_mirror(upper: Callable, domain: Domain, conj: Callable = CQuaternion.bar,
+                     *, batch: bool = False):
     """Extend ``upper``, built on the upper component, to the whole domain.
 
     On a pair of disks off R the lower disk gets conj(upper(conj z)), so
     the result has the stem symmetry F(conj z) = bar(F(z)) by construction;
     a domain meeting R is one component and gets ``upper`` back.  ``conj``
     is ``CQuaternion.bar`` for stems and ``complex.conjugate`` for scalars.
+    With ``batch``, ``upper`` maps a list of points to the list of their
+    values, and so does the result: the lower points join one ``upper``
+    call conjugated, and their values come back through ``conj``.
     """
     if domain.real_intersecting:
         return upper
+
+    if batch:
+        def mirrored_many(zs) -> list:
+            lower = [z.imag < 0 for z in zs]
+            values = upper([z.conjugate() if low else z for z, low in zip(zs, lower)])
+            return [conj(v) if low else v for v, low in zip(values, lower)]
+
+        return mirrored_many
 
     def mirrored(z: complex):
         if z.imag < 0:
@@ -512,14 +524,43 @@ class ContinuedFunction(SliceFunction):
     from: ``with_inputs(z)`` is (its stem at z, then the inputs' stems at
     z), all read from one continuation state and all mirrored with ``bar``
     on the lower disk of a two-sided domain, so a caller checking the
-    result against its inputs evaluates them no further."""
+    result against its inputs evaluates them no further.
+    ``with_inputs_at(zs)`` is the list of ``with_inputs(z)`` over a batch
+    of points, by default one point after the other."""
 
-    __slots__ = ("with_inputs",)
+    __slots__ = ("with_inputs", "with_inputs_at")
 
     def __init__(self, stem, with_inputs: Callable[[complex], tuple], domain: Domain,
-                 node: Optional[dict] = None):
+                 node: Optional[dict] = None,
+                 with_inputs_at: Optional[Callable[[list], list]] = None):
         super().__init__(stem, domain, node)
         self.with_inputs = with_inputs
+        self.with_inputs_at = with_inputs_at or (lambda zs: list(map(with_inputs, zs)))
+
+    @classmethod
+    def from_branch(cls, read: Callable, branch, domain: Domain,
+                    stem: Optional[Callable] = None) -> "ContinuedFunction":
+        """The function whose ``with_inputs(z)`` is ``read(z, state)``, the
+        state being ``branch.at(z)`` of a ``BranchContinuation`` on the upper
+        component; ``with_inputs_at`` reads a batch's states from one
+        ``branch.at_many`` walk.  ``stem`` is the upper-component stem,
+        by default the first value ``read`` gives."""
+        at, at_many = branch.at, branch.at_many
+
+        def upper(z: complex) -> tuple:
+            return read(z, at(z))
+
+        def upper_many(zs) -> list:
+            return list(map(read, zs, at_many(zs)))
+
+        if stem is None:
+            def stem(z: complex):
+                return read(z, at(z))[0]
+
+        return cls(conjugate_mirror(stem, domain),
+                   conjugate_mirror(upper, domain, bar_each), domain,
+                   with_inputs_at=conjugate_mirror(upper_many, domain, bar_each,
+                                                   batch=True))
 
 
 def bar_each(values: tuple) -> tuple:

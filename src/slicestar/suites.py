@@ -131,6 +131,15 @@ def left_mul_matrix(p: Quaternion) -> np.ndarray:
 # -- algebra -----------------------------------------------------------------
 
 
+#: the properties run_algebra reports, in its order
+ALGEBRA_PROPERTIES = (
+    "quat_mul_vs_matrix_oracle", "quat_norm_multiplicative",
+    "quat_mul_associative", "quat_exp_vs_series", "csym_multiplicative_formula",
+    "even_trig_pythagoras", "power_recurrence_vs_repeated_mul", "cq_exp_vs_series",
+    "cq_sinc_vs_series", "cq_exp_inverse",
+)
+
+
 def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     n = cfg.samples
@@ -230,6 +239,16 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
 
 
 # -- covering ----------------------------------------------------------------
+
+
+#: the properties run_covering reports, in its order
+COVERING_PROPERTIES = (
+    "exp_intertwines_projection", "deck_parity_even_fixes_exp",
+    "deck_parity_odd_moves_exp", "scalar_deck_fixes_cq_exp",
+    "power_of_exp_is_exp_of_multiple", "double_cover_fibers_and_swap",
+    "preimage_round_trip", "loop_circle_gives_1_m1", "loop_scalar_gives_1_1",
+    "loop_contractible_gives_0_0", "loop_monodromy_additive",
+)
 
 
 def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
@@ -383,6 +402,14 @@ def _log_setup(rng, two_sided: bool):
     raise RuntimeError("could not draw a generic polynomial off the loci")
 
 
+#: the properties run_log reports, in its order
+LOG_PROPERTIES = (
+    "exp_of_log_round_trip", "branches_differ_by_translation",
+    "real_domain_log_real_on_axis", "log_stem_symmetry", "root_power_returns_f",
+    "root_branches_congruent_mod_n",
+)
+
+
 def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     funcs = max(2, min(8, cfg.samples // 25))
@@ -476,6 +503,13 @@ def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
 
 
 # -- bch -----------------------------------------------------------------------
+
+
+#: the properties run_bch reports, in its order
+BCH_PROPERTIES = (
+    "product_vsym_closed_form", "vanishing_partner_kills_vsym",
+    "bch_combine_exponential_product", "bch_constant_vs_series_oracle",
+)
 
 
 def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
@@ -575,6 +609,13 @@ def _ladder_bracket(fz: CQuaternion, dz: CQuaternion, terms: int = 34) -> CQuate
     return acc
 
 
+#: the properties run_derivative reports, in its order
+DERIVATIVE_PROPERTIES = (
+    "closed_form_vs_quadrature", "slice_preserving_reduction",
+    "commutator_ladder_vs_closed_form", "degenerate_branch_continuity",
+)
+
+
 def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     dom = Domain(0.0, 1.5)
@@ -629,27 +670,28 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
     return out
 
 
+#: each suite's runner and the property names it reports
 _RUNNERS = {
-    "algebra": run_algebra,
-    "covering": run_covering,
-    "log": run_log,
-    "bch": run_bch,
-    "derivative": run_derivative,
+    "algebra": (run_algebra, ALGEBRA_PROPERTIES),
+    "covering": (run_covering, COVERING_PROPERTIES),
+    "log": (run_log, LOG_PROPERTIES),
+    "bch": (run_bch, BCH_PROPERTIES),
+    "derivative": (run_derivative, DERIVATIVE_PROPERTIES),
 }
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
     """Run the configured suite(s); deterministic given the seed.  A
-    ValueError when a tolerance key names no property of the suites run."""
+    ValueError, before any suite runs, when a tolerance key names no
+    property of the suites asked for."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    results = {}
-    for name in sorted(names):
-        results[name] = [r.to_json() for r in _RUNNERS[name](cfg)]
     unknown = sorted(set(cfg.tolerances)
-                     - {r["name"] for rs in results.values() for r in rs})
+                     - {prop for name in names for prop in _RUNNERS[name][1]})
     if unknown:
         raise ValueError(f"unknown tolerance key(s) {', '.join(unknown)}: no property "
                          f"of suite {cfg.suite!r} has that name")
+    results = {name: [r.to_json() for r in _RUNNERS[name][0](cfg)]
+               for name in sorted(names)}
     all_pass = all(r["pass"] for rs in results.values() for r in rs)
     return {"suite": cfg.suite, "seed": cfg.seed, "samples": cfg.samples,
             "results": results, "pass": all_pass}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from slicestar import Domain, Quaternion, constant, quat_mul
+from slicestar import Domain, Quaternion, SliceFunction, constant, quat_mul
+from slicestar.continuation import BranchContinuation
 # one copy of the shared generators and oracles, imported by the tests from here
 from slicestar.suites import (cq_exp_series, left_mul_matrix,  # noqa: F401
                               quat_exp_series, rand_cq, rand_poly, rand_quat)
@@ -73,3 +74,38 @@ def generic_poly(rng, dom: Domain, deg=2, tries=60):
            min(abs(v.vec_norm2()) for v in vals) > 0.05:
             return f
     raise RuntimeError("no generic polynomial found")
+
+
+def stem_bits(v) -> tuple[str, ...]:
+    """The exact bits of a stem value, as hex floats."""
+    return tuple(x.hex() for c in (v.z0, v.z1, v.z2, v.z3) for x in (c.real, c.imag))
+
+
+def inputs_bits(values) -> list:
+    """``stem_bits`` of each stem in a sequence of ``with_inputs`` tuples."""
+    return [tuple(map(stem_bits, v)) for v in values]
+
+
+def continuation_of(g: SliceFunction) -> BranchContinuation:
+    """The grid behind a continued branch, found through its stem's closures
+    and the bound methods they hold."""
+    todo = [g._stem]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            v = cell.cell_contents
+            v = getattr(v, "__self__", v)
+            if isinstance(v, BranchContinuation):
+                return v
+            if callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    raise AssertionError("no BranchContinuation behind this function")
+
+
+def assert_same_nodes(a: SliceFunction, b: SliceFunction) -> None:
+    """The grids behind a and b hold the same node, bit for bit, in the same
+    cells, and each grid one more start node (the anchor) than cells."""
+    ca, cb = continuation_of(a), continuation_of(b)
+    assert {k: repr(v) for k, v in ca._cells.items()} == \
+        {k: repr(v) for k, v in cb._cells.items()}
+    for c in (ca, cb):
+        assert len(c._filled) == len(c._cells) + 1

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slicestar.bch
-from conftest import (generic_poly, quat_exp_series, rand_cq, rand_poly, rand_quat,
-                      switch_arguments)
+from conftest import (assert_same_nodes, generic_poly, inputs_bits, quat_exp_series,
+                      rand_cq, rand_poly, rand_quat, switch_arguments)
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
                        constant, cq_dot, cq_exp, cq_mul, even_trig,
@@ -333,6 +333,38 @@ def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
     for z in pts:
         h.stem_at(z)
     assert calls[0] / len(pts) <= 5.0
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_combine_batch_walk_matches_pointwise_queries(rng, dom):
+    # one walk of the angle's branch gives bit for bit what pointwise
+    # queries in input order give, and leaves the same nodes
+    while True:
+        f = generic_poly(rng, dom, deg=1)
+        g = generic_poly(rng, dom, deg=1)
+        rep = bch_condition(f, g)
+        if rep.admissible and not rep.commuting:
+            break
+    batch, point = bch_combine(f, g, report=rep), bch_combine(f, g, report=rep)
+    pts = dom.sample_points(rng, 200)
+    queries = pts[100:] + [dom.center] + pts[:120]
+    assert inputs_bits(batch.with_inputs_at(queries)) == \
+        inputs_bits(map(point.with_inputs, queries))
+    assert_same_nodes(batch, point)
+    assert batch.with_inputs_at([]) == []
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_combine_batch_of_commuting_pair(rng, dom):
+    f = generic_poly(rng, dom, deg=1)
+    gamma = slice_preserving(lambda z: 0.3 * z + 0.7, dom)
+    g = gamma.star(f.vector_part()) + f.scalar_part() * 0.2
+    assert bch_condition(f, g).commuting
+    h = bch_combine(f, g)
+    pts = dom.sample_points(rng, 50)
+    pts += pts[:5]
+    assert inputs_bits(h.with_inputs_at(pts)) == inputs_bits(map(h.with_inputs, pts))
+    assert h.with_inputs_at([]) == []
 
 
 def test_combine_degenerate_angle():

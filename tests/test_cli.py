@@ -492,6 +492,45 @@ def test_misspelled_tol_key_exits_2(capsys, monkeypatch, argv, message):
     _assert_one_line_config_error(main(argv), capsys, message)
 
 
+def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):
+    from slicestar import suites
+
+    def not_run(cfg):
+        raise AssertionError("a suite ran before the --tol keys were checked")
+
+    monkeypatch.setattr(suites, "_RUNNERS",
+                        {name: (not_run, props) for name, (_, props)
+                         in suites._RUNNERS.items()})
+    code = main(["verify", "--suite", "all", "--samples", "200", "--tol", "typo=1"])
+    _assert_one_line_config_error(
+        code, capsys,
+        "unknown tolerance key(s) typo: no property of suite 'all' has that name")
+    # a key of another suite is unknown to the one asked for
+    code = main(["verify", "--suite", "algebra", "--tol", "exp_of_log_round_trip=1"])
+    _assert_one_line_config_error(
+        code, capsys, "unknown tolerance key(s) exp_of_log_round_trip: no property "
+        "of suite 'algebra' has that name")
+
+
+def test_suite_property_tuples_name_the_reported_properties():
+    from slicestar.suites import _RUNNERS
+    golden = json.loads((DATA.parent / "verify-seed1-samples200.json").read_text())
+    assert {name: [r["name"] for r in rs] for name, rs in golden["results"].items()} \
+        == {name: list(props) for name, (_, props) in _RUNNERS.items()}
+
+
+def test_log_refuses_branch_index_past_the_precision_limit(capsys):
+    from slicestar.starlog import MAX_BRANCH_INDEX
+    code = main(["log", "--fn", str(DATA / "f-two-sided.json"),
+                 "--h1", "100000000000000000", "--h2", "0",
+                 "--basepoint", "0.3,1.5", "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: BranchIndexTooLarge: ")
+    assert str(MAX_BRANCH_INDEX) in captured.err
+
+
 # drawn under the derandomized `slicestar` profile (conftest.py), so every
 # run checks the same payloads
 _names = st.text(st.characters(codec="utf-8"), max_size=6)

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
-from conftest import generic_poly, rand_quat
+from conftest import (assert_same_nodes, continuation_of, generic_poly, inputs_bits,
+                      rand_quat, stem_bits)
 from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        constant, cq_exp, identity, log_translate, polynomial,
                        quat_exp, slice_preserving, sqrt_vsym, star_exp,
                        star_log, star_root, stem_symmetry_defect,
                        unit_vector_part)
-from slicestar.continuation import GRID, BranchContinuation, ZeroCount, locus_scan
-from slicestar.errors import (BranchObstruction, HitsVLocus, JNotDefined,
-                              OutOfDomain)
+from slicestar.continuation import GRID, ZeroCount, hilbert_index, locus_scan
+from slicestar.errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus,
+                              JNotDefined, OutOfDomain)
+from slicestar.starlog import MAX_BRANCH_INDEX
 
 DOM = Domain(0.0, 1.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -301,10 +303,6 @@ def test_star_root_branch_lattice(rng):
 # -- one continuation per branch ---------------------------------------------
 
 
-def _bits(v) -> tuple[str, ...]:
-    return tuple(x.hex() for c in (v.z0, v.z1, v.z2, v.z3) for x in (c.real, c.imag))
-
-
 def _counted(f: SliceFunction):
     """f behind a stem that counts its calls; returns (function, [count])."""
     calls = [0]
@@ -328,8 +326,8 @@ def test_branch_values_independent_of_query_order(rng, dom):
     pts = dom.sample_points(rng, 400)
     for build in (lambda: star_log(f, _branch(dom)),
                   lambda: star_root(f, 3, _branch(dom))):
-        forward = [_bits(v) for v in map(build().stem_at, pts)]
-        backward = [_bits(v) for v in map(build().stem_at, reversed(pts))]
+        forward = [stem_bits(v) for v in map(build().stem_at, pts)]
+        backward = [stem_bits(v) for v in map(build().stem_at, reversed(pts))]
         assert forward == backward[::-1]
 
 
@@ -352,26 +350,13 @@ def test_star_log_stem_calls_per_fresh_point(rng, dom):
     assert calls[0] / len(pts) <= 2.0
 
 
-def _continuation_of(g: SliceFunction) -> BranchContinuation:
-    """The grid behind a continued branch, found through its stem's closures."""
-    todo = [g._stem]
-    while todo:
-        for cell in todo.pop().__closure__ or ():
-            v = cell.cell_contents
-            if isinstance(v, BranchContinuation):
-                return v
-            if callable(v) and getattr(v, "__closure__", None):
-                todo.append(v)
-    raise AssertionError("no BranchContinuation behind this function")
-
-
 @pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
 def test_branch_values_shared_across_threads(rng, dom):
     # four threads fill one fresh branch, each in its own order; every
     # value is the one a single thread computes, bit for bit
     f = generic_poly(rng, dom, deg=2)
     pts = dom.sample_points(rng, 400)
-    single = [_bits(v) for v in map(star_log(f, _branch(dom)).stem_at, pts)]
+    single = [stem_bits(v) for v in map(star_log(f, _branch(dom)).stem_at, pts)]
     g = star_log(f, _branch(dom))
     got: list[dict] = [{} for _ in range(4)]
     start = threading.Barrier(4)
@@ -381,7 +366,7 @@ def test_branch_values_shared_across_threads(rng, dom):
         random.Random(i).shuffle(order)
         start.wait()
         for k in order:
-            got[i][k] = _bits(g.stem_at(pts[k]))
+            got[i][k] = stem_bits(g.stem_at(pts[k]))
 
     threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -397,7 +382,7 @@ def test_branch_values_shared_across_threads(rng, dom):
     for seen in got:
         assert [seen[k] for k in range(len(pts))] == single
     # a cell filled by several threads is one start node, plus the anchor
-    cont = _continuation_of(g)
+    cont = continuation_of(g)
     assert len(cont._filled) == len(cont._cells) + 1
 
 
@@ -408,9 +393,9 @@ def test_branch_memory_is_bounded_by_the_grid(rng):
     g = star_log(f, _branch(DOM_OFF))
     pts = DOM_OFF.sample_points(rng, 5000)
     assert len(set(pts)) == 5000
-    first = [_bits(g.stem_at(z)) for z in pts]
-    assert [_bits(g.stem_at(z)) for z in pts] == first
-    cont = _continuation_of(g)
+    first = [stem_bits(g.stem_at(z)) for z in pts]
+    assert [stem_bits(g.stem_at(z)) for z in pts] == first
+    cont = continuation_of(g)
     held = {k for k, v in vars(cont).items() if isinstance(v, (dict, list, set))}
     assert held == {"_cells", "_filled"}
     assert len(cont._cells) <= GRID ** 2
@@ -423,10 +408,10 @@ def test_branch_nodes_are_the_first_queries(rng, dom):
     # cell's node: one stem call per fresh point, none at a node's own point
     f, calls = _counted(generic_poly(rng, dom, deg=2))
     g = star_log(f, _branch(dom))
-    cont = _continuation_of(g)
+    cont = continuation_of(g)
     pts = dom.sample_points(rng, 300)
     calls[0] = 0
-    first = {z: _bits(g.stem_at(z)) for z in pts}
+    first = {z: stem_bits(g.stem_at(z)) for z in pts}
     assert calls[0] == len(pts)
     # the continuation runs on the upper disk; lower points are mirrored
     upper = [z if z.imag >= 0 or not dom.two_sided else z.conjugate() for z in pts]
@@ -439,8 +424,128 @@ def test_branch_nodes_are_the_first_queries(rng, dom):
     calls[0] = 0
     for z, zu in zip(pts, upper):
         if cont._cells[cont._cell_of(zu)][0] == zu:
-            assert _bits(g.stem_at(z)) == first[z]
+            assert stem_bits(g.stem_at(z)) == first[z]
     assert calls[0] == 0
+
+
+def test_hilbert_index_walks_adjacent_cells():
+    # every cell once, each step to a neighbouring cell
+    at = {hilbert_index((x, y)): (x, y) for x in range(GRID) for y in range(GRID)}
+    assert sorted(at) == list(range(GRID * GRID))
+    assert all(abs(at[d][0] - at[d + 1][0]) + abs(at[d][1] - at[d + 1][1]) == 1
+               for d in range(GRID * GRID - 1))
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_batch_walk_matches_pointwise_queries(rng, dom):
+    # the Hilbert-ordered walk gives bit for bit what pointwise queries in
+    # input order give, and leaves the same node in every cell
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 400)
+    batch, point = star_log(f, _branch(dom)), star_log(f, _branch(dom))
+    assert inputs_bits(batch.with_inputs_at(pts)) == inputs_bits(map(point.with_inputs, pts))
+    assert_same_nodes(batch, point)
+    # the stem read pointwise afterwards agrees with the batch's stems
+    assert [stem_bits(batch.stem_at(z)) for z in pts] == \
+        [stem_bits(v[0]) for v in point.with_inputs_at(pts)]
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_batch_walk_edge_cases(rng, dom):
+    f = generic_poly(rng, dom, deg=2)
+    branch = _branch(dom)
+    pts = dom.sample_points(rng, 120)
+    batch, point = star_log(f, branch), star_log(f, branch)
+    assert batch.with_inputs_at([]) == []
+    # a batch after pointwise queries, with duplicates, the anchor (and its
+    # mirror image on a two-sided domain) and earlier points
+    earlier = pts[:30]
+    for g in (batch, point):
+        for z in earlier:
+            g.with_inputs(z)
+    anchor = continuation_of(batch).anchor
+    queries = pts[20:] + pts[50:60] + [anchor, anchor.conjugate()] + pts[:5] + [anchor]
+    assert inputs_bits(batch.with_inputs_at(queries)) == \
+        inputs_bits(map(point.with_inputs, queries))
+    assert_same_nodes(batch, point)
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_batch_walk_keeps_the_seed_at_the_anchor(rng, dom):
+    # a fresh anchor cell met inside a walk starts from the anchor itself,
+    # as ``at`` does, so its node holds the seed
+    f = generic_poly(rng, dom, deg=2)
+    g = star_log(f, _branch(dom))
+    cont = continuation_of(g)
+    key = cont._cell_of(cont.anchor)
+    pts = [z for z in dom.sample_points(rng, 200)
+           if dom.real_intersecting or z.imag > 0]
+    pts = [z for z in pts if cont._cell_of(z) != key]
+    first = min(pts, key=lambda z: hilbert_index(cont._cell_of(z)))
+    assert hilbert_index(cont._cell_of(first)) < hilbert_index(key)
+    g.with_inputs_at(pts + [cont.anchor])
+    assert cont._cells[key][0] == cont.anchor
+    assert cont._cells[key][1] is cont.seed
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom):
+    # two threads walk batches while two query point by point, all filling
+    # one fresh branch; every value is the single-threaded one, bit for bit
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 400)
+    single = inputs_bits(map(star_log(f, _branch(dom)).with_inputs, pts))
+    g = star_log(f, _branch(dom))
+    got: list[dict] = [{} for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def query(i: int):
+        order = list(range(len(pts)))
+        random.Random(i).shuffle(order)
+        start.wait()
+        if i < 2:
+            for k in range(0, len(order), 25):
+                chunk = order[k:k + 25]
+                values = g.with_inputs_at([pts[j] for j in chunk])
+                got[i].update(zip(chunk, inputs_bits(values)))
+        else:
+            for j in order:
+                got[i][j] = inputs_bits([g.with_inputs(pts[j])])[0]
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seen in got:
+        assert [seen[k] for k in range(len(pts))] == single
+    cont = continuation_of(g)
+    assert len(cont._filled) == len(cont._cells) + 1
+
+
+def test_star_log_refuses_indices_past_the_precision_limit(rng):
+    f = generic_poly(rng, DOM_OFF, deg=1)
+    bp = DOM_OFF.center
+    for h1, h2 in ((MAX_BRANCH_INDEX + 1, 0), (0, -MAX_BRANCH_INDEX - 1),
+                   (10 ** 17, 0)):
+        with pytest.raises(BranchIndexTooLarge, match=str(MAX_BRANCH_INDEX)):
+            star_log(f, LogBranch(h1, h2, bp))
+        with pytest.raises(BranchIndexTooLarge):
+            star_root(f, 2, LogBranch(h1, h2, bp))
+    with pytest.raises(BranchIndexTooLarge):
+        star_log(generic_poly(rng, DOM, deg=1),
+                 LogBranch(MAX_BRANCH_INDEX + 1, -MAX_BRANCH_INDEX - 1, 0.1 + 0j))
+    # the largest accepted index keeps the round trip within the suites' 1e-8
+    g = star_log(f, LogBranch(MAX_BRANCH_INDEX, -MAX_BRANCH_INDEX, bp))
+    for z in DOM_OFF.sample_points(rng, 50):
+        gz, fz = g.with_inputs(z)
+        assert (cq_exp(gz) - fz).norm() <= 1e-8 * max(1.0, fz.norm())
 
 
 # -- exact zero counts --------------------------------------------------------

@@ -44,7 +44,7 @@ from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
 from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
                      VanishingVectorPart)
-from .quaternion import J_UNIT, Quaternion
+from .quaternion import J_UNIT, Quaternion, _new
 from .slicefn import (ContinuedFunction, SliceFunction, constant, idempotent_plus,
                       induce_value)
 from .starlog import _anchor
@@ -240,8 +240,8 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         if abs(ratio) < 1e-9:
             raise DegenerateAngle(
                 f"sin(theta)/theta ~ 0 at z = {z}; vector part not recoverable")
-        hv = w / ratio
-        return CQuaternion(h0 + hv.z0, hv.z1, hv.z2, hv.z3), fz, gz
+        v0, v1, v2, v3 = w / ratio
+        return _new(CQuaternion, (h0 + v0, v1, v2, v3)), fz, gz
 
     return ContinuedFunction.from_branch(read, cont, dom)
 

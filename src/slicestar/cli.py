@@ -118,7 +118,9 @@ class _Rows:
     the row's floats.  ``text`` writes them all through one template:
     ``_json_text`` of the shape of the row (0.0, 1.0, ...), whose numbers
     name the slot each float fills, so the byte format keeps one definition.
-    A row with a non-finite float writes each float with ``_json_text``."""
+    A finite row is one ``%r`` format: the rows hold Python floats, whose
+    repr is ``float.__repr__``.  A row with a non-finite float writes each
+    float with ``_json_text``."""
 
     __slots__ = ("shape", "rows")
 
@@ -140,8 +142,9 @@ class _Rows:
                 end = m.end()
         pieces.append(example[end:].replace("%", "%%"))
         template = "%s".join(pieces)
+        fast = "%r".join(pieces)
         pick = itemgetter(*slots)
-        texts = [template % tuple(map(float.__repr__, pick(row))) if isfinite(sum(row))
+        texts = [fast % pick(row) if isfinite(sum(row))
                  else template % tuple(map(_json_text, pick(row)))
                  for row in self.rows]
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
@@ -332,9 +335,9 @@ def _path_and_start(args):
 def cmd_lift(args) -> int:
     path, start = _path_and_start(args)
     lifted = lift_path(path, start)
-    rows = [(s.t, p.u0.real, p.u0.imag, p.u1.real, p.u1.imag, p.s.z1.real,
-             p.s.z1.imag, p.s.z2.real, p.s.z2.imag, p.s.z3.real, p.s.z3.imag)
-            for s, p in zip(path.samples, lifted)]
+    rows = [(t, u0.real, u0.imag, u1.real, u1.imag, s1.real, s1.imag, s2.real,
+             s2.imag, s3.real, s3.imag)
+            for (t, _, _, _), (u0, u1, (_, s1, s2, s3)) in zip(path.samples, lifted)]
     _emit(args, {"samples": _Rows(_lift_sample, rows)})
     return EXIT_OK
 

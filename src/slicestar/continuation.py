@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 V = TypeVar("V")
@@ -64,7 +65,7 @@ def continue_along(step: Stepper, midpoint: Callable, a, v, b):
     if b == a:
         return v
     out = step(a, v, b)
-    if not refused(out):
+    if not isinstance(out, type):        # refused(out), inline
         return out
 
     def carry(a, v, b, depth: int):
@@ -86,24 +87,40 @@ def _halve(z0: complex, z1: complex) -> complex:
     return (z0 + z1) / 2
 
 
+def _hilbert_table() -> array:
+    """The Hilbert position of every cell (x, y) of the grid, at x * GRID + y.
+
+    Built by doubling: on a 2s x 2s grid, the cell in quadrant (rx, ry)
+    (rx = x >= s, ry = y >= s) is at s * s * ((3 rx) ^ ry) plus its
+    position on the s x s curve, read in the quadrant's frame: as is for
+    ry = 1, transposed for (0, 0), reflected through the centre and
+    transposed for (1, 0)."""
+    rows = [[0]]                     # rows[x][y] on the 1 x 1 grid
+    s = 1
+    while s < GRID:
+        cols = [list(col) for col in zip(*rows)]
+        quarter = s * s
+        grown = []
+        for x in range(s):           # rx = 0: quadrants (0, 0), (0, 1)
+            grown.append(cols[x] + [d + quarter for d in rows[x]])
+        for x in range(s):           # rx = 1: quadrants (1, 0), (1, 1)
+            grown.append([d + 3 * quarter for d in reversed(cols[s - 1 - x])]
+                         + [d + 2 * quarter for d in rows[x]])
+        rows = grown
+        s *= 2
+    return array("H", [d for row in rows for d in row])
+
+
+#: ``hilbert_index`` of every cell, flat: 2 bytes per cell
+_HILBERT = _hilbert_table()
+
+
 def hilbert_index(cell: tuple[int, int]) -> int:
     """The position of a GRID x GRID cell along the Hilbert curve through
     the grid (Hilbert, Math. Ann. 38, 1891): cells next to each other on
     the curve are next to each other in the plane."""
     x, y = cell
-    d = 0
-    s = GRID >> 1
-    while s:
-        rx = 1 if x & s else 0
-        ry = 1 if y & s else 0
-        d += s * s * ((3 * rx) ^ ry)
-        if not ry:
-            if rx:
-                x = GRID - 1 - x
-                y = GRID - 1 - y
-            x, y = y, x
-        s >>= 1
-    return d
+    return _HILBERT[x * GRID + y]
 
 
 class ZeroCount(NamedTuple):
@@ -132,6 +149,7 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
     point of the circle, shared by all scalars.
     """
     two_pi = 2 * math.pi
+    two_pi_i = 2j * math.pi
     samples: dict[float, tuple] = {}
 
     def sample(t: float) -> tuple:
@@ -147,7 +165,7 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
             if w == 0:
                 return _Unresolved
             l = cmath.log(w)
-            l += 2j * math.pi * nearest_turn(l.imag, l0.imag)
+            l += two_pi_i * round((l0.imag - l.imag) / two_pi)     # nearest_turn
             return l if abs(l.imag - l0.imag) < math.pi / 2 else _Unresolved
 
         start = sample(0.0)[i]
@@ -184,11 +202,14 @@ class BranchContinuation:
     # -- grid helpers ----------------------------------------------------
 
     def _cell_of(self, z: complex) -> tuple[int, int]:
-        side = 2 * self.radius
-        ix = int((z.real - (self.center.real - self.radius)) / side * GRID)
-        iy = int((z.imag - (self.center.imag - self.radius)) / side * GRID)
-        clamp = lambda i: min(max(i, 0), GRID - 1)
-        return clamp(ix), clamp(iy)
+        radius, center = self.radius, self.center
+        side = 2 * radius
+        ix = int((z.real - (center.real - radius)) / side * GRID)
+        iy = int((z.imag - (center.imag - radius)) / side * GRID)
+        # clamped to [0, GRID - 1]
+        ix = 0 if ix < 0 else GRID - 1 if ix >= GRID else ix
+        iy = 0 if iy < 0 else GRID - 1 if iy >= GRID else iy
+        return ix, iy
 
     # -- continuation ----------------------------------------------------
 
@@ -227,7 +248,8 @@ class BranchContinuation:
         out = [None] * len(keys)
         cells, step = self._cells, self.stepper
         prev = None
-        for i in sorted(range(len(keys)), key=lambda i: hilbert_index(keys[i])):
+        rank = [_HILBERT[x * GRID + y] for x, y in keys]
+        for i in sorted(range(len(keys)), key=rank.__getitem__):
             z, key = zs[i], keys[i]
             hit = cells.get(key)
             if hit is not None:

@@ -23,11 +23,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .continuation import continue_along, nearest_turn
+from .continuation import continue_along
 from .cquaternion import CQuaternion
 from .errors import (BadOrder, BadStart, NotALoop, NotDeck, OnVinf, OnW,
                      PathTooWild)
+from .quaternion import _new, value_type
 
 #: tolerance for n(z) ~ 0 when splitting fibers of the double cover
 TAU_FIBER = 1e-10
@@ -39,6 +41,9 @@ MAX_LIFT_STEP = math.pi / 2
 TAU_MONODROMY = 1e-6
 
 _IPI = 1j * math.pi
+
+_TWO_PI = 2 * math.pi
+_TWO_PI_I = 2j * math.pi
 
 
 def _check_unit_vector(s: CQuaternion, tol: float = 1e-9) -> None:
@@ -52,19 +57,28 @@ def unit_imaginary(v: CQuaternion, tol: float = TAU_FIBER) -> CQuaternion:
     if abs(n) <= tol:
         raise OnVinf(f"cannot normalize: n(v) = {n} ~ 0")
     r = cmath.sqrt(n)
-    return CQuaternion(0j, v.z1 / r, v.z2 / r, v.z3 / r)
+    _, v1, v2, v3 = v
+    return _new(CQuaternion, (0j, v1 / r, v2 / r, v3 / r))
 
 
-@dataclass(frozen=True)
-class LiftPoint:
-    """Point ((u0, u1), s) of C^2 x S."""
-
+class _LiftFields(NamedTuple):
     u0: complex
     u1: complex
     s: CQuaternion
 
-    def __post_init__(self):
-        _check_unit_vector(self.s)
+
+@value_type
+class LiftPoint(_LiftFields):
+    """Point ((u0, u1), s) of C^2 x S: an immutable tuple, equal only to
+    another LiftPoint with equal entries (see
+    :func:`slicestar.quaternion.value_type`).  Building one checks that s
+    is a pure vector with n(s) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, u0: complex, u1: complex, s: CQuaternion):
+        _check_unit_vector(s)
+        return _new(cls, (u0, u1, s))
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,8 @@ class BranchIndex:
 
 def project(p: LiftPoint) -> CQuaternion:
     """project((u0,u1),s) = u0 + u1*s."""
-    return CQuaternion(p.u0, p.u1 * p.s.z1, p.u1 * p.s.z2, p.u1 * p.s.z3)
+    u0, u1, (_, s1, s2, s3) = p
+    return _new(CQuaternion, (u0, u1 * s1, u1 * s2, u1 * s3))
 
 
 def project_fibers(z: CQuaternion, tol: float = TAU_FIBER) -> tuple[LiftPoint, LiftPoint]:
@@ -120,16 +135,17 @@ def from_log_pair(la: complex, lb: complex) -> tuple[complex, complex]:
 
 def log_pair_step(alpha: complex, beta: complex, la: complex, lb: complex):
     """The logarithms of alpha and beta nearest (la, lb), each the principal
-    logarithm plus 2 pi i k; PathTooWild (a refusal: bisect) when either
-    moves by MAX_LIFT_STEP or more."""
-    pair = []
-    for w, prev in ((alpha, la), (beta, lb)):
-        lw = cmath.log(w)
-        lw = lw + 2j * math.pi * nearest_turn(lw.imag, prev.imag)
-        if abs(lw - prev) >= MAX_LIFT_STEP:
-            return PathTooWild
-        pair.append(lw)
-    return tuple(pair)
+    logarithm plus 2 pi i k (k from ``nearest_turn``); PathTooWild (a
+    refusal: bisect) when either moves by MAX_LIFT_STEP or more."""
+    l1 = cmath.log(alpha)
+    l1 = l1 + _TWO_PI_I * round((la.imag - l1.imag) / _TWO_PI)
+    if abs(l1 - la) >= MAX_LIFT_STEP:
+        return PathTooWild
+    l2 = cmath.log(beta)
+    l2 = l2 + _TWO_PI_I * round((lb.imag - l2.imag) / _TWO_PI)
+    if abs(l2 - lb) >= MAX_LIFT_STEP:
+        return PathTooWild
+    return l1, l2
 
 
 def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
@@ -193,8 +209,11 @@ def scalar_deck(z: CQuaternion, k: int = 1) -> CQuaternion:
 
 # -- sampled paths and lifting ---------------------------------------------
 
-@dataclass(frozen=True)
-class PathSample:
+@value_type
+class PathSample(NamedTuple):
+    """One sample (t, w0, w1, s) of a path: an immutable tuple, equal only
+    to another PathSample with equal entries."""
+
     t: float
     w0: complex
     w1: complex
@@ -250,10 +269,11 @@ def _mid_sample(a: PathSample, b: PathSample) -> PathSample:
 
 
 def _alpha_beta(sample: PathSample) -> tuple[complex, complex]:
-    alpha = sample.w0 + 1j * sample.w1
-    beta = sample.w0 - 1j * sample.w1
+    t, w0, w1, _ = sample
+    alpha = w0 + 1j * w1
+    beta = w0 - 1j * w1
     if abs(alpha) <= TAU_FIBER or abs(beta) <= TAU_FIBER:
-        raise OnW(f"path sample on W at t = {sample.t}")
+        raise OnW(f"path sample on W at t = {t}")
     return alpha, beta
 
 
@@ -274,13 +294,17 @@ def lift_path(path: SampledPath, start: LiftPoint, *,
         raise BadStart("start point is not on the fiber over path(0)")
 
     def step(a: PathSample, pair: tuple[complex, complex], b: PathSample):
-        return log_pair_step(*_alpha_beta(b), *pair)
+        alpha, beta = _alpha_beta(b)
+        la, lb = pair
+        return log_pair_step(alpha, beta, la, lb)
 
     pair = (start.u0 + 1j * start.u1, start.u0 - 1j * start.u1)
     lifted = [start]
-    for a, b in zip(path.samples, path.samples[1:]):
-        pair = continue_along(step, _mid_sample, a, pair, b)
-        lifted.append(LiftPoint(*from_log_pair(*pair), b.s))
+    samples = path.samples
+    for a, b in zip(samples, samples[1:]):
+        la, lb = pair = continue_along(step, _mid_sample, a, pair, b)
+        # from_log_pair's arithmetic
+        lifted.append(LiftPoint((la + lb) / 2, (la - lb) / 2j, b.s))
     return lifted
 
 

@@ -24,7 +24,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .quaternion import Quaternion, value_type
+from .quaternion import Quaternion, _new, value_type
 
 #: absolute tolerance for membership in the V_-1 / V_inf loci
 TAU_CLASSIFY = 1e-10
@@ -32,6 +32,11 @@ TAU_CLASSIFY = 1e-10
 #: |w| below which the even trig pair is summed as a series
 _SERIES_RADIUS = 1.0
 _SERIES_MAX_TERMS = 25
+
+#: the integer denominators (2m-1)(2m) and (2m)(2m+1) of the series terms
+#: of cos(sqrt w) and sin(sqrt w)/sqrt w, m = 1 .. _SERIES_MAX_TERMS
+_SERIES_DENOMS = tuple(((2 * m - 1) * (2 * m), (2 * m) * (2 * m + 1))
+                       for m in range(1, _SERIES_MAX_TERMS + 1))
 
 
 @value_type
@@ -50,52 +55,57 @@ class CQuaternion(NamedTuple):
     # -- algebra -------------------------------------------------------
 
     # The kernels unpack their operands: a tuple unpack is cheaper than
-    # four field reads through the class's attribute descriptors.
+    # four field reads through the class's attribute descriptors.  They
+    # build results with ``_new(CQuaternion, (...))``, the tuple.__new__
+    # that the class's own constructor calls, without its Python frame.
 
     def __add__(self, other: "CQuaternion") -> "CQuaternion":
         a0, a1, a2, a3 = self
         b0, b1, b2, b3 = other
-        return CQuaternion(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        return _new(CQuaternion, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
 
     def __sub__(self, other: "CQuaternion") -> "CQuaternion":
         a0, a1, a2, a3 = self
         b0, b1, b2, b3 = other
-        return CQuaternion(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+        return _new(CQuaternion, (a0 - b0, a1 - b1, a2 - b2, a3 - b3))
 
     def __neg__(self) -> "CQuaternion":
         a0, a1, a2, a3 = self
-        return CQuaternion(-a0, -a1, -a2, -a3)
+        return _new(CQuaternion, (-a0, -a1, -a2, -a3))
 
     def __mul__(self, other):
         if isinstance(other, CQuaternion):
             return cq_mul(self, other)
         a0, a1, a2, a3 = self
-        return CQuaternion(a0 * other, a1 * other, a2 * other, a3 * other)
+        return _new(CQuaternion, (a0 * other, a1 * other, a2 * other, a3 * other))
 
     def __rmul__(self, other) -> "CQuaternion":
         a0, a1, a2, a3 = self
-        return CQuaternion(a0 * other, a1 * other, a2 * other, a3 * other)
+        return _new(CQuaternion, (a0 * other, a1 * other, a2 * other, a3 * other))
 
     def __truediv__(self, scalar: complex) -> "CQuaternion":
         a0, a1, a2, a3 = self
-        return CQuaternion(a0 / scalar, a1 / scalar, a2 / scalar, a3 / scalar)
+        return _new(CQuaternion, (a0 / scalar, a1 / scalar, a2 / scalar, a3 / scalar))
 
     # -- conjugations and invariants ------------------------------------
 
     def conj(self) -> "CQuaternion":
         """Quaternionic conjugation z^c = z0 - vec(z)."""
-        return CQuaternion(self.z0, -self.z1, -self.z2, -self.z3)
+        a0, a1, a2, a3 = self
+        return _new(CQuaternion, (a0, -a1, -a2, -a3))
 
     def bar(self) -> "CQuaternion":
         """Componentwise complex conjugation."""
-        return CQuaternion(self.z0.conjugate(), self.z1.conjugate(),
-                           self.z2.conjugate(), self.z3.conjugate())
+        a0, a1, a2, a3 = self
+        return _new(CQuaternion, (a0.conjugate(), a1.conjugate(),
+                                  a2.conjugate(), a3.conjugate()))
 
     def scalar(self) -> complex:
         return self.z0
 
     def vec(self) -> "CQuaternion":
-        return CQuaternion(0j, self.z1, self.z2, self.z3)
+        _, a1, a2, a3 = self
+        return _new(CQuaternion, (0j, a1, a2, a3))
 
     def vec_norm2(self) -> complex:
         """n(z) = z1^2 + z2^2 + z3^2 (a complex scalar, not a norm)."""
@@ -104,12 +114,16 @@ class CQuaternion(NamedTuple):
 
     def csym(self) -> complex:
         """z z^c = z0^2 + n(z)."""
-        return self.z0 * self.z0 + self.vec_norm2()
+        a0, a1, a2, a3 = self
+        return a0 * a0 + (a1 * a1 + a2 * a2 + a3 * a3)
 
     def norm(self) -> float:
-        """Euclidean norm of C^4, used for all tolerances."""
-        return math.sqrt(abs(self.z0) ** 2 + abs(self.z1) ** 2
-                         + abs(self.z2) ** 2 + abs(self.z3) ** 2)
+        """Euclidean norm of C^4, used for all tolerances.
+
+        ``abs(a) ** 2``, not ``x * x``: a float power raises OverflowError
+        where a product would return inf, and callers rely on that."""
+        a0, a1, a2, a3 = self
+        return math.sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
 
     def components(self) -> tuple[complex, complex, complex, complex]:
         return tuple(self)
@@ -122,11 +136,11 @@ class CQuaternion(NamedTuple):
 
     def real_part(self) -> Quaternion:
         a0, a1, a2, a3 = self
-        return Quaternion(a0.real, a1.real, a2.real, a3.real)
+        return _new(Quaternion, (a0.real, a1.real, a2.real, a3.real))
 
     def imag_part(self) -> Quaternion:
         a0, a1, a2, a3 = self
-        return Quaternion(a0.imag, a1.imag, a2.imag, a3.imag)
+        return _new(Quaternion, (a0.imag, a1.imag, a2.imag, a3.imag))
 
     @staticmethod
     def zero() -> "CQuaternion":
@@ -141,27 +155,31 @@ def cq_mul(z: CQuaternion, w: CQuaternion) -> CQuaternion:
     """Product in C (x) H (formally the quaternion product over C)."""
     z0, z1, z2, z3 = z
     w0, w1, w2, w3 = w
-    return CQuaternion(
+    return _new(CQuaternion, (
         z0 * w0 - z1 * w1 - z2 * w2 - z3 * w3,
         z0 * w1 + z1 * w0 + z2 * w3 - z3 * w2,
         z0 * w2 - z1 * w3 + z2 * w0 + z3 * w1,
         z0 * w3 + z1 * w2 - z2 * w1 + z3 * w0,
-    )
+    ))
 
 
 def cq_dot(z: CQuaternion, w: CQuaternion) -> complex:
     """Formal Euclidean product of the vector parts: z1 w1 + z2 w2 + z3 w3."""
-    return z.z1 * w.z1 + z.z2 * w.z2 + z.z3 * w.z3
+    _, z1, z2, z3 = z
+    _, w1, w2, w3 = w
+    return z1 * w1 + z2 * w2 + z3 * w3
 
 
 def cq_wedge(z: CQuaternion, w: CQuaternion) -> CQuaternion:
     """Formal cross product of the vector parts (a pure vector element)."""
-    return CQuaternion(
+    _, z1, z2, z3 = z
+    _, w1, w2, w3 = w
+    return _new(CQuaternion, (
         0j,
-        z.z2 * w.z3 - z.z3 * w.z2,
-        z.z3 * w.z1 - z.z1 * w.z3,
-        z.z1 * w.z2 - z.z2 * w.z1,
-    )
+        z2 * w3 - z3 * w2,
+        z3 * w1 - z1 * w3,
+        z1 * w2 - z2 * w1,
+    ))
 
 
 class Locus(Enum):
@@ -209,16 +227,17 @@ def even_trig(w: complex) -> EvenTrigPair:
         sincr = 1 + 0j
         term_c = 1 + 0j
         term_s = 1 + 0j
-        for m in range(1, _SERIES_MAX_TERMS + 1):
-            term_c *= -w / ((2 * m - 1) * (2 * m))
-            term_s *= -w / ((2 * m) * (2 * m + 1))
+        neg_w = -w
+        for den_c, den_s in _SERIES_DENOMS:
+            term_c *= neg_w / den_c
+            term_s *= neg_w / den_s
             cosr += term_c
             sincr += term_s
             if abs(term_c) < 1e-18 and abs(term_s) < 1e-18:
                 break
-        return EvenTrigPair(cosr, sincr)
+        return _new(EvenTrigPair, (cosr, sincr))
     r = cmath.sqrt(w)
-    return EvenTrigPair(cmath.cos(r), cmath.sin(r) / r)
+    return _new(EvenTrigPair, (cmath.cos(r), cmath.sin(r) / r))
 
 
 def cq_pow(z: CQuaternion, n: int) -> CQuaternion:
@@ -230,12 +249,12 @@ def cq_pow(z: CQuaternion, n: int) -> CQuaternion:
     """
     if n < 1:
         raise ValueError(f"power must be a positive integer, got {n}")
-    x = z.z0
-    w = z.vec_norm2()
+    x, z1, z2, z3 = z
+    w = z1 * z1 + z2 * z2 + z3 * z3
     p0, p1 = 1 + 0j, 0j
     for _ in range(n):
         p0, p1 = x * p0 - w * p1, p0 + x * p1
-    return CQuaternion(p0, p1 * z.z1, p1 * z.z2, p1 * z.z3)
+    return _new(CQuaternion, (p0, p1 * z1, p1 * z2, p1 * z3))
 
 
 def cq_exp(z: CQuaternion) -> CQuaternion:
@@ -249,7 +268,7 @@ def cq_exp(z: CQuaternion) -> CQuaternion:
     e0 = cmath.exp(z0)
     c = e0 * cosr
     s = e0 * sincr
-    return CQuaternion(c, s * z1, s * z2, s * z3)
+    return _new(CQuaternion, (c, s * z1, s * z2, s * z3))
 
 
 def cq_sinc(z: CQuaternion) -> CQuaternion:
@@ -260,8 +279,8 @@ def cq_sinc(z: CQuaternion) -> CQuaternion:
     through the same scalar/vector recurrence as cq_pow, so no branch of
     sqrt is involved; cq_sinc(0) = 1.
     """
-    x = z.z0
-    w = z.vec_norm2()
+    x, z1, z2, z3 = z
+    w = z1 * z1 + z2 * z2 + z3 * z3
     a, b = 1 + 0j, 0j            # z^m = a + b*vec(z)
     coeff = 1.0                  # (-1)^m / (2m+1)!
     sum_a, sum_b = 1 + 0j, 0j
@@ -275,4 +294,4 @@ def cq_sinc(z: CQuaternion) -> CQuaternion:
         sum_b += tb
         if (abs(ta) + abs(tb) * scale) < 1e-18:
             break
-    return CQuaternion(sum_a, sum_b * z.z1, sum_b * z.z2, sum_b * z.z3)
+    return _new(CQuaternion, (sum_a, sum_b * z1, sum_b * z2, sum_b * z3))

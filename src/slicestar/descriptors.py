@@ -22,7 +22,7 @@ from typing import Any
 
 from .covering import LiftPoint, PathSample, SampledPath
 from .cquaternion import CQuaternion
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _new
 from .slicefn import Domain, SliceFunction, constant, polynomial
 from .starlog import star_exp
 
@@ -48,7 +48,10 @@ def quaternion_to_json(q: Quaternion) -> list:
 def _complex_from_json(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex JSON must be [re, im], got {obj!r}")
-    return complex(_float(obj[0], "real part"), _float(obj[1], "imaginary part"))
+    re, im = obj
+    if type(re) is float and type(im) is float:     # what json.load gives
+        return complex(re, im)
+    return complex(_float(re, "real part"), _float(im, "imaginary part"))
 
 
 def cq_from_json(obj) -> CQuaternion:
@@ -60,8 +63,9 @@ def cq_from_json(obj) -> CQuaternion:
 def _vector_from_json(obj) -> CQuaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ValueError(f"vector JSON must be 3 pairs, got {obj!r}")
-    v1, v2, v3 = (_complex_from_json(c) for c in obj)
-    return CQuaternion(0j, v1, v2, v3)
+    v1, v2, v3 = obj
+    return _new(CQuaternion, (0j, _complex_from_json(v1), _complex_from_json(v2),
+                              _complex_from_json(v3)))
 
 
 def _member(obj, key: str, kind: type, what: str, nonempty: bool = False):
@@ -88,13 +92,16 @@ def lift_point_from_json(obj: dict) -> LiftPoint:
 
 def path_from_json(obj: dict) -> SampledPath:
     samples = []
+    append = samples.append
     for s in _member(obj, "samples", list, "path"):
         if not isinstance(s, dict):
             raise ValueError(f"path sample must be a JSON object, got {s!r}")
-        samples.append(PathSample(_float(s["t"], 'path sample "t"'),
-                                  _complex_from_json(s["w0"]),
-                                  _complex_from_json(s["w1"]),
-                                  _vector_from_json(s["s"])))
+        t = s["t"]
+        if type(t) is not float:
+            t = _float(t, 'path sample "t"')
+        append(_new(PathSample, (t, _complex_from_json(s["w0"]),
+                                 _complex_from_json(s["w1"]),
+                                 _vector_from_json(s["s"]))))
     return SampledPath(tuple(samples))
 
 

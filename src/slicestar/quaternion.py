@@ -18,6 +18,10 @@ from typing import NamedTuple
 
 from .errors import RealAxis
 
+#: the constructor of every value type: ``_new(cls, (fields...))`` builds
+#: what ``cls(fields...)`` builds, without the NamedTuple's Python frame
+_new = tuple.__new__
+
 #: absolute tolerance for detecting |q_v| on the singular lattice h*pi
 TAU_STRATUM = 1e-9
 
@@ -62,47 +66,51 @@ class Quaternion(NamedTuple):
     # -- algebra -------------------------------------------------------
 
     # The kernels unpack their operands: a tuple unpack is cheaper than
-    # four field reads through the class's attribute descriptors.
+    # four field reads through the class's attribute descriptors.  They
+    # build results with ``_new(Quaternion, (...))``, the tuple.__new__
+    # that the class's own constructor calls, without its Python frame.
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         p0, p1, p2, p3 = self
         q0, q1, q2, q3 = other
-        return Quaternion(p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+        return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         p0, p1, p2, p3 = self
         q0, q1, q2, q3 = other
-        return Quaternion(p0 - q0, p1 - q1, p2 - q2, p3 - q3)
+        return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __neg__(self) -> "Quaternion":
         p0, p1, p2, p3 = self
-        return Quaternion(-p0, -p1, -p2, -p3)
+        return _new(Quaternion, (-p0, -p1, -p2, -p3))
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return quat_mul(self, other)
         p0, p1, p2, p3 = self
-        return Quaternion(p0 * other, p1 * other, p2 * other, p3 * other)
+        return _new(Quaternion, (p0 * other, p1 * other, p2 * other, p3 * other))
 
     def __rmul__(self, other) -> "Quaternion":
         # scalar * q; quaternion * quaternion is handled by __mul__
         p0, p1, p2, p3 = self
-        return Quaternion(p0 * other, p1 * other, p2 * other, p3 * other)
+        return _new(Quaternion, (p0 * other, p1 * other, p2 * other, p3 * other))
 
     def __truediv__(self, scalar: float) -> "Quaternion":
         p0, p1, p2, p3 = self
-        return Quaternion(p0 / scalar, p1 / scalar, p2 / scalar, p3 / scalar)
+        return _new(Quaternion, (p0 / scalar, p1 / scalar, p2 / scalar, p3 / scalar))
 
     # -- structure -----------------------------------------------------
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        p0, p1, p2, p3 = self
+        return _new(Quaternion, (p0, -p1, -p2, -p3))
 
     def scalar(self) -> float:
         return self.q0
 
     def vec(self) -> "Quaternion":
-        return Quaternion(0.0, self.q1, self.q2, self.q3)
+        _, p1, p2, p3 = self
+        return _new(Quaternion, (0.0, p1, p2, p3))
 
     def vec_norm(self) -> float:
         _, p1, p2, p3 = self
@@ -179,12 +187,12 @@ def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Quaternion product p*q (scalar/vector form; |pq| = |p||q|)."""
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
-    return Quaternion(
+    return _new(Quaternion, (
         p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
         p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-    )
+    ))
 
 
 def _sinc(t: float) -> float:
@@ -204,11 +212,12 @@ def _cos_small(t: float) -> float:
 
 def quat_exp(q: Quaternion) -> Quaternion:
     """exp(q) = e^{q0} (cos|q_v| + sinc(|q_v|) q_v); smooth across the real axis."""
-    beta = q.vec_norm()
-    ea = math.exp(q.q0)
+    q0, q1, q2, q3 = q
+    beta = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3)
+    ea = math.exp(q0)
     c = ea * _cos_small(beta)
     s = ea * _sinc(beta)
-    return Quaternion(c, s * q.q1, s * q.q2, s * q.q3)
+    return _new(Quaternion, (c, s * q1, s * q2, s * q3))
 
 
 def exp_stratum(q: Quaternion, tol: float = TAU_STRATUM) -> int | None:

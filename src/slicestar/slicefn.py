@@ -34,7 +34,7 @@ from .cquaternion import CQuaternion, cq_dot, cq_mul
 from .errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                      NearBoundary, NonIsolatedZero, OutOfDomain, RealAxis,
                      VanishingVectorPart)
-from .quaternion import ImagUnit, Quaternion, quat_mul
+from .quaternion import ImagUnit, Quaternion, _new, quat_mul
 
 #: trapezoid points for Cauchy quadrature of stem derivatives
 QUAD_POINTS = 32
@@ -357,7 +357,7 @@ class SliceFunction:
             a2 = a2 + f2 * wc
             a3 = a3 + f3 * wc
         s = npts * r
-        return CQuaternion(a0 / s, a1 / s, a2 / s, a3 / s)
+        return _new(CQuaternion, (a0 / s, a1 / s, a2 / s, a3 / s))
 
     def derivative(self) -> "SliceFunction":
         """Slice derivative as a slice function (quadrature-backed stem)."""
@@ -404,7 +404,7 @@ def polynomial(coeffs: Sequence[Quaternion], domain: Domain) -> SliceFunction:
             a1 = a1 * z + c1
             a2 = a2 * z + c2
             a3 = a3 * z + c3
-        return CQuaternion(a0, a1, a2, a3)
+        return _new(CQuaternion, (a0, a1, a2, a3))
 
     return SliceFunction(stem, domain,
                          {"kind": "poly", "coeffs": [list(a.components()) for a in coeffs]})
@@ -417,7 +417,7 @@ def identity(domain: Domain) -> SliceFunction:
 def slice_preserving(fn: Callable[[complex], complex], domain: Domain,
                      node: Optional[dict] = None) -> SliceFunction:
     """Slice-preserving function from a scalar stem with f(conj z) = conj f(z)."""
-    return SliceFunction(lambda z: CQuaternion(fn(z), 0j, 0j, 0j), domain, node)
+    return SliceFunction(lambda z: _new(CQuaternion, (fn(z), 0j, 0j, 0j)), domain, node)
 
 
 def unit_vector_part(domain: Domain) -> SliceFunction:

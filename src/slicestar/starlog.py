@@ -38,11 +38,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .continuation import BranchContinuation, ZeroCount, locus_scan, refused
-from .covering import BranchIndex, from_log_pair, log_pair_step
+from .continuation import BranchContinuation, ZeroCount, locus_scan
+from .covering import BranchIndex, log_pair_step
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain)
+from .quaternion import _new
 from .slicefn import (ContinuedFunction, Domain, SliceFunction, conjugate_mirror,
                       slice_preserving)
 
@@ -74,6 +75,14 @@ class LogBranch:
 
     def index(self) -> BranchIndex:
         return BranchIndex(self.h1, self.h2)
+
+
+def _require_index(what: str, h1: int, h2: int) -> None:
+    """BranchIndexTooLarge when |h1| or |h2| exceeds MAX_BRANCH_INDEX."""
+    if max(abs(h1), abs(h2)) > MAX_BRANCH_INDEX:
+        raise BranchIndexTooLarge(
+            f"{what} ({h1}, {h2}) exceeds {MAX_BRANCH_INDEX} in "
+            "modulus; floats cannot keep exp_*(log_*(f)) = f within 1e-8 there")
 
 
 def _anchor(domain: Domain, basepoint: complex) -> complex:
@@ -167,10 +176,7 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
     anchor = _anchor(dom, branch.basepoint)
     if dom.real_intersecting and branch.h1 + branch.h2 != 0:
         raise JNotDefined("on a domain meeting R only branches with h2 = -h1 exist")
-    if max(abs(branch.h1), abs(branch.h2)) > MAX_BRANCH_INDEX:
-        raise BranchIndexTooLarge(
-            f"branch index ({branch.h1}, {branch.h2}) exceeds {MAX_BRANCH_INDEX} in "
-            "modulus; floats cannot keep exp_*(log_*(f)) = f within 1e-8 there")
+    _require_index("branch index", branch.h1, branch.h2)
     stem = f._stem
 
     def loci(z: complex) -> tuple[complex, complex]:
@@ -196,30 +202,34 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
 
     def stepper(z0: complex, v0: tuple, z1: complex):
         fz = stem(z1)
-        m = _sqrt_step(fz.vec_norm2(), v0[0])
-        if refused(m):
+        m0, la, lb, _ = v0
+        m = _sqrt_step(fz.vec_norm2(), m0)
+        if isinstance(m, type):          # refused
             return m
-        pair = log_pair_step(*_fiber_pair(fz.z0, m, z1), v0[1], v0[2])
-        if refused(pair):
+        alpha, beta = _fiber_pair(fz.z0, m, z1)
+        pair = log_pair_step(alpha, beta, la, lb)
+        if isinstance(pair, type):       # refused
             return pair
-        return (m, *pair, fz)
+        la, lb = pair
+        return m, la, lb, fz
 
     cont = BranchContinuation(anchor, seed, stepper,
                               center=dom.component_center(anchor),
                               radius=dom.radius)
 
+    # from_log_pair's arithmetic, inlined
     def read(z: complex, state: tuple) -> tuple[CQuaternion, CQuaternion]:
         m, la, lb, fz = state
-        u0, u1 = from_log_pair(la, lb)
-        c = u1 / m
-        return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3), fz
+        c = (la - lb) / 2j / m
+        _, f1, f2, f3 = fz
+        return _new(CQuaternion, ((la + lb) / 2, c * f1, c * f2, c * f3)), fz
 
     # the same arithmetic as read, inlined to keep the stem path one call
     def upper_stem(z: complex) -> CQuaternion:
         m, la, lb, fz = cont.at(z)
-        u0, u1 = from_log_pair(la, lb)
-        c = u1 / m
-        return CQuaternion(u0, c * fz.z1, c * fz.z2, c * fz.z3)
+        c = (la - lb) / 2j / m
+        _, f1, f2, f3 = fz
+        return _new(CQuaternion, ((la + lb) / 2, c * f1, c * f2, c * f3))
 
     return ContinuedFunction.from_branch(read, cont, dom, upper_stem)
 
@@ -231,7 +241,8 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
 
     exp_* of the result equals exp_*(g).  On domains meeting R the
     unit-vector function does not exist, so h1 + h2 must vanish there;
-    the square-root branch is anchored at the domain center.
+    the square-root branch is anchored at the domain center.  Shifts
+    beyond MAX_BRANCH_INDEX are refused, as ``star_log`` refuses them.
     """
     dom = g.domain
     if h1 == 0 and h2 == 0:
@@ -240,6 +251,7 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
     t2 = (h1 - h2) * math.pi
     if dom.real_intersecting and t1 != 0.0:
         raise JNotDefined("on a domain meeting R only translations with h2 = -h1 exist")
+    _require_index("translation", h1, h2)
     mg = sqrt_vsym(g, dom.center, +1)
     mg_scalar = mg.scalar_value
     stem = g._stem
@@ -250,7 +262,8 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
         z0 = val.z0
         if t1 != 0.0:
             z0 = z0 + t1 * (1j if z.imag > 0 else -1j)
-        return CQuaternion(z0, factor * val.z1, factor * val.z2, factor * val.z3)
+        _, v1, v2, v3 = val
+        return _new(CQuaternion, (z0, factor * v1, factor * v2, factor * v3))
 
     return SliceFunction(translated, dom)
 

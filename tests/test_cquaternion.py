@@ -4,11 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from conftest import cq_exp_series, rand_cq, rand_quat, switch_arguments
-from slicestar import (CQuaternion, EvenTrigPair, Locus, Quaternion, classify, cq_exp,
-                       cq_mul, cq_pow, cq_sinc, even_trig, quat_exp, quat_mul,
-                       scalar_deck)
+from slicestar import (CQuaternion, Domain, EvenTrigPair, LiftPoint, Locus, LogBranch,
+                       PathSample, Quaternion, classify, cq_exp, cq_mul, cq_pow, cq_sinc,
+                       cq_wedge, even_trig, lift_path, lifted_exp_preimage, polynomial,
+                       quat_exp, quat_mul, scalar_deck, star_log)
+from slicestar.descriptors import lift_point_from_json, path_from_json
 
 
 def test_real_embedding_matches_quaternions(rng):
@@ -78,6 +82,50 @@ def test_even_trig_series_cross_check(rng):
             term_s *= -w / ((2 * m) * (2 * m + 1))
         assert abs(et.cosr - c) < 1e-11 * max(1.0, abs(c))
         assert abs(et.sincr - s) < 1e-11 * max(1.0, abs(s))
+
+
+def _even_trig_series_loop(w) -> tuple[complex, complex]:
+    """The series loop even_trig ran before its denominators were
+    precomputed: the reference its series branch must match bit for bit."""
+    w = complex(w)
+    cosr = sincr = term_c = term_s = 1 + 0j
+    for m in range(1, 26):
+        term_c *= -w / ((2 * m - 1) * (2 * m))
+        term_s *= -w / ((2 * m) * (2 * m + 1))
+        cosr += term_c
+        sincr += term_s
+        if abs(term_c) < 1e-18 and abs(term_s) < 1e-18:
+            break
+    return cosr, sincr
+
+
+def _complex_bits(*values: complex) -> list[str]:
+    return [float.hex(x) for v in values for x in (v.real, v.imag)]
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+@given(st.one_of(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.floats(-_BELOW_ONE, _BELOW_ONE),                        # real axis, as a float
+    st.floats(-_BELOW_ONE, _BELOW_ONE).map(lambda y: complex(0.0, y)),
+    st.floats(0, 2 * math.pi).map(lambda t: _BELOW_ONE * cmath.exp(1j * t))))
+@example(0.0)
+@example(0j)
+@example(complex(0.5, 0.0))
+@example(complex(0.5, -0.0))
+@example(complex(-0.0, -0.0))
+@example(complex(0.0, 0.75))
+@example(complex(-0.0, -0.75))
+@example(_BELOW_ONE)
+@example(-_BELOW_ONE)
+@example(complex(0.0, _BELOW_ONE))
+@example(complex(0.6, 0.8) * _BELOW_ONE)
+def test_even_trig_series_bitwise_matches_reference_loop(w):
+    assume(abs(complex(w)) < 1.0)
+    got = even_trig(w)
+    assert _complex_bits(*got) == _complex_bits(*_even_trig_series_loop(w))
 
 
 def test_even_trig_pythagoras_and_branch_freedom(rng):
@@ -231,7 +279,64 @@ VALUES = [
 VALUE_IDS = [type(v).__name__ for v, _ in VALUES]
 
 
-@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+def _kernel_results() -> list[tuple[str, object, type]]:
+    """(name, result, class) for each kernel that builds its result with
+    ``tuple.__new__`` instead of the class's constructor."""
+    a = CQuaternion(0.3 + 0.1j, -1.2 + 0.2j, 0.7 - 0.3j, 0.25 + 0.05j)
+    b = CQuaternion(-0.4 + 0.3j, 0.9 - 0.1j, 0.1 + 0.2j, -0.6 + 0.4j)
+    p, q = Quaternion(0.3, -1.2, 0.7, 0.25), Quaternion(-0.4, 0.9, 0.1, -0.6)
+    dom = Domain(0.3 + 1.5j, 0.8)
+    f = polynomial([Quaternion(2, 0.9, 0.3, 0.1), Quaternion(0.3, 0.2, 0.1, 0.2)], dom)
+    g = star_log(f, LogBranch(0, 0, dom.center))
+    z = 0.4 + 1.3j
+    s_json = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    path = path_from_json({"samples": [
+        {"t": 0.0, "w0": [1.0, 0.0], "w1": [0.5, 0.0], "s": s_json},
+        {"t": 1.0, "w0": [0.5, 0.5], "w1": [0.25, -0.5], "s": s_json}]})
+    start = lift_point_from_json({"u0": [0.1, 0.0], "u1": [0.4, 0.0], "s": s_json})
+    lifted = lift_path(path, lifted_exp_preimage(1.0 + 0j, 0.5 + 0j, path.samples[0].s))
+    CQ, Q = CQuaternion, Quaternion
+    return [
+        ("cq_mul", cq_mul(a, b), CQ), ("cq_exp", cq_exp(a), CQ),
+        ("cq_exp_series", cq_exp(a * 0.1), CQ), ("cq_pow", cq_pow(a, 3), CQ),
+        ("cq_sinc", cq_sinc(a), CQ), ("cq_wedge", cq_wedge(a, b), CQ),
+        ("CQuaternion.add", a + b, CQ), ("CQuaternion.sub", a - b, CQ),
+        ("CQuaternion.neg", -a, CQ), ("CQuaternion.mul", a * b, CQ),
+        ("CQuaternion.mul_scalar", a * 2.0, CQ), ("CQuaternion.rmul", 2.0 * a, CQ),
+        ("CQuaternion.truediv", a / 2.0, CQ), ("CQuaternion.conj", a.conj(), CQ),
+        ("CQuaternion.bar", a.bar(), CQ), ("CQuaternion.vec", a.vec(), CQ),
+        ("CQuaternion.real_part", a.real_part(), Q), ("CQuaternion.imag_part", a.imag_part(), Q),
+        ("quat_mul", quat_mul(p, q), Q), ("quat_exp", quat_exp(p), Q),
+        ("Quaternion.add", p + q, Q), ("Quaternion.sub", p - q, Q), ("Quaternion.neg", -p, Q),
+        ("Quaternion.mul", p * q, Q), ("Quaternion.mul_scalar", p * 2.0, Q),
+        ("Quaternion.rmul", 2.0 * p, Q), ("Quaternion.truediv", p / 2.0, Q),
+        ("Quaternion.conj", p.conj(), Q), ("Quaternion.vec", p.vec(), Q),
+        ("even_trig_series", even_trig(0.3 + 0.4j), EvenTrigPair),
+        ("even_trig_closed", even_trig(2 - 1j), EvenTrigPair),
+        ("polynomial_stem", f.stem_at(z), CQ), ("star_log_stem", g.stem_at(z), CQ),
+        ("star_log_batch", g.with_inputs_at([z])[0][0], CQ),
+        ("path_from_json", path.samples[1], PathSample),
+        ("lift_point_from_json", start, LiftPoint), ("lift_path", lifted[1], LiftPoint),
+    ]
+
+
+KERNEL_RESULTS = _kernel_results()
+KERNEL_IDS = [name for name, _, _ in KERNEL_RESULTS]
+
+
+def _repr_text(value) -> str:
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(value._fields, value))
+    return f"{type(value).__name__}({fields})"
+
+
+def _copy_field(c):
+    """An equal field that is a different object: c + 0 for a number, a
+    rebuilt value for a value-type field."""
+    return type(c)(*map(_copy_field, c)) if isinstance(c, tuple) else c + 0
+
+
+@pytest.mark.parametrize("value, text", VALUES + [(v, _repr_text(v)) for _, v, _ in KERNEL_RESULTS],
+                         ids=VALUE_IDS + KERNEL_IDS)
 def test_value_types_are_immutable(value, text):
     for name in value._fields:
         with pytest.raises(AttributeError):
@@ -241,12 +346,20 @@ def test_value_types_are_immutable(value, text):
     assert repr(value) == text
 
 
-@pytest.mark.parametrize("value, text", VALUES, ids=VALUE_IDS)
+@pytest.mark.parametrize("value, text", VALUES + [(v, None) for _, v, _ in KERNEL_RESULTS],
+                         ids=VALUE_IDS + KERNEL_IDS)
 def test_value_types_hash_like_their_fields(value, text):
-    twin = type(value)(*(c + 0 for c in value))
+    twin = type(value)(*map(_copy_field, value))
     assert twin is not value and twin == value and not twin != value
     assert hash(twin) == hash(value)
     assert len({value, twin}) == 1
+
+
+@pytest.mark.parametrize("name, value, cls", KERNEL_RESULTS, ids=KERNEL_IDS)
+def test_kernel_results_are_their_class(name, value, cls):
+    # built with tuple.__new__, the result is still exactly the class
+    assert type(value) is cls
+    assert value == cls(*value) and type(cls(*value)) is cls
 
 
 def test_value_types_equal_only_within_their_class():
@@ -256,6 +369,22 @@ def test_value_types_equal_only_within_their_class():
         assert other != cq and not other == cq
     assert q != (1, 0, 0, 0) and (1, 0, 0, 0) != q
     assert EvenTrigPair(1, 0) != (1, 0) and (1, 0) != EvenTrigPair(1, 0)
+    four = (CQuaternion, Quaternion, PathSample)
+    for _, value, cls in KERNEL_RESULTS:
+        others = [tuple(value), list(value)]
+        others += [tuple.__new__(c, value) for c in four if c is not cls and len(value) == 4]
+        if cls is LiftPoint:            # nor its plain NamedTuple base
+            others.append(tuple.__new__(LiftPoint.__mro__[1], value))
+        for other in others:
+            assert value != other and not value == other
+            assert other != value and not other == value
+
+
+def test_norm_overflows_instead_of_returning_inf():
+    # abs(x) ** 2 raises where x * x would return inf; the CLI turns the
+    # OverflowError into a one-line library failure
+    with pytest.raises(OverflowError):
+        CQuaternion(1e200, 0j, 0j, 0j).norm()
 
 
 @pytest.mark.parametrize("scalar", [np.float64(0.75), np.complex128(0.5 - 1.25j)],

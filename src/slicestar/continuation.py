@@ -42,13 +42,9 @@ MAX_DEPTH = 20
 #: arcs of the boundary circle in a locus scan, before halving
 SCAN_ARCS = 64
 
-#: step(a, value at a, b) -> the value at b, or the error class refusing it
+#: step(a, value at a, b) -> the value at b, or the error class refusing it;
+#: ``isinstance(out, type)`` tells a refusal from a value
 Stepper = Callable[..., object]
-
-
-def refused(v) -> bool:
-    """Whether a step's result is a refusal, i.e. an error class."""
-    return isinstance(v, type)
 
 
 def nearest_turn(x: float, prev: float) -> int:
@@ -65,14 +61,14 @@ def continue_along(step: Stepper, midpoint: Callable, a, v, b):
     if b == a:
         return v
     out = step(a, v, b)
-    if not isinstance(out, type):        # refused(out), inline
+    if not isinstance(out, type):
         return out
 
     def carry(a, v, b, depth: int):
         if b == a:
             return v
         out = step(a, v, b)
-        return halve(a, v, b, out, depth) if refused(out) else out
+        return halve(a, v, b, out, depth) if isinstance(out, type) else out
 
     def halve(a, v, b, refusal, depth: int):
         if depth <= 0:

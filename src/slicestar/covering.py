@@ -80,6 +80,11 @@ class LiftPoint(_LiftFields):
         _check_unit_vector(s)
         return _new(cls, (u0, u1, s))
 
+    @classmethod
+    def _make(cls, iterable) -> "LiftPoint":
+        # NamedTuple's _make, and through it _replace, would skip the check
+        return cls(*iterable)
+
 
 @dataclass(frozen=True)
 class BranchIndex:

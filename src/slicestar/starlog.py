@@ -204,11 +204,11 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         fz = stem(z1)
         m0, la, lb, _ = v0
         m = _sqrt_step(fz.vec_norm2(), m0)
-        if isinstance(m, type):          # refused
+        if isinstance(m, type):          # a refusal
             return m
         alpha, beta = _fiber_pair(fz.z0, m, z1)
         pair = log_pair_step(alpha, beta, la, lb)
-        if isinstance(pair, type):       # refused
+        if isinstance(pair, type):
             return pair
         la, lb = pair
         return m, la, lb, fz

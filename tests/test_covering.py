@@ -24,10 +24,13 @@ def rand_lift(rng, spread=1.0) -> LiftPoint:
 
 
 def test_lift_point_validates_unit():
-    with pytest.raises(ValueError):
-        LiftPoint(0j, 0j, CQuaternion(0j, 2 + 0j, 0j, 0j))
-    with pytest.raises(ValueError):
-        LiftPoint(0j, 0j, CQuaternion(1 + 0j, 1 + 0j, 0j, 0j))
+    good = LiftPoint(0j, 0j, I_VEC)
+    for bad in (CQuaternion(0j, 2 + 0j, 0j, 0j), CQuaternion(1 + 0j, 1 + 0j, 0j, 0j)):
+        # every way of building one checks s, the tuple helpers too
+        for build in (lambda: LiftPoint(0j, 0j, bad), lambda: LiftPoint._make((0j, 0j, bad)),
+                      lambda: good._replace(s=bad)):
+            with pytest.raises(ValueError):
+                build()
 
 
 def test_projection_simple():

@@ -204,7 +204,8 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
             fz, gz = fstem(z), gstem(z)
             return fz + gz, fz, gz
 
-        return ContinuedFunction(total._stem, summed, dom, total.node)
+        return ContinuedFunction(total._stem, summed, lambda zs: list(map(summed, zs)),
+                                 dom, None, total.node)
     if not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
@@ -230,9 +231,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
                 best = cand
         return (best, w, h0, fz, gz) if abs(best - th0) <= 0.5 else DegenerateAngle
 
-    cont = BranchContinuation(anchor, seed, stepper,
-                              center=dom.component_center(anchor),
-                              radius=dom.radius)
+    cont = BranchContinuation(anchor, seed, stepper, dom)
 
     def read(z: complex, state: tuple) -> tuple:
         theta, w, h0, fz, gz = state
@@ -243,7 +242,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         v0, v1, v2, v3 = w / ratio
         return _new(CQuaternion, (h0 + v0, v1, v2, v3)), fz, gz
 
-    return ContinuedFunction.from_branch(read, cont, dom)
+    return ContinuedFunction.from_branch(read, cont)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -7,16 +7,20 @@ A ``step`` carries a value across one segment or refuses it by returning
 the error class that names why; a refused segment is halved, at most
 MAX_DEPTH times, and then that class is raised, so a genuine obstruction
 (a zero of the continued quantity) fails loudly instead of jumping
-branches.  ``BranchContinuation`` walks a straight segment, valid on a
-convex disk, from the nearest stored node.  Its nodes are the first
-queries, at most one per cell of a GRID x GRID grid, each stored with its
-value; every value is exact at its own point, so it does not matter which
-of several threads that miss one cell stores its node.  A batch of
-queries (``at_many``) is walked in Hilbert-curve order of its cells, each
-fresh point continued from the previous point of the walk instead of the
-nearest node: the start only selects the branch, never the bits of the
-value, so the batch returns and stores exactly what one query after the
-other would.
+branches.  ``BranchContinuation`` walks straight segments, valid on a
+convex disk.  Its nodes are the first queries, at most one per cell of a
+GRID x GRID grid, each stored with its value; every value is exact at
+its own point, so it does not matter which of several threads that miss
+one cell stores its node.  One query body serves both entry points: a
+query in a cell with a node is one segment from it; a query in a fresh
+cell is continued from a given start, or from the nearest stored node
+when it has none (and always at the anchor), and becomes that cell's
+node.  ``at`` gives it no start; ``at_many`` walks a batch in
+Hilbert-curve order of its cells and gives each query the previous point
+of the walk, so only the first fresh query of a batch searches the
+nodes.  The start only selects the branch, never the bits of the value,
+so the batch returns and stores exactly what one query after the other
+would.
 
 ``locus_scan`` continues the logarithms of holomorphic scalars once
 around a disk's boundary circle, so the argument principle counts their
@@ -183,22 +187,24 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
 
 
 class BranchContinuation:
-    """Continue a branch value from an anchor across one disk component."""
+    """Continue a branch value from an anchor across the disk of ``domain``
+    that holds it.  The anchor is on R or in the upper disk, so that disk
+    is the one centred at ``domain.center``; the grid covers its bounding
+    square."""
 
-    def __init__(self, anchor: complex, seed, stepper: Stepper, *,
-                 center: complex, radius: float):
+    def __init__(self, anchor: complex, seed, stepper: Stepper, domain):
         self.anchor = anchor
         self.seed = seed
         self.stepper = stepper
-        self.center = center
-        self.radius = radius
+        self.domain = domain
         self._cells: dict[tuple[int, int], tuple[complex, V]] = {}
         self._filled: list[tuple[complex, V]] = [(anchor, seed)]
 
     # -- grid helpers ----------------------------------------------------
 
     def _cell_of(self, z: complex) -> tuple[int, int]:
-        radius, center = self.radius, self.center
+        dom = self.domain
+        radius, center = dom.radius, dom.center
         side = 2 * radius
         ix = int((z.real - (center.real - radius)) / side * GRID)
         iy = int((z.imag - (center.imag - radius)) / side * GRID)
@@ -209,17 +215,19 @@ class BranchContinuation:
 
     # -- continuation ----------------------------------------------------
 
-    def at(self, z: complex):
-        """The value at z.  The first query in a cell is continued from the
-        nearest stored node straight to z and becomes that cell's node; a
-        later query is one segment from that node, and none at the node's
-        own point.  Memory is bounded by GRID**2 states plus the anchor."""
-        key = self._cell_of(z)
+    def _query(self, z: complex, key: tuple[int, int], start):
+        """The value at z, in cell ``key``.  With a node there, one segment
+        from it, none at the node's own point.  Otherwise continued straight
+        from ``start`` (a stored or walked (point, value) pair), from the
+        nearest stored node when ``start`` is None or z is the anchor, and
+        stored as the cell's node.  Memory is bounded by GRID**2 states plus
+        the anchor."""
         hit = self._cells.get(key)
         if hit is not None:
             return continue_along(self.stepper, _halve, hit[0], hit[1], z)
-        zs, vs = min(self._filled, key=lambda t: abs(t[0] - z))
-        v = continue_along(self.stepper, _halve, zs, vs, z)
+        if start is None or z == self.anchor:
+            start = min(self._filled, key=lambda t: abs(t[0] - z))
+        v = continue_along(self.stepper, _halve, start[0], start[1], z)
         entry = (z, v)
         # threads that missed the same cell store values that are each exact
         # at their own point; only the entry that lands in the grid becomes
@@ -228,36 +236,27 @@ class BranchContinuation:
             self._filled.append(entry)
         return v
 
+    def at(self, z: complex):
+        """The value at z; the first query in a cell starts from the nearest
+        stored node."""
+        return self._query(z, self._cell_of(z), None)
+
     def at_many(self, zs: Sequence[complex]) -> list:
         """The values at each of ``zs``, in their order: bit for bit
         ``[self.at(z) for z in zs]``, leaving the same node in every cell.
 
         The queries are walked in Hilbert order of their cells, a stable
         sort keeping the input order inside a cell, so each cell's node is
-        still its first query in input order.  A query in a cell with a
-        node is one segment from it, as in ``at``; a query in a fresh cell
-        is continued from the previous query of the walk, a cell or so
-        away, so only the first fresh query of a batch searches the nodes.
-        Each value is exact at its own point, so the start changes no bit.
+        still its first query in input order; each query starts from the
+        previous one of the walk, a cell or so away.
         """
         keys = list(map(self._cell_of, zs))
         out = [None] * len(keys)
-        cells, step = self._cells, self.stepper
+        query = self._query
         prev = None
         rank = [_HILBERT[x * GRID + y] for x, y in keys]
         for i in sorted(range(len(keys)), key=rank.__getitem__):
-            z, key = zs[i], keys[i]
-            hit = cells.get(key)
-            if hit is not None:
-                v = continue_along(step, _halve, hit[0], hit[1], z)
-            else:
-                if z == self.anchor or prev is None:
-                    # as ``at`` does; at the anchor this finds the seed
-                    prev = min(self._filled, key=lambda t: abs(t[0] - z))
-                v = continue_along(step, _halve, prev[0], prev[1], z)
-                entry = (z, v)
-                if cells.setdefault(key, entry) is entry:
-                    self._filled.append(entry)
-            out[i] = v
+            z = zs[i]
+            out[i] = v = query(z, keys[i], prev)
             prev = (z, v)
         return out

@@ -40,21 +40,25 @@ MAX_LIFT_STEP = math.pi / 2
 #: pre-rounding tolerance for integral monodromy
 TAU_MONODROMY = 1e-6
 
+#: absolute tolerance to which s lies on S, a loop closes, joined paths meet
+#: and a lift's start lies on the fiber over the path's first sample
+TAU_PATH = 1e-9
+
 _IPI = 1j * math.pi
 
 _TWO_PI = 2 * math.pi
 _TWO_PI_I = 2j * math.pi
 
 
-def _check_unit_vector(s: CQuaternion, tol: float = 1e-9) -> None:
-    if abs(s.z0) > tol or abs(s.vec_norm2() - 1.0) > tol:
+def _check_unit_vector(s: CQuaternion) -> None:
+    if abs(s.z0) > TAU_PATH or abs(s.vec_norm2() - 1.0) > TAU_PATH:
         raise ValueError(f"s must be a pure vector with n(s) = 1, got {s}")
 
 
-def unit_imaginary(v: CQuaternion, tol: float = TAU_FIBER) -> CQuaternion:
+def unit_imaginary(v: CQuaternion) -> CQuaternion:
     """Normalize a pure vector to S via the principal root of n(v)."""
     n = v.vec_norm2()
-    if abs(n) <= tol:
+    if abs(n) <= TAU_FIBER:
         raise OnVinf(f"cannot normalize: n(v) = {n} ~ 0")
     r = cmath.sqrt(n)
     _, v1, v2, v3 = v
@@ -110,13 +114,13 @@ def project(p: LiftPoint) -> CQuaternion:
     return _new(CQuaternion, (u0, u1 * s1, u1 * s2, u1 * s3))
 
 
-def project_fibers(z: CQuaternion, tol: float = TAU_FIBER) -> tuple[LiftPoint, LiftPoint]:
+def project_fibers(z: CQuaternion) -> tuple[LiftPoint, LiftPoint]:
     """The two preimages ((z0, +-sqrt(n(z))), +-vec(z)/sqrt(n(z))) of z.
 
     Requires n(z) != 0; the two points are exchanged by sheet_swap.
     """
     n = z.vec_norm2()
-    if abs(n) <= tol:
+    if abs(n) <= TAU_FIBER:
         raise OnVinf(f"point lies on V_inf: n(z) = {n}")
     r = cmath.sqrt(n)
     s = CQuaternion(0j, z.z1 / r, z.z2 / r, z.z3 / r)
@@ -154,8 +158,7 @@ def log_pair_step(alpha: complex, beta: complex, la: complex, lb: complex):
 
 
 def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
-                        branch: BranchIndex = BranchIndex(0, 0),
-                        tol: float = TAU_FIBER) -> LiftPoint:
+                        branch: BranchIndex = BranchIndex(0, 0)) -> LiftPoint:
     """The branch-indexed solution of e^{u0} cos u1 = w0, e^{u0} sin u1 = w1.
 
     With principal logarithms of alpha = w0 + i w1 and beta = w0 - i w1:
@@ -167,7 +170,7 @@ def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
     """
     alpha = w0 + 1j * w1
     beta = w0 - 1j * w1
-    if abs(alpha) <= tol or abs(beta) <= tol:
+    if abs(alpha) <= TAU_FIBER or abs(beta) <= TAU_FIBER:
         raise OnW(f"no preimage: w0^2 + w1^2 = {w0 * w0 + w1 * w1}")
     u0, u1 = from_log_pair(cmath.log(alpha), cmath.log(beta))
     return LiftPoint(u0 + (branch.h1 + branch.h2) * _IPI,
@@ -246,16 +249,17 @@ class SampledPath:
     def end(self) -> PathSample:
         return self.samples[-1]
 
-    def is_loop(self, tol: float = 1e-9) -> bool:
+    def is_loop(self) -> bool:
         a, b = self.samples[0], self.samples[-1]
-        return (abs(a.w0 - b.w0) <= tol and abs(a.w1 - b.w1) <= tol
-                and (a.s - b.s).norm() <= tol)
+        return (abs(a.w0 - b.w0) <= TAU_PATH and abs(a.w1 - b.w1) <= TAU_PATH
+                and (a.s - b.s).norm() <= TAU_PATH)
 
 
-def concatenate(first: SampledPath, second: SampledPath, tol: float = 1e-9) -> SampledPath:
+def concatenate(first: SampledPath, second: SampledPath) -> SampledPath:
     """Join two paths with second.start == first.end, reparametrized to [0, 1]."""
     a, b = first.end(), second.start()
-    if abs(a.w0 - b.w0) > tol or abs(a.w1 - b.w1) > tol or (a.s - b.s).norm() > tol:
+    if (abs(a.w0 - b.w0) > TAU_PATH or abs(a.w1 - b.w1) > TAU_PATH
+            or (a.s - b.s).norm() > TAU_PATH):
         raise ValueError("paths do not meet: end of first != start of second")
     samples = [PathSample(0.5 * p.t, p.w0, p.w1, p.s) for p in first.samples]
     samples += [PathSample(0.5 + 0.5 * p.t, p.w0, p.w1, p.s)
@@ -282,8 +286,7 @@ def _alpha_beta(sample: PathSample) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def lift_path(path: SampledPath, start: LiftPoint, *,
-              tol: float = 1e-9) -> list[LiftPoint]:
+def lift_path(path: SampledPath, start: LiftPoint) -> list[LiftPoint]:
     """Lift a path through lifted_exp, one LiftPoint per input sample.
 
     ``start`` must lie on the fiber over path.start().  The lift continues
@@ -294,8 +297,8 @@ def lift_path(path: SampledPath, start: LiftPoint, *,
     p0 = path.start()
     img = lifted_exp(start)
     scale = max(1.0, abs(p0.w0), abs(p0.w1))
-    if (abs(img.u0 - p0.w0) > tol * scale or abs(img.u1 - p0.w1) > tol * scale
-            or (start.s - p0.s).norm() > tol):
+    if (abs(img.u0 - p0.w0) > TAU_PATH * scale or abs(img.u1 - p0.w1) > TAU_PATH * scale
+            or (start.s - p0.s).norm() > TAU_PATH):
         raise BadStart("start point is not on the fiber over path(0)")
 
     def step(a: PathSample, pair: tuple[complex, complex], b: PathSample):
@@ -313,8 +316,7 @@ def lift_path(path: SampledPath, start: LiftPoint, *,
     return lifted
 
 
-def loop_monodromy(loop: SampledPath, start: LiftPoint, *,
-                   tol: float = TAU_MONODROMY) -> BranchIndex:
+def loop_monodromy(loop: SampledPath, start: LiftPoint) -> BranchIndex:
     """Monodromy index of a loop: lift(1) = branch_translate(lift(0), result).
 
     Equals (winding number of alpha, winding number of beta) around 0.
@@ -331,7 +333,7 @@ def loop_monodromy(loop: SampledPath, start: LiftPoint, *,
     result = []
     for h in (h1, h2):
         n = round(h.real)
-        if abs(h.imag) > tol or abs(h.real - n) > tol:
+        if abs(h.imag) > TAU_MONODROMY or abs(h.real - n) > TAU_MONODROMY:
             raise NotALoop(f"non-integral monodromy {h1}, {h2}")
         result.append(n)
     return BranchIndex(result[0], result[1])

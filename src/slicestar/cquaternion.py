@@ -100,9 +100,6 @@ class CQuaternion(NamedTuple):
         return _new(CQuaternion, (a0.conjugate(), a1.conjugate(),
                                   a2.conjugate(), a3.conjugate()))
 
-    def scalar(self) -> complex:
-        return self.z0
-
     def vec(self) -> "CQuaternion":
         _, a1, a2, a3 = self
         return _new(CQuaternion, (0j, a1, a2, a3))
@@ -189,10 +186,10 @@ class Locus(Enum):
     BOTH = "both"
 
 
-def classify(z: CQuaternion, tol: float = TAU_CLASSIFY) -> Locus:
+def classify(z: CQuaternion) -> Locus:
     """Membership of z in the zero-divisor loci V_-1 and V_inf."""
-    in_vm1 = abs(z.csym()) <= tol
-    in_vinf = abs(z.vec_norm2()) <= tol
+    in_vm1 = abs(z.csym()) <= TAU_CLASSIFY
+    in_vinf = abs(z.vec_norm2()) <= TAU_CLASSIFY
     if in_vm1 and in_vinf:
         return Locus.BOTH
     if in_vm1:

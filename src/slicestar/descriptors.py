@@ -28,11 +28,14 @@ from .starlog import star_exp
 
 
 def _float(x, what: str) -> float:
-    """float(x); a JSON array, object or null raises a ValueError naming ``what``."""
-    try:
-        return float(x)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {x!r}") from None
+    """float(x) of a JSON number; a string, boolean, array, object or null
+    raises a ValueError naming ``what``."""
+    if not isinstance(x, (str, bool)):
+        try:
+            return float(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a number, got {x!r}")
 
 
 def quaternion_from_json(obj) -> Quaternion:

@@ -105,9 +105,6 @@ class Quaternion(NamedTuple):
         p0, p1, p2, p3 = self
         return _new(Quaternion, (p0, -p1, -p2, -p3))
 
-    def scalar(self) -> float:
-        return self.q0
-
     def vec(self) -> "Quaternion":
         _, p1, p2, p3 = self
         return _new(Quaternion, (0.0, p1, p2, p3))
@@ -220,16 +217,16 @@ def quat_exp(q: Quaternion) -> Quaternion:
     return _new(Quaternion, (c, s * q1, s * q2, s * q3))
 
 
-def exp_stratum(q: Quaternion, tol: float = TAU_STRATUM) -> int | None:
+def exp_stratum(q: Quaternion) -> int | None:
     """Stratum index of q for the exponential.
 
     Returns k with k*pi < |q_v| < (k+1)*pi when q lies in an open stratum,
-    or None when |q_v| is within ``tol`` of h*pi for some integer h >= 0
+    or None when |q_v| is within TAU_STRATUM of h*pi for some integer h >= 0
     (the singular set of exp, which includes the real axis h = 0).
     """
     beta = q.vec_norm()
     h = round(beta / math.pi)
-    if abs(beta - h * math.pi) <= tol:
+    if abs(beta - h * math.pi) <= TAU_STRATUM:
         return None
     return int(math.floor(beta / math.pi))
 

@@ -52,6 +52,15 @@ ORTH_SCAN = 200
 #: |f_v^s| below this fraction of its mesh maximum counts as a zero
 ORTH_REL_TOL = 1e-8
 
+#: largest difference of centres and of radii of domains that match
+DOMAIN_MATCH_TOL = 1e-12
+
+#: fraction of the radius that domain meshes keep clear of the boundary
+MESH_MARGIN = 0.08
+
+#: fraction of the radius that a real anchor keeps clear of the boundary
+ANCHOR_PULL = 0.1
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -90,17 +99,11 @@ class Domain:
         d = min(abs(z - self.center), abs(z - self.center.conjugate()))
         return self.radius - d
 
-    def component_center(self, z: complex) -> complex:
-        """Center of the component nearest to z."""
-        if abs(z - self.center) <= abs(z - self.center.conjugate()):
-            return self.center
-        return self.center.conjugate()
+    def matches(self, other: "Domain") -> bool:
+        return (abs(self.center - other.center) <= DOMAIN_MATCH_TOL
+                and abs(self.radius - other.radius) <= DOMAIN_MATCH_TOL)
 
-    def matches(self, other: "Domain", tol: float = 1e-12) -> bool:
-        return (abs(self.center - other.center) <= tol
-                and abs(self.radius - other.radius) <= tol)
-
-    def mesh_points(self, n: int = 160, margin_frac: float = 0.08) -> list[complex]:
+    def mesh_points(self, n: int = 160) -> list[complex]:
         """Deterministic points covering the domain (rings around each center)."""
         pts: list[complex] = []
         centers = [self.center]
@@ -108,7 +111,7 @@ class Domain:
             centers.append(self.center.conjugate())
         per = max(1, n // len(centers))
         rings = max(1, int(math.sqrt(per / 4)))
-        rmax = self.radius * (1.0 - margin_frac)
+        rmax = self.radius * (1.0 - MESH_MARGIN)
         for c in centers:
             pts.append(c)
             remaining = per - 1
@@ -146,12 +149,12 @@ class Domain:
             out.append(z)
         return out
 
-    def real_anchor(self, hint: float = 0.0, pull: float = 0.1) -> complex:
+    def real_anchor(self, hint: float = 0.0) -> complex:
         """Real point of the domain nearest to ``hint``, kept off the boundary."""
         if not self.real_intersecting:
             raise RealAxis("domain does not meet the real axis")
-        lo = self.center.real - (1.0 - pull) * self.radius
-        hi = self.center.real + (1.0 - pull) * self.radius
+        lo = self.center.real - (1.0 - ANCHOR_PULL) * self.radius
+        hi = self.center.real + (1.0 - ANCHOR_PULL) * self.radius
         return complex(min(max(hint, lo), hi), 0.0)
 
     def to_json(self) -> dict:
@@ -163,7 +166,8 @@ class Domain:
     def from_json(obj: dict) -> "Domain":
         shaped = (isinstance(obj, dict) and isinstance(obj.get("center"), (list, tuple))
                   and len(obj["center"]) == 2
-                  and all(isinstance(x, (int, float)) for x in (*obj["center"], obj.get("radius"))))
+                  and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                          for x in (*obj["center"], obj.get("radius"))))
         if not shaped:
             raise ValueError(f'domain must be {{"center": [re, im], "radius": r}}, got {obj!r}')
         c = complex(obj["center"][0], obj["center"][1])
@@ -414,10 +418,9 @@ def identity(domain: Domain) -> SliceFunction:
     return polynomial([Quaternion.zero(), Quaternion.one()], domain)
 
 
-def slice_preserving(fn: Callable[[complex], complex], domain: Domain,
-                     node: Optional[dict] = None) -> SliceFunction:
+def slice_preserving(fn: Callable[[complex], complex], domain: Domain) -> SliceFunction:
     """Slice-preserving function from a scalar stem with f(conj z) = conj f(z)."""
-    return SliceFunction(lambda z: _new(CQuaternion, (fn(z), 0j, 0j, 0j)), domain, node)
+    return SliceFunction(lambda z: _new(CQuaternion, (fn(z), 0j, 0j, 0j)), domain)
 
 
 def unit_vector_part(domain: Domain) -> SliceFunction:
@@ -488,64 +491,38 @@ def stem_symmetry_defect(f: SliceFunction, points: Sequence[complex]) -> float:
     return worst
 
 
-def conjugate_mirror(upper: Callable, domain: Domain, conj: Callable = CQuaternion.bar,
-                     *, batch: bool = False):
-    """Extend ``upper``, built on the upper component, to the whole domain.
-
-    On a pair of disks off R the lower disk gets conj(upper(conj z)), so
-    the result has the stem symmetry F(conj z) = bar(F(z)) by construction;
-    a domain meeting R is one component and gets ``upper`` back.  ``conj``
-    is ``CQuaternion.bar`` for stems and ``complex.conjugate`` for scalars.
-    With ``batch``, ``upper`` maps a list of points to the list of their
-    values, and so does the result: the lower points join one ``upper``
-    call conjugated, and their values come back through ``conj``.
-    """
-    if domain.real_intersecting:
-        return upper
-
-    if batch:
-        def mirrored_many(zs) -> list:
-            lower = [z.imag < 0 for z in zs]
-            values = upper([z.conjugate() if low else z for z, low in zip(zs, lower)])
-            return [conj(v) if low else v for v, low in zip(values, lower)]
-
-        return mirrored_many
-
-    def mirrored(z: complex):
-        if z.imag < 0:
-            return conj(upper(z.conjugate()))
-        return upper(z)
-
-    return mirrored
-
-
 class ContinuedFunction(SliceFunction):
     """A slice function whose stem comes with the input stems it was built
     from: ``with_inputs(z)`` is (its stem at z, then the inputs' stems at
-    z), all read from one continuation state and all mirrored with ``bar``
-    on the lower disk of a two-sided domain, so a caller checking the
-    result against its inputs evaluates them no further.
-    ``with_inputs_at(zs)`` is the list of ``with_inputs(z)`` over a batch
-    of points, by default one point after the other."""
+    z), all read from one state, so a caller checking the result against
+    its inputs evaluates them no further.  ``with_inputs_at(zs)`` is the
+    list of ``with_inputs(z)`` over a batch of points.  ``branch`` is the
+    ``BranchContinuation`` the values are read from, or None for a closed
+    form."""
 
-    __slots__ = ("with_inputs", "with_inputs_at")
+    __slots__ = ("with_inputs", "with_inputs_at", "branch")
 
-    def __init__(self, stem, with_inputs: Callable[[complex], tuple], domain: Domain,
-                 node: Optional[dict] = None,
-                 with_inputs_at: Optional[Callable[[list], list]] = None):
+    def __init__(self, stem, with_inputs: Callable[[complex], tuple],
+                 with_inputs_at: Callable[[list], list], domain: Domain, branch,
+                 node: Optional[dict] = None):
         super().__init__(stem, domain, node)
         self.with_inputs = with_inputs
-        self.with_inputs_at = with_inputs_at or (lambda zs: list(map(with_inputs, zs)))
+        self.with_inputs_at = with_inputs_at
+        self.branch = branch
 
     @classmethod
-    def from_branch(cls, read: Callable, branch, domain: Domain,
-                    stem: Optional[Callable] = None) -> "ContinuedFunction":
-        """The function whose ``with_inputs(z)`` is ``read(z, state)``, the
-        state being ``branch.at(z)`` of a ``BranchContinuation`` on the upper
-        component; ``with_inputs_at`` reads a batch's states from one
-        ``branch.at_many`` walk.  ``stem`` is the upper-component stem,
-        by default the first value ``read`` gives."""
-        at, at_many = branch.at, branch.at_many
+    def from_branch(cls, read: Callable, branch) -> "ContinuedFunction":
+        """The function on ``branch.domain`` whose ``with_inputs(z)`` is
+        ``read(z, branch.at(z))``, the first value read being the stem;
+        ``with_inputs_at`` reads a batch's states from one
+        ``branch.at_many`` walk.
+
+        The branch runs on the disk holding its anchor, which is on R or in
+        the upper disk.  On a pair of disks off R a lower point z gets the
+        ``bar`` of each value read at conj z, so the result has the stem
+        symmetry F(conj z) = bar(F(z)) by construction.
+        """
+        at, at_many, domain = branch.at, branch.at_many, branch.domain
 
         def upper(z: complex) -> tuple:
             return read(z, at(z))
@@ -553,20 +530,23 @@ class ContinuedFunction(SliceFunction):
         def upper_many(zs) -> list:
             return list(map(read, zs, at_many(zs)))
 
-        if stem is None:
-            def stem(z: complex):
-                return read(z, at(z))[0]
+        if domain.real_intersecting:
+            return cls(lambda z: read(z, at(z))[0], upper, upper_many, domain, branch)
 
-        return cls(conjugate_mirror(stem, domain),
-                   conjugate_mirror(upper, domain, bar_each), domain,
-                   with_inputs_at=conjugate_mirror(upper_many, domain, bar_each,
-                                                   batch=True))
+        bar = CQuaternion.bar
 
+        def stem(z: complex) -> CQuaternion:
+            return bar(upper(z.conjugate())[0]) if z.imag < 0 else read(z, at(z))[0]
 
-def bar_each(values: tuple) -> tuple:
-    """``CQuaternion.bar`` of each stem value: ``conjugate_mirror``'s
-    ``conj`` for a ``with_inputs`` tuple."""
-    return tuple(map(CQuaternion.bar, values))
+        def with_inputs(z: complex) -> tuple:
+            return tuple(map(bar, upper(z.conjugate()))) if z.imag < 0 else read(z, at(z))
+
+        def with_inputs_at(zs) -> list:
+            lower = [z.imag < 0 for z in zs]
+            values = upper_many([z.conjugate() if low else z for z, low in zip(zs, lower)])
+            return [tuple(map(bar, v)) if low else v for v, low in zip(values, lower)]
+
+        return cls(stem, with_inputs, with_inputs_at, domain, branch)
 
 
 # -- orthogonal decomposition along f_v ---------------------------------------

@@ -39,13 +39,12 @@ import math
 from dataclasses import dataclass
 
 from .continuation import BranchContinuation, ZeroCount, locus_scan
-from .covering import BranchIndex, log_pair_step
+from .covering import BranchIndex, from_log_pair, log_pair_step
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain)
 from .quaternion import _new
-from .slicefn import (ContinuedFunction, Domain, SliceFunction, conjugate_mirror,
-                      slice_preserving)
+from .slicefn import ContinuedFunction, Domain, SliceFunction
 
 #: largest |h1|, |h2| of a *-logarithm branch.  Adding 2 pi i h to a
 #: principal logarithm costs about |h| ulps of it: the round trip
@@ -122,8 +121,9 @@ def _sqrt_step(w: complex, prev: complex):
     return cand
 
 
-def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunction:
-    """Continuous branch of sqrt(f_v^s), slice preserving.
+def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> ContinuedFunction:
+    """Continuous branch of sqrt(f_v^s), slice preserving; its
+    ``with_inputs(z)`` is the 1-tuple of its stem at z.
 
     The branch takes the value sign * principal_sqrt(f_v^s(basepoint)) at
     the basepoint (reflected to the upper component on domains off R,
@@ -146,10 +146,11 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> SliceFunc
     def stepper(z0: complex, v0: complex, z1: complex):
         return _sqrt_step(value(z1), v0)
 
-    cont = BranchContinuation(anchor, seed, stepper,
-                              center=dom.component_center(anchor),
-                              radius=dom.radius)
-    return slice_preserving(conjugate_mirror(cont.at, dom, complex.conjugate), dom)
+    def read(z: complex, m: complex) -> tuple[CQuaternion]:
+        return (_new(CQuaternion, (m, 0j, 0j, 0j)),)
+
+    cont = BranchContinuation(anchor, seed, stepper, dom)
+    return ContinuedFunction.from_branch(read, cont)
 
 
 def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
@@ -213,25 +214,16 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         la, lb = pair
         return m, la, lb, fz
 
-    cont = BranchContinuation(anchor, seed, stepper,
-                              center=dom.component_center(anchor),
-                              radius=dom.radius)
-
-    # from_log_pair's arithmetic, inlined
+    # G = u0 + (u1/m) * vec F
     def read(z: complex, state: tuple) -> tuple[CQuaternion, CQuaternion]:
         m, la, lb, fz = state
-        c = (la - lb) / 2j / m
+        u0, u1 = from_log_pair(la, lb)
+        c = u1 / m
         _, f1, f2, f3 = fz
-        return _new(CQuaternion, ((la + lb) / 2, c * f1, c * f2, c * f3)), fz
+        return _new(CQuaternion, (u0, c * f1, c * f2, c * f3)), fz
 
-    # the same arithmetic as read, inlined to keep the stem path one call
-    def upper_stem(z: complex) -> CQuaternion:
-        m, la, lb, fz = cont.at(z)
-        c = (la - lb) / 2j / m
-        _, f1, f2, f3 = fz
-        return _new(CQuaternion, ((la + lb) / 2, c * f1, c * f2, c * f3))
-
-    return ContinuedFunction.from_branch(read, cont, dom, upper_stem)
+    cont = BranchContinuation(anchor, seed, stepper, dom)
+    return ContinuedFunction.from_branch(read, cont)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

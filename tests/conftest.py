@@ -11,6 +11,7 @@ from hypothesis import settings
 
 from slicestar import Domain, Quaternion, SliceFunction, constant, quat_mul
 from slicestar.continuation import BranchContinuation
+from slicestar.slicefn import ContinuedFunction
 # one copy of the shared generators and oracles, imported by the tests from here
 from slicestar.suites import (cq_exp_series, left_mul_matrix,  # noqa: F401
                               quat_exp_series, rand_cq, rand_poly, rand_quat)
@@ -86,19 +87,10 @@ def inputs_bits(values) -> list:
     return [tuple(map(stem_bits, v)) for v in values]
 
 
-def continuation_of(g: SliceFunction) -> BranchContinuation:
-    """The grid behind a continued branch, found through its stem's closures
-    and the bound methods they hold."""
-    todo = [g._stem]
-    while todo:
-        for cell in todo.pop().__closure__ or ():
-            v = cell.cell_contents
-            v = getattr(v, "__self__", v)
-            if isinstance(v, BranchContinuation):
-                return v
-            if callable(v) and getattr(v, "__closure__", None):
-                todo.append(v)
-    raise AssertionError("no BranchContinuation behind this function")
+def continuation_of(g: ContinuedFunction) -> BranchContinuation:
+    """The grid behind a continued branch."""
+    assert isinstance(g.branch, BranchContinuation), "no continuation behind this function"
+    return g.branch
 
 
 def assert_same_nodes(a: SliceFunction, b: SliceFunction) -> None:

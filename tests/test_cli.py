@@ -90,17 +90,33 @@ MALFORMED_FN = {
     "fn-string": ("poly", "descriptor node must be a JSON object, got 'poly'"),
     "const-null-entry": ({"kind": "const", "value": [None, 0, 0, 0]},
                          "quaternion entry must be a number, got None"),
+    # JSON strings and booleans are not numbers, though float() takes them
+    "const-string-entry": ({"kind": "const", "value": ["2", "0.5", 0, 0]},
+                           "quaternion entry must be a number, got '2'"),
+    "poly-bool-entry": ({"kind": "poly", "coeffs": [[0, 0, 0, 0], [True, 0, 0, 0]]},
+                        "quaternion entry must be a number, got True"),
 }
 MALFORMED_DOMAIN = {
     "center-scalar": {"center": 5, "radius": 1},
     "center-short": {"center": [0], "radius": 1},
     "radius-array": {"center": [0, 0], "radius": [1]},
+    "center-bool": {"center": [False, 0], "radius": 1},
+    "radius-bool": {"center": [0, 0], "radius": True},
 }
+#: the ends of a valid two-sample path
+SAMPLE = {"t": 0.0, "w0": [1.0, 0.0], "w1": [0.0, 0.0], "s": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+SAMPLE_END = {**SAMPLE, "t": 1.0, "w0": [1.0, 0.1]}
 MALFORMED_PATH = {
     "samples-scalar": ({"samples": 5}, "path {'samples': 5}: 'samples' must be an array"),
     "sample-scalar": ({"samples": [5]}, "path sample must be a JSON object, got 5"),
     "t-array": ({"samples": [{"t": [0], "w0": [1, 0], "w1": [0, 0], "s": [[1, 0], [0, 0], [0, 0]]}]},
                 'path sample "t" must be a number, got [0]'),
+    "t-string": ({"samples": [{**SAMPLE, "t": "0"}, SAMPLE_END]},
+                 'path sample "t" must be a number, got \'0\''),
+    "w0-string": ({"samples": [{**SAMPLE, "w0": ["1", 0.0]}, SAMPLE_END]},
+                  "real part must be a number, got '1'"),
+    "s-bool": ({"samples": [SAMPLE, {**SAMPLE_END, "s": [[1.0, 0.0], [0.0, False], [0.0, 0.0]]}]},
+               "imaginary part must be a number, got False"),
 }
 
 
@@ -150,6 +166,14 @@ def test_malformed_domain_exits_2(tmp_path, capsys, case):
     code = main(["eval", "--fn", fn, "--at", "[0,0,0,0]"])
     _assert_one_line_config_error(
         code, capsys, f'domain must be {{"center": [re, im], "radius": r}}, got {domain!r}')
+
+
+@pytest.mark.parametrize("at, entry", [('["1",0,0,0]', "'1'"), ("[true,0,0,0]", "True"),
+                                       ("[0,0,0,false]", "False")])
+def test_non_number_point_exits_2(tmp_path, capsys, at, entry):
+    fn = write(tmp_path, "f.json", FN_IDENTITY)
+    code = main(["eval", "--fn", fn, "--at", at])
+    _assert_one_line_config_error(code, capsys, f"quaternion entry must be a number, got {entry}")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PATH))

@@ -572,6 +572,39 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
     assert len(cont._filled) == len(cont._cells) + 1
 
 
+def _mirrored_scalar(cont, dom: Domain):
+    """The scalar branch read straight from ``cont``: ``cont.at(z)``, and
+    conj(cont.at(conj z)) on the lower disk of a two-sided domain.  The
+    reference for ``sqrt_vsym``'s z0, mirrored with ``complex.conjugate``
+    instead of ``from_branch``'s ``bar``."""
+    def value(z: complex) -> complex:
+        if dom.two_sided and z.imag < 0:
+            return cont.at(z.conjugate()).conjugate()
+        return cont.at(z)
+
+    return value
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_sqrt_vsym_batch_matches_pointwise_and_reference(rng, dom):
+    # the batch walk gives the pointwise stems bit for bit and leaves the
+    # same nodes; each z0 is the reference's, and the stem symmetry is exact
+    # (as values: a zero vector slot may differ from its bar in sign)
+    f = generic_poly(rng, dom, deg=2)
+    bp = dom.center if dom.two_sided else 0.1 + 0j
+    pts = dom.sample_points(rng, 300)
+    batch, point, ref = (sqrt_vsym(f, bp, -1) for _ in range(3))
+    got = batch.with_inputs_at(pts)
+    assert inputs_bits(got) == inputs_bits(map(point.with_inputs, pts))
+    assert_same_nodes(batch, point)
+    assert [stem_bits(point.stem_at(z)) for z in pts] == [stem_bits(v[0]) for v in got]
+    reference = slice_preserving(_mirrored_scalar(continuation_of(ref), dom), dom)
+    assert [stem_bits(v[0])[:2] for v in got] == \
+        [stem_bits(reference.stem_at(z))[:2] for z in pts]
+    assert_same_nodes(batch, ref)
+    assert [point.stem_at(z.conjugate()) for z in pts] == [point.stem_at(z).bar() for z in pts]
+
+
 def test_star_log_refuses_indices_past_the_precision_limit(rng):
     f = generic_poly(rng, DOM_OFF, deg=1)
     bp = DOM_OFF.center

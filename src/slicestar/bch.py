@@ -18,8 +18,9 @@ The obstruction to the product being a *-exponential is
     Theta = f_v^s * n(W) = f_v^s * (1 - C^2),
 
 which equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s and is entire: it
-needs no division by f_v^s.  ``exp_stem_product`` computes C and W once
-per point for both the admissibility scan and the solver.
+needs no division by f_v^s.  One scalar helper defines C: the admissibility
+scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it without building W, and
+``exp_stem_product`` adds W for the solver.
 
 The slice derivative of exp_*(f) has the closed form
 
@@ -75,15 +76,14 @@ class BCHReport:
     tol: float = TAU_BCH
 
 
-def _lattice_distance(v: complex) -> float:
-    """Distance of v from the real lattice {n^2 pi^2 : n = 0, 1, 2, ...}."""
-    best = abs(v)
+def _on_lattice(v: complex) -> bool:
+    """v lies within TAU_LATTICE of the real lattice {n^2 pi^2 : n = 0, 1, 2, ...}.
+
+    Only the lattice point nearest sqrt(Re v) / pi can be that close: the
+    neighbours n +- 1 are at least pi^2 away from it."""
     if v.real > 0:
-        n = round(math.sqrt(v.real) / math.pi)
-        for k in (n - 1, n, n + 1):
-            if k >= 0:
-                best = min(best, abs(v - (k * math.pi) ** 2))
-    return best
+        return abs(v - (round(math.sqrt(v.real) / math.pi) * math.pi) ** 2) < TAU_LATTICE
+    return abs(v) < TAU_LATTICE
 
 
 def product_vsym(f: SliceFunction, g: SliceFunction, q: Quaternion, *,
@@ -139,17 +139,30 @@ def vanishing_vsym_partner(f: SliceFunction) -> SliceFunction:
     return -f.conj() + idempotent_plus(dom).star(constant(J_UNIT, dom))
 
 
-def exp_stem_product(fz: CQuaternion, gz: CQuaternion):
-    """The product of the exponential stems at one point, e^{f0+g0} (C + W),
-    as (C, W, f0 + g0, f_v^s, g_v^s, f_v ^ g_v)."""
-    fvs = fz.vec_norm2()
-    gvs = gz.vec_norm2()
+def _product_terms(fz: CQuaternion, gz: CQuaternion) -> tuple:
+    """The scalars of the product of the exponential stems at one point:
+    (C, f_v^s, g_v^s, cf*sg, cg*sf, sf*sg, x1, x2, x3), where the three
+    products weigh g_v, f_v and f_v ^ g_v in W and (x1, x2, x3) are the
+    components of f_v ^ g_v.  The one definition of C."""
+    _, f1, f2, f3 = fz
+    _, g1, g2, g3 = gz
+    fvs = f1 * f1 + f2 * f2 + f3 * f3
+    gvs = g1 * g1 + g2 * g2 + g3 * g3
     cf, sf = even_trig(fvs)
     cg, sg = even_trig(gvs)
-    wedge = cq_wedge(fz, gz)
-    c = cf * cg - sf * sg * cq_dot(fz, gz)
-    w = gz.vec() * (cf * sg) + fz.vec() * (cg * sf) + wedge * (sf * sg)
-    return c, w, fz.z0 + gz.z0, fvs, gvs, wedge
+    ss = sf * sg
+    c = cf * cg - ss * (f1 * g1 + f2 * g2 + f3 * g3)
+    return (c, fvs, gvs, cf * sg, cg * sf, ss,
+            f2 * g3 - f3 * g2, f3 * g1 - f1 * g3, f1 * g2 - f2 * g1)
+
+
+def exp_stem_product(fz: CQuaternion, gz: CQuaternion):
+    """The product of the exponential stems at one point, e^{f0+g0} (C + W),
+    as (C, W, f0 + g0)."""
+    c, _, _, wg, wf, ww, x1, x2, x3 = _product_terms(fz, gz)
+    wedge = _new(CQuaternion, (0j, x1, x2, x3))
+    w = gz.vec() * wg + fz.vec() * wf + wedge * ww
+    return c, w, fz.z0 + gz.z0
 
 
 def bch_condition(f: SliceFunction, g: SliceFunction, *,
@@ -167,11 +180,12 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
     scale_max = 1.0
     for z in pts:
         fz, gz = fstem(z), gstem(z)
-        c, _, _, fvs, gvs, wedge = exp_stem_product(fz, gz)
+        c, fvs, gvs, _, _, _, x1, x2, x3 = _product_terms(fz, gz)
         values.append(fvs * (1 - c * c))
-        wedge_max = max(wedge_max, wedge.norm())
+        # |f_v ^ g_v|, as CQuaternion.norm of the wedge element
+        wedge_max = max(wedge_max, math.sqrt(abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2))
         scale_max = max(scale_max, fz.norm(), gz.norm())
-        if min(_lattice_distance(fvs), _lattice_distance(gvs)) < TAU_LATTICE:
+        if _on_lattice(fvs) or _on_lattice(gvs):
             lattice_ok = False
     min_abs = min(abs(v) for v in values)
     commuting = wedge_max < 1e-12 * scale_max ** 2
@@ -215,12 +229,12 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     # and stem values
     anchor = _anchor(dom, dom.center)
     fa, ga = fstem(anchor), gstem(anchor)
-    c, w, h0, _, _, _ = exp_stem_product(fa, ga)
+    c, w, h0 = exp_stem_product(fa, ga)
     seed = (cmath.acos(c), w, h0, fa, ga)
 
     def stepper(z0: complex, v0: tuple, z1: complex):
         fz, gz = fstem(z1), gstem(z1)
-        c, w, h0, _, _, _ = exp_stem_product(fz, gz)
+        c, w, h0 = exp_stem_product(fz, gz)
         base = cmath.acos(c)
         th0 = v0[0]
         best = None

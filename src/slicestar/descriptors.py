@@ -28,13 +28,16 @@ from .starlog import star_exp
 
 
 def _float(x, what: str) -> float:
-    """float(x) of a JSON number; a string, boolean, array, object or null
-    raises a ValueError naming ``what``."""
+    """float(x) of a JSON number; a string, boolean, array, object, null or
+    an integer too large for a float raises a ValueError naming ``what``."""
     if not isinstance(x, (str, bool)):
         try:
             return float(x)
         except TypeError:
             pass
+        except OverflowError:
+            raise ValueError(f"{what} must fit in a float, got an integer of "
+                             f"{len(str(abs(x)))} digits") from None
     raise ValueError(f"{what} must be a number, got {x!r}")
 
 

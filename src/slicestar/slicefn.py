@@ -71,9 +71,11 @@ class Domain:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("domain radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError(f"domain radius must be positive and finite, got {self.radius}")
         c = complex(self.center)
+        if not cmath.isfinite(c):
+            raise ValueError(f"domain center must be finite, got {c}")
         if c.imag < 0:
             c = c.conjugate()
         object.__setattr__(self, "center", c)
@@ -166,8 +168,7 @@ class Domain:
     def from_json(obj: dict) -> "Domain":
         shaped = (isinstance(obj, dict) and isinstance(obj.get("center"), (list, tuple))
                   and len(obj["center"]) == 2
-                  and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                          for x in (*obj["center"], obj.get("radius"))))
+                  and all(map(_finite_number, (*obj["center"], obj.get("radius")))))
         if not shaped:
             raise ValueError(f'domain must be {{"center": [re, im], "radius": r}}, got {obj!r}')
         c = complex(obj["center"][0], obj["center"][1])
@@ -175,6 +176,16 @@ class Domain:
         if "realIntersecting" in obj and bool(obj["realIntersecting"]) != dom.real_intersecting:
             raise ValueError("realIntersecting flag inconsistent with center/radius")
         return dom
+
+
+def _finite_number(x) -> bool:
+    """x is a JSON number, not a boolean, that a float holds as a finite value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:           # an int too large for a float
+        return False
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,7 +20,7 @@ from .covering import (BranchIndex, LiftPoint, SampledPath, concatenate,
                        loop_monodromy, project, project_fibers, scalar_deck,
                        sheet_swap, unit_imaginary)
 from .cquaternion import CQuaternion, cq_exp, cq_mul, cq_pow, cq_sinc, even_trig
-from .quaternion import Quaternion, quat_exp, quat_mul
+from .quaternion import Quaternion, _new, quat_exp, quat_mul
 from .slicefn import Domain, constant, orth_decompose, polynomial, stem_symmetry_defect
 from .starlog import LogBranch, star_exp, star_log, star_root, log_translate
 
@@ -73,18 +73,22 @@ def _result(cfg, name, default_tol, samples, residual) -> PropertyResult:
     return PropertyResult(name, int(samples), residual, tol, bool(residual < tol))
 
 
+# The draws are Python numbers, not numpy scalars: numpy's complex
+# arithmetic differs from CPython's in the last bits, and the reports must
+# not depend on it.
+
 def rand_quat(rng, scale=1.0) -> Quaternion:
-    return Quaternion(*(scale * rng.standard_normal(4)))
+    return Quaternion(*(scale * rng.standard_normal(4)).tolist())
 
 
 def rand_cq(rng, scale=1.0) -> CQuaternion:
     v = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    return CQuaternion(*v)
+    return CQuaternion(*v.tolist())
 
 
 def _rand_unit(rng) -> CQuaternion:
-    return unit_imaginary(CQuaternion(0j, *(rng.standard_normal(3)
-                                            + 0.3j * rng.standard_normal(3))))
+    v = rng.standard_normal(3) + 0.3j * rng.standard_normal(3)
+    return unit_imaginary(CQuaternion(0j, *v.tolist()))
 
 
 def rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
@@ -94,28 +98,58 @@ def rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
     return polynomial(coeffs, dom)
 
 
+# The series oracles sum on flat components, in the operation order of
+# quat_mul and cq_mul, so they equal the kernel-built loops bit for bit.
+
 def quat_exp_series(q: Quaternion, terms: int = 40) -> Quaternion:
     """Truncated series sum q^n / n!, an oracle independent of quat_exp."""
-    acc = Quaternion.one()
-    power = Quaternion.one()
+    q0, q1, q2, q3 = q
+    a0, a1, a2, a3 = 1.0, 0.0, 0.0, 0.0
+    p0, p1, p2, p3 = 1.0, 0.0, 0.0, 0.0
     fact = 1.0
     for n in range(1, terms):
-        power = quat_mul(power, q)
+        p0, p1, p2, p3 = (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+                          p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+                          p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+                          p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
         fact *= n
-        acc = acc + power / fact
-    return acc
+        a0, a1, a2, a3 = a0 + p0 / fact, a1 + p1 / fact, a2 + p2 / fact, a3 + p3 / fact
+    return _new(Quaternion, (a0, a1, a2, a3))
 
 
 def cq_exp_series(z: CQuaternion, terms: int = 60) -> CQuaternion:
     """Truncated series sum z^n / n!, an oracle independent of cq_exp."""
-    acc = CQuaternion.one()
-    power = CQuaternion.one()
+    z0, z1, z2, z3 = z
+    a0, a1, a2, a3 = 1 + 0j, 0j, 0j, 0j
+    p0, p1, p2, p3 = 1 + 0j, 0j, 0j, 0j
     fact = 1.0
     for n in range(1, terms):
-        power = cq_mul(power, z)
+        p0, p1, p2, p3 = (p0 * z0 - p1 * z1 - p2 * z2 - p3 * z3,
+                          p0 * z1 + p1 * z0 + p2 * z3 - p3 * z2,
+                          p0 * z2 - p1 * z3 + p2 * z0 + p3 * z1,
+                          p0 * z3 + p1 * z2 - p2 * z1 + p3 * z0)
         fact *= n
-        acc = acc + power / fact
-    return acc
+        a0, a1, a2, a3 = a0 + p0 / fact, a1 + p1 / fact, a2 + p2 / fact, a3 + p3 / fact
+    return _new(CQuaternion, (a0, a1, a2, a3))
+
+
+#: the coefficients (-1)^m / (2m+1)! of cq_sinc_series, m = 0 .. 29
+_SINC_COEFFS = tuple((-1) ** m / math.factorial(2 * m + 1) for m in range(30))
+
+
+def cq_sinc_series(z: CQuaternion) -> CQuaternion:
+    """Truncated series sum (-1)^m z^m / (2m+1)!, an oracle independent of
+    cq_sinc."""
+    z0, z1, z2, z3 = z
+    a0, a1, a2, a3 = 0j, 0j, 0j, 0j
+    p0, p1, p2, p3 = 1 + 0j, 0j, 0j, 0j
+    for c in _SINC_COEFFS:
+        a0, a1, a2, a3 = a0 + p0 * c, a1 + p1 * c, a2 + p2 * c, a3 + p3 * c
+        p0, p1, p2, p3 = (p0 * z0 - p1 * z1 - p2 * z2 - p3 * z3,
+                          p0 * z1 + p1 * z0 + p2 * z3 - p3 * z2,
+                          p0 * z2 - p1 * z3 + p2 * z0 + p3 * z1,
+                          p0 * z3 + p1 * z2 - p2 * z1 + p3 * z0)
+    return _new(CQuaternion, (a0, a1, a2, a3))
 
 
 def left_mul_matrix(p: Quaternion) -> np.ndarray:
@@ -220,12 +254,7 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     for _ in range(min(n, 60)):
         z = rand_cq(rng, 0.4)
-        series = CQuaternion.zero()
-        power = CQuaternion.one()
-        for m in range(30):
-            series = series + power * ((-1) ** m / math.factorial(2 * m + 1))
-            power = cq_mul(power, z)
-        worst = max(worst, (cq_sinc(z) - series).norm())
+        worst = max(worst, (cq_sinc(z) - cq_sinc_series(z)).norm())
     out.append(_result(cfg, "cq_sinc_vs_series", 1e-12, min(n, 60), worst))
 
     rng = _rng(cfg, 9)
@@ -249,6 +278,26 @@ COVERING_PROPERTIES = (
     "preimage_round_trip", "loop_circle_gives_1_m1", "loop_scalar_gives_1_1",
     "loop_contractible_gives_0_0", "loop_monodromy_additive",
 )
+
+
+def _additivity_loops(rng, pairs: int, s: CQuaternion, npts: int):
+    """``pairs`` pairs of loops (alpha, beta) = (ra e^{i na t}, rb e^{i nb t}),
+    each with its winding numbers BranchIndex(na, nb); the two loops of a
+    pair share the base point (alpha, beta) = (ra, rb).  ``rng.uniform``
+    returns Python floats, so every point holds Python numbers."""
+    for _ in range(pairs):
+        ra, rb = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        loops = []
+        for _ in range(2):
+            na, nb = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
+            pts = []
+            for k in range(npts + 1):
+                t = 2 * math.pi * k / npts
+                alpha = ra * cmath.exp(1j * na * t)
+                beta = rb * cmath.exp(1j * nb * t)
+                pts.append((k / npts, (alpha + beta) / 2, (alpha - beta) / 2j, s))
+            loops.append((SampledPath.from_points(pts), BranchIndex(na, nb)))
+        yield loops
 
 
 def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
@@ -285,8 +334,8 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
     worst = 0.0
     for _ in range(n):
         z = rand_cq(rng)
-        worst = max(worst, (cq_exp(scalar_deck(z)) - cq_exp(z)).norm()
-                    / max(1.0, cq_exp(z).norm()))
+        ez = cq_exp(z)
+        worst = max(worst, (cq_exp(scalar_deck(z)) - ez).norm() / max(1.0, ez.norm()))
     out.append(_result(cfg, "scalar_deck_fixes_cq_exp", 1e-12, n, worst))
 
     rng = _rng(cfg, 13)
@@ -294,9 +343,10 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
     count = 0
     for _ in range(min(n, 100)):
         z = rand_cq(rng, 0.5)
+        ez = cq_exp(z)
         for k in range(1, 7):
-            worst = max(worst, (cq_pow(cq_exp(z), k) - cq_exp(z * k)).norm()
-                        / max(1.0, cq_exp(z * k).norm()))
+            ezk = cq_exp(z * k)
+            worst = max(worst, (cq_pow(ez, k) - ezk).norm() / max(1.0, ezk.norm()))
             count += 1
     out.append(_result(cfg, "power_of_exp_is_exp_of_multiple", 1e-10, count, worst))
 
@@ -354,23 +404,9 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
         residual = abs(got.h1 - expect.h1) + abs(got.h2 - expect.h2)
         out.append(_result(cfg, name, 0.5, 1, float(residual)))
 
-    rng = _rng(cfg, 16)
     worst = 0.0
     pairs = min(max(cfg.samples // 10, 4), 20)
-    for _ in range(pairs):
-        # both loops share the same base point (alpha, beta) = (ra, rb)
-        ra, rb = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-        loops = []
-        for _ in range(2):
-            na, nb = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
-            pts = []
-            for k in range(npts + 1):
-                t = 2 * math.pi * k / npts
-                alpha = ra * cmath.exp(1j * na * t)
-                beta = rb * cmath.exp(1j * nb * t)
-                pts.append((k / npts, (alpha + beta) / 2, (alpha - beta) / 2j, s))
-            loops.append((SampledPath.from_points(pts), BranchIndex(na, nb)))
-        (p1, h1), (p2, h2) = loops
+    for (p1, h1), (p2, h2) in _additivity_loops(_rng(cfg, 16), pairs, s, npts):
         start1 = lifted_exp_preimage(p1.start().w0, p1.start().w1, s)
         joined = concatenate(p1, p2)
         got = loop_monodromy(joined, start1)
@@ -598,15 +634,21 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
 
 
 def _ladder_bracket(fz: CQuaternion, dz: CQuaternion, terms: int = 34) -> CQuaternion:
-    """Partial sums of dX + sum_m (-1)^{m-1}/m! [X^{(m-1)}, dX] via nested commutators."""
-    acc = dz
-    nested = dz
+    """Partial sums of dX + sum_m (-1)^{m-1}/m! [X^{(m-1)}, dX] via nested
+    commutators fz*N - N*fz, summed on flat components in cq_mul's order."""
+    f0, f1, f2, f3 = fz
+    a0, a1, a2, a3 = n0, n1, n2, n3 = dz
     fact = 1.0
     for m in range(2, terms + 1):
-        nested = cq_mul(fz, nested) - cq_mul(nested, fz)
+        n0, n1, n2, n3 = (
+            (f0 * n0 - f1 * n1 - f2 * n2 - f3 * n3) - (n0 * f0 - n1 * f1 - n2 * f2 - n3 * f3),
+            (f0 * n1 + f1 * n0 + f2 * n3 - f3 * n2) - (n0 * f1 + n1 * f0 + n2 * f3 - n3 * f2),
+            (f0 * n2 - f1 * n3 + f2 * n0 + f3 * n1) - (n0 * f2 - n1 * f3 + n2 * f0 + n3 * f1),
+            (f0 * n3 + f1 * n2 - f2 * n1 + f3 * n0) - (n0 * f3 + n1 * f2 - n2 * f1 + n3 * f0))
         fact *= m
-        acc = acc + nested * ((-1) ** (m - 1) / fact)
-    return acc
+        c = (-1) ** (m - 1) / fact
+        a0, a1, a2, a3 = a0 + n0 * c, a1 + n1 * c, a2 + n2 * c, a3 + n3 * c
+    return _new(CQuaternion, (a0, a1, a2, a3))
 
 
 #: the properties run_derivative reports, in its order

@@ -6,15 +6,16 @@ from hypothesis import given, strategies as st
 
 import slicestar.bch
 from conftest import (assert_same_nodes, generic_poly, inputs_bits, quat_exp_series,
-                      rand_cq, rand_poly, rand_quat, switch_arguments)
+                      rand_cq, rand_poly, rand_quat, stem_bits, switch_arguments)
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
-                       constant, cq_dot, cq_exp, cq_mul, even_trig,
+                       constant, cq_dot, cq_exp, cq_mul, cq_wedge, even_trig,
                        exp_derivative_bracket, orth_decompose, polynomial,
                        product_vsym, quat_exp, quat_mul, slice_preserving,
                        star_exp, star_exp_derivative, star_exp_derivative_stem,
                        star_log, stem_symmetry_defect, vanishing_vsym_partner)
-from slicestar.bch import TAU_DEG, _coeff_a
+from slicestar.bch import (CONDITION_SAMPLES, TAU_BCH, TAU_DEG, TAU_LATTICE, BCHReport,
+                           _coeff_a, _on_lattice, exp_stem_product)
 from slicestar.errors import (BadExampleInput, DegenerateAngle, NotExponential,
                               VanishingVectorPart)
 
@@ -200,6 +201,109 @@ def test_condition_obstruction_tracks_product_vsym(rng):
         expected = fz.vec_norm2() * cmath.exp(-2 * (fz.z0 + gz.z0)) \
             * prod_vs.scalar_value(z)
         assert abs(theta - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def _exp_stem_product_kernels(fz: CQuaternion, gz: CQuaternion) -> tuple:
+    """(C, W, f0 + g0) built from the kernels, as exp_stem_product was."""
+    cf, sf = even_trig(fz.vec_norm2())
+    cg, sg = even_trig(gz.vec_norm2())
+    c = cf * cg - sf * sg * cq_dot(fz, gz)
+    w = gz.vec() * (cf * sg) + fz.vec() * (cg * sf) + cq_wedge(fz, gz) * (sf * sg)
+    return c, w, fz.z0 + gz.z0
+
+
+def _lattice_distance(v: complex) -> float:
+    """Distance of v from the real lattice {n^2 pi^2 : n = 0, 1, 2, ...}."""
+    best = abs(v)
+    if v.real > 0:
+        n = round(math.sqrt(v.real) / math.pi)
+        for k in (n - 1, n, n + 1):
+            if k >= 0:
+                best = min(best, abs(v - (k * math.pi) ** 2))
+    return best
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_on_lattice_matches_distance_threshold(k):
+    # offsets on both sides of TAU_LATTICE, in every direction, round k^2 pi^2
+    for scale in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3, 1e6):
+        for d in (1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2), -0.6 + 0.8j):
+            v = complex((k * math.pi) ** 2 + scale * TAU_LATTICE * d)
+            assert _on_lattice(v) == (_lattice_distance(v) < TAU_LATTICE), (k, scale, d)
+
+
+def _condition_reference(f, g) -> BCHReport:
+    """The scan on exp_stem_product's C, with f_v^s, g_v^s and the wedge
+    from the kernels, as bch_condition was."""
+    pts = f.domain.mesh_points(CONDITION_SAMPLES)
+    values = []
+    lattice_ok = True
+    wedge_max = 0.0
+    scale_max = 1.0
+    for z in pts:
+        fz, gz = f.stem_at(z), g.stem_at(z)
+        c = exp_stem_product(fz, gz)[0]
+        fvs, gvs = fz.vec_norm2(), gz.vec_norm2()
+        values.append(fvs * (1 - c * c))
+        wedge_max = max(wedge_max, cq_wedge(fz, gz).norm())
+        scale_max = max(scale_max, fz.norm(), gz.norm())
+        if min(_lattice_distance(fvs), _lattice_distance(gvs)) < TAU_LATTICE:
+            lattice_ok = False
+    min_abs = min(abs(v) for v in values)
+    return BCHReport(points=pts, values=values, min_abs=min_abs, lattice_ok=lattice_ok,
+                     commuting=wedge_max < 1e-12 * scale_max ** 2,
+                     admissible=lattice_ok and min_abs >= TAU_BCH)
+
+
+def _report_bits(rep: BCHReport) -> tuple:
+    return (rep.points, [(v.real.hex(), v.imag.hex()) for v in rep.values],
+            rep.min_abs.hex(), rep.lattice_ok, rep.commuting, rep.admissible, rep.tol)
+
+
+_CQ_ENTRIES = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+_CQS = st.builds(CQuaternion, _CQ_ENTRIES, _CQ_ENTRIES, _CQ_ENTRIES, _CQ_ENTRIES)
+
+
+@given(_CQS, _CQS)
+def test_exp_stem_product_bitwise_matches_kernels(fz, gz):
+    c, w, h0 = exp_stem_product(fz, gz)
+    want_c, want_w, want_h0 = _exp_stem_product_kernels(fz, gz)
+    assert type(w) is CQuaternion and stem_bits(w) == stem_bits(want_w)
+    assert [(x.real.hex(), x.imag.hex()) for x in (c, h0)] == \
+        [(x.real.hex(), x.imag.hex()) for x in (want_c, want_h0)]
+
+
+def _constants(dom, *quats) -> tuple:
+    return tuple(constant(Quaternion(*q), dom) for q in quats)
+
+
+def test_condition_bitwise_matches_reference_scan(rng):
+    # f_v^s = (pi (1 + 1e-10))^2 lies within TAU_LATTICE of pi^2 everywhere
+    r = math.pi * (1 + 1e-10)
+    pairs = []
+    for dom in (DOM, DOM_OFF):
+        for _ in range(6):
+            pairs.append((rand_poly(rng, dom, scale=0.6, deg=1),
+                          rand_poly(rng, dom, scale=0.6, deg=2)))
+            pairs.append((constant(rand_quat(rng, 0.6), dom),
+                          constant(rand_quat(rng, 0.6), dom)))
+        f = generic_poly(rng, dom, deg=1)
+        gamma = slice_preserving(lambda z: 0.3 * z + 0.7, dom)
+        pairs.append((f, gamma.star(f.vector_part()) + f.scalar_part() * 0.2))
+        lattice = _constants(dom, (0.1, r * 0.6, r * 0.8, 0.0), (-0.2, 0.0, 0.25, 0.3))
+        pairs += [lattice, lattice[::-1]]
+        # wedges along k, i and j alone, and one of size about 4e-10: nearly commuting
+        pairs += [_constants(dom, (0.1, 0.3, 0, 0), (-0.2, 0, 0.25, 0)),
+                  _constants(dom, (0.1, 0, 0.3, 0), (-0.2, 0, 0, 0.25)),
+                  _constants(dom, (0.1, 0, 0, 0.3), (-0.2, 0.25, 0, 0)),
+                  _constants(dom, (0.1, 0.3, 0.2, 0), (-0.2, 0.6, 0.4, 1e-9))]
+    flags = set()
+    for f, g in pairs:
+        rep = bch_condition(f, g)
+        assert _report_bits(rep) == _report_bits(_condition_reference(f, g))
+        flags.add((rep.lattice_ok, rep.commuting, rep.admissible))
+    # the pairs reach commuting, near-lattice and admissible reports
+    assert {(True, True, True), (False, False, False), (True, False, True)} <= flags
 
 
 def test_condition_strictly_positive_on_real_axis(rng):

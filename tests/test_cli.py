@@ -82,6 +82,8 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+#: a 401-digit JSON integer, which no float holds
+HUGE = 10 ** 400
 MALFORMED_FN = {
     "add-no-args": ({"kind": "add", "args": []},
                     "descriptor node {'kind': 'add', 'args': []}: 'args' must be a non-empty array"),
@@ -95,6 +97,9 @@ MALFORMED_FN = {
                            "quaternion entry must be a number, got '2'"),
     "poly-bool-entry": ({"kind": "poly", "coeffs": [[0, 0, 0, 0], [True, 0, 0, 0]]},
                         "quaternion entry must be a number, got True"),
+    # a JSON integer beyond the float range
+    "const-huge-entry": ({"kind": "const", "value": [0, HUGE, 0, 0]},
+                         "quaternion entry must fit in a float, got an integer of 401 digits"),
 }
 MALFORMED_DOMAIN = {
     "center-scalar": {"center": 5, "radius": 1},
@@ -102,6 +107,11 @@ MALFORMED_DOMAIN = {
     "radius-array": {"center": [0, 0], "radius": [1]},
     "center-bool": {"center": [False, 0], "radius": 1},
     "radius-bool": {"center": [0, 0], "radius": True},
+    # numbers that are no finite float (json writes and reads NaN and Infinity)
+    "radius-nan": {"center": [0, 0], "radius": math.nan},
+    "radius-infinity": {"center": [0, 0], "radius": math.inf},
+    "center-nan": {"center": [math.nan, 0], "radius": 1},
+    "radius-huge": {"center": [0, 0], "radius": HUGE},
 }
 #: the ends of a valid two-sample path
 SAMPLE = {"t": 0.0, "w0": [1.0, 0.0], "w1": [0.0, 0.0], "s": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
@@ -113,6 +123,8 @@ MALFORMED_PATH = {
                 'path sample "t" must be a number, got [0]'),
     "t-string": ({"samples": [{**SAMPLE, "t": "0"}, SAMPLE_END]},
                  'path sample "t" must be a number, got \'0\''),
+    "t-huge": ({"samples": [{**SAMPLE, "t": HUGE}, SAMPLE_END]},
+               'path sample "t" must fit in a float, got an integer of 401 digits'),
     "w0-string": ({"samples": [{**SAMPLE, "w0": ["1", 0.0]}, SAMPLE_END]},
                   "real part must be a number, got '1'"),
     "s-bool": ({"samples": [SAMPLE, {**SAMPLE_END, "s": [[1.0, 0.0], [0.0, False], [0.0, 0.0]]}]},
@@ -174,6 +186,13 @@ def test_non_number_point_exits_2(tmp_path, capsys, at, entry):
     fn = write(tmp_path, "f.json", FN_IDENTITY)
     code = main(["eval", "--fn", fn, "--at", at])
     _assert_one_line_config_error(code, capsys, f"quaternion entry must be a number, got {entry}")
+
+
+def test_huge_integer_point_exits_2(tmp_path, capsys):
+    fn = write(tmp_path, "f.json", FN_IDENTITY)
+    code = main(["eval", "--fn", fn, "--at", f"[0,0,{HUGE},0]"])
+    _assert_one_line_config_error(
+        code, capsys, "quaternion entry must fit in a float, got an integer of 401 digits")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PATH))

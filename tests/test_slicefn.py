@@ -24,6 +24,14 @@ DOM = Domain(0.0, 3.0)
 DOM_OFF = Domain(1.5j, 0.8)
 
 
+@pytest.mark.parametrize("center, radius", [(0.0, math.nan), (0.0, math.inf),
+                                            (complex(math.nan, 0.0), 1.0),
+                                            (complex(0.0, math.inf), 1.0)])
+def test_domain_refuses_non_finite_center_or_radius(center, radius):
+    with pytest.raises(ValueError, match="finite"):
+        Domain(center, radius)
+
+
 def test_domain_validation_and_json():
     with pytest.raises(ValueError):
         Domain(0.0, -1.0)

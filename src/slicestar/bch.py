@@ -10,17 +10,26 @@ e^{f0+g0} (C + W) where
     C = cf*cg - sf*sg*<f_v, g_v>_*
     W = cf*sg*g_v + cg*sf*f_v + sf*sg*(f_v ^ g_v),
 
-and C^2 + n(W) = 1 identically.  A *-logarithm branch of the product is
-h = f0 + g0 + W / sincr(theta^2) with a continuous angle theta solving
-cos(theta) = C, recovered by arccos continuation from the domain anchor.
-The obstruction to the product being a *-exponential is
+and C^2 + n(W) = 1 identically.  With s = f0 + g0 and cos(theta) = C,
+the product P = exp(F) exp(G) has P0 = e^s cos(theta) and
+P_v^s = e^{2s} sin^2(theta), so P0 +- i sqrt(P_v^s) = e^{s +- i theta}.
+h is the *-logarithm of P: ``starlog.continued_log`` continues it as it
+continues any logarithm, and its G = u0 + (u1/m) * vec P is
+
+    h = s + W * theta / sin(theta)
+
+on the branch seeded at the domain anchor with u0 = s and u1 the
+principal arccos of C.  The solver builds no W: vec P is e^s W.  Where
+|P_v^s| <= TAU_CLASSIFY the vector part is not recoverable and the read
+raises HitsVLocus.  The obstruction to the product being a *-exponential
+is
 
     Theta = f_v^s * n(W) = f_v^s * (1 - C^2),
 
 which equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s and is entire: it
 needs no division by f_v^s.  One scalar helper defines C: the admissibility
-scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it without building W, and
-``exp_stem_product`` adds W for the solver.
+scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it, and the solver's seed
+reads C.
 
 The slice derivative of exp_*(f) has the closed form
 
@@ -40,15 +49,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .continuation import BranchContinuation, locus_scan, nearest_turn
+from .continuation import locus_scan
 from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
-from .errors import (BadExampleInput, DegenerateAngle, NotExponential,
-                     VanishingVectorPart)
-from .quaternion import J_UNIT, Quaternion, _new
+from .errors import BadExampleInput, NotExponential, VanishingVectorPart
+from .quaternion import J_UNIT, Quaternion
 from .slicefn import (ContinuedFunction, SliceFunction, constant, idempotent_plus,
                       induce_value)
-from .starlog import _anchor
+from .starlog import _anchor, continued_log
 
 #: admissibility threshold on the obstruction value
 TAU_BCH = 1e-8
@@ -156,15 +164,6 @@ def _product_terms(fz: CQuaternion, gz: CQuaternion) -> tuple:
             f2 * g3 - f3 * g2, f3 * g1 - f1 * g3, f1 * g2 - f2 * g1)
 
 
-def exp_stem_product(fz: CQuaternion, gz: CQuaternion):
-    """The product of the exponential stems at one point, e^{f0+g0} (C + W),
-    as (C, W, f0 + g0)."""
-    c, _, _, wg, wf, ww, x1, x2, x3 = _product_terms(fz, gz)
-    wedge = _new(CQuaternion, (0j, x1, x2, x3))
-    w = gz.vec() * wg + fz.vec() * wf + wedge * ww
-    return c, w, fz.z0 + gz.z0
-
-
 def bch_condition(f: SliceFunction, g: SliceFunction, *,
                   tol: float = TAU_BCH) -> BCHReport:
     """Scan the obstruction Theta = f_v^s (1 - C^2) on CONDITION_SAMPLES mesh
@@ -196,15 +195,15 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
 
 def bch_combine(f: SliceFunction, g: SliceFunction, *,
                 report: Optional[BCHReport] = None) -> ContinuedFunction:
-    """Solve exp_*(f) * exp_*(g) = exp_*(h) for h; ``with_inputs(z)`` of
-    the result is (H(z), F(z), G(z)), and ``with_inputs_at(zs)`` the list
-    of those triples from one walk of the angle's branch.
+    """Solve exp_*(f) * exp_*(g) = exp_*(h) for h; ``with_inputs_at(zs)``
+    of the result is the list of (H(z), P(z)), with P = exp(F) exp(G) the
+    product of the exponential stems.
 
-    Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h0 = f0+g0
-    and h_v = W / sincr(theta^2) with theta the continued solution of
-    cos(theta) = C; the angle branch is seeded with the principal arccos
-    at the domain anchor, which is real on domains meeting R, so the
-    result is a stem function.
+    Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h is the
+    *-logarithm of the product, continued by ``starlog.continued_log``
+    from the branch with h0 = f0 + g0 and the principal arccos of C at the
+    domain anchor, which is real on domains meeting R, so the result is a
+    stem function.
     """
     f._require_same_domain(g)
     if report is None:
@@ -214,49 +213,34 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     if report.commuting:
         total = f + g
 
-        def summed(z: complex) -> tuple:
-            fz, gz = fstem(z), gstem(z)
-            return fz + gz, fz, gz
+        def summed_at(zs: list) -> list:
+            pairs = [(fstem(z), gstem(z)) for z in zs]
+            return [(fz + gz, cq_mul(cq_exp(fz), cq_exp(gz))) for fz, gz in pairs]
 
-        return ContinuedFunction(total._stem, summed, lambda zs: list(map(summed, zs)),
-                                 dom, None, total.node)
+        return ContinuedFunction(total._stem, summed_at, dom, None, total.node)
     if not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
             "the product is not a *-exponential on this domain")
 
-    # the state (theta, W, h0, F, G) keeps the last step's W, scalar part
-    # and stem values
+    def product(z: complex) -> CQuaternion:
+        return cq_mul(cq_exp(fstem(z)), cq_exp(gstem(z)))
+
+    # the seed is the branch h = s + W theta / sin(theta) at the anchor, with
+    # s = f0 + g0 and theta = arccos C: there P0 +- i sqrt(P_v^s) = e^{s +- i theta}
     anchor = _anchor(dom, dom.center)
     fa, ga = fstem(anchor), gstem(anchor)
-    c, w, h0 = exp_stem_product(fa, ga)
-    seed = (cmath.acos(c), w, h0, fa, ga)
-
-    def stepper(z0: complex, v0: tuple, z1: complex):
-        fz, gz = fstem(z1), gstem(z1)
-        c, w, h0 = exp_stem_product(fz, gz)
-        base = cmath.acos(c)
-        th0 = v0[0]
-        best = None
-        for sign in (1.0, -1.0):
-            k = nearest_turn((sign * base).real, th0.real)
-            cand = sign * base + 2 * math.pi * k
-            if best is None or abs(cand - th0) < abs(best - th0):
-                best = cand
-        return (best, w, h0, fz, gz) if abs(best - th0) <= 0.5 else DegenerateAngle
-
-    cont = BranchContinuation(anchor, seed, stepper, dom)
-
-    def read(z: complex, state: tuple) -> tuple:
-        theta, w, h0, fz, gz = state
-        ratio = even_trig(theta * theta).sincr   # sin(theta)/theta
-        if abs(ratio) < 1e-9:
-            raise DegenerateAngle(
-                f"sin(theta)/theta ~ 0 at z = {z}; vector part not recoverable")
-        v0, v1, v2, v3 = w / ratio
-        return _new(CQuaternion, (h0 + v0, v1, v2, v3)), fz, gz
-
-    return ContinuedFunction.from_branch(read, cont)
+    pa = cq_mul(cq_exp(fa), cq_exp(ga))
+    s = fa.z0 + ga.z0
+    theta = cmath.acos(_product_terms(fa, ga)[0])
+    m = cmath.sqrt(pa.vec_norm2())
+    near = cmath.exp(s) * cmath.sin(theta)
+    if abs(m + near) < abs(m - near):
+        m = -m
+    la, lb = cmath.log(pa.z0 + 1j * m), cmath.log(pa.z0 - 1j * m)
+    la += 2j * math.pi * round((s.imag + theta.real - la.imag) / (2 * math.pi))
+    lb += 2j * math.pi * round((s.imag - theta.real - lb.imag) / (2 * math.pi))
+    return continued_log(product, anchor, (m, la, lb, pa), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bch as bchmod
 from .covering import lift_path, lifted_exp_preimage, loop_monodromy
-from .cquaternion import CQuaternion, cq_exp, cq_mul
+from .cquaternion import CQuaternion, cq_exp
 from .descriptors import (lift_point_from_json, load_function, path_from_json,
                           quaternion_from_json, quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
@@ -71,13 +71,18 @@ def _parse_tols(pairs: list[str]) -> dict:
         if "=" not in item:
             raise ValueError(f"--tol expects KEY=VAL, got {item!r}")
         key, _, val = item.partition("=")
-        out[key] = float(val)
+        out[key] = tol = float(val)
+        if not isfinite(tol):
+            raise ValueError(f"--tol {key} must be finite, got {val!r}")
     return out
 
 
 def _parse_complex(text: str) -> complex:
     re_s, _, im_s = text.partition(",")
-    return complex(float(re_s), float(im_s or 0.0))
+    z = complex(float(re_s), float(im_s or 0.0))
+    if not (isfinite(z.real) and isfinite(z.imag)):
+        raise ValueError(f"--basepoint must be finite, got {text!r}")
+    return z
 
 
 def _json_text(obj, pad: str = "") -> str:
@@ -298,9 +303,9 @@ def cmd_bch(args) -> int:
         pts = _function_samples(f, args.seed, min(args.samples, 32))
         residual = 0.0
         hs = []
-        for z, (hz, fz, gz) in zip(pts, h.with_inputs_at(pts)):
+        for z, (hz, pz) in zip(pts, h.with_inputs_at(pts)):
             hs.append((z.real, z.imag, *_cq_floats(hz)))
-            residual = max(residual, (cq_mul(cq_exp(fz), cq_exp(gz)) - cq_exp(hz)).norm())
+            residual = max(residual, (pz - cq_exp(hz)).norm())
         payload["h_samples"] = _Rows(_h_sample, hs)
         payload["residual"] = residual
     _emit(args, payload)

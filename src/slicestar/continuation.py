@@ -1,8 +1,8 @@
 """Branch continuation: one bisection routine for disks and paths.
 
-The square root of f_v^s, the *-logarithm and the angle of the
-exponential-product solver are continued over a disk, and sampled paths
-are lifted through the covering exponential, all by ``continue_along``.
+The square root of f_v^s and the *-logarithm (of f, or of a product of
+two exponential stems) are continued over a disk, and sampled paths are
+lifted through the covering exponential, all by ``continue_along``.
 A ``step`` carries a value across one segment or refuses it by returning
 the error class that names why; a refused segment is halved, at most
 MAX_DEPTH times, and then that class is raised, so a genuine obstruction
@@ -49,11 +49,6 @@ SCAN_ARCS = 64
 #: step(a, value at a, b) -> the value at b, or the error class refusing it;
 #: ``isinstance(out, type)`` tells a refusal from a value
 Stepper = Callable[..., object]
-
-
-def nearest_turn(x: float, prev: float) -> int:
-    """The k for which x + 2 pi k lies nearest ``prev``."""
-    return round((prev - x) / (2 * math.pi))
 
 
 def continue_along(step: Stepper, midpoint: Callable, a, v, b):
@@ -165,7 +160,7 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
             if w == 0:
                 return _Unresolved
             l = cmath.log(w)
-            l += two_pi_i * round((l0.imag - l.imag) / two_pi)     # nearest_turn
+            l += two_pi_i * round((l0.imag - l.imag) / two_pi)     # the turn nearest l0
             return l if abs(l.imag - l0.imag) < math.pi / 2 else _Unresolved
 
         start = sample(0.0)[i]

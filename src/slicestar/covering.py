@@ -144,7 +144,7 @@ def from_log_pair(la: complex, lb: complex) -> tuple[complex, complex]:
 
 def log_pair_step(alpha: complex, beta: complex, la: complex, lb: complex):
     """The logarithms of alpha and beta nearest (la, lb), each the principal
-    logarithm plus 2 pi i k (k from ``nearest_turn``); PathTooWild (a
+    logarithm plus the 2 pi i k nearest its previous value; PathTooWild (a
     refusal: bisect) when either moves by MAX_LIFT_STEP or more."""
     l1 = cmath.log(alpha)
     l1 = l1 + _TWO_PI_I * round((la.imag - l1.imag) / _TWO_PI)

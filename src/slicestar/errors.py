@@ -82,10 +82,6 @@ class BranchObstruction(SliceStarError):
     """Continuous square-root branch lost (value crossed zero)."""
 
 
-class DegenerateAngle(SliceStarError):
-    """sin(theta) ~ 0 with a non-vanishing vector right-hand side."""
-
-
 class NotExponential(SliceStarError):
     """The product of the two *-exponentials is not a *-exponential."""
 

@@ -503,30 +503,26 @@ def stem_symmetry_defect(f: SliceFunction, points: Sequence[complex]) -> float:
 
 
 class ContinuedFunction(SliceFunction):
-    """A slice function whose stem comes with the input stems it was built
-    from: ``with_inputs(z)`` is (its stem at z, then the inputs' stems at
-    z), all read from one state, so a caller checking the result against
-    its inputs evaluates them no further.  ``with_inputs_at(zs)`` is the
-    list of ``with_inputs(z)`` over a batch of points.  ``branch`` is the
-    ``BranchContinuation`` the values are read from, or None for a closed
-    form."""
+    """A slice function whose stem comes with the stems it was built from:
+    ``with_inputs_at(zs)`` is, for each z, the tuple of its stem at z and
+    then those stems at z, all read from one state, so a caller checking
+    the result against its inputs evaluates them no further.  ``branch``
+    is the ``BranchContinuation`` the values are read from, or None for a
+    closed form."""
 
-    __slots__ = ("with_inputs", "with_inputs_at", "branch")
+    __slots__ = ("with_inputs_at", "branch")
 
-    def __init__(self, stem, with_inputs: Callable[[complex], tuple],
-                 with_inputs_at: Callable[[list], list], domain: Domain, branch,
-                 node: Optional[dict] = None):
+    def __init__(self, stem, with_inputs_at: Callable[[list], list], domain: Domain,
+                 branch, node: Optional[dict] = None):
         super().__init__(stem, domain, node)
-        self.with_inputs = with_inputs
         self.with_inputs_at = with_inputs_at
         self.branch = branch
 
     @classmethod
     def from_branch(cls, read: Callable, branch) -> "ContinuedFunction":
-        """The function on ``branch.domain`` whose ``with_inputs(z)`` is
-        ``read(z, branch.at(z))``, the first value read being the stem;
-        ``with_inputs_at`` reads a batch's states from one
-        ``branch.at_many`` walk.
+        """The function on ``branch.domain`` whose stem at z is the first
+        value of ``read(z, branch.at(z))``; ``with_inputs_at`` reads a
+        batch's states from one ``branch.at_many`` walk.
 
         The branch runs on the disk holding its anchor, which is on R or in
         the upper disk.  On a pair of disks off R a lower point z gets the
@@ -535,29 +531,26 @@ class ContinuedFunction(SliceFunction):
         """
         at, at_many, domain = branch.at, branch.at_many, branch.domain
 
-        def upper(z: complex) -> tuple:
-            return read(z, at(z))
-
         def upper_many(zs) -> list:
             return list(map(read, zs, at_many(zs)))
 
         if domain.real_intersecting:
-            return cls(lambda z: read(z, at(z))[0], upper, upper_many, domain, branch)
+            return cls(lambda z: read(z, at(z))[0], upper_many, domain, branch)
 
         bar = CQuaternion.bar
 
         def stem(z: complex) -> CQuaternion:
-            return bar(upper(z.conjugate())[0]) if z.imag < 0 else read(z, at(z))[0]
-
-        def with_inputs(z: complex) -> tuple:
-            return tuple(map(bar, upper(z.conjugate()))) if z.imag < 0 else read(z, at(z))
+            if z.imag < 0:
+                z = z.conjugate()
+                return bar(read(z, at(z))[0])
+            return read(z, at(z))[0]
 
         def with_inputs_at(zs) -> list:
             lower = [z.imag < 0 for z in zs]
             values = upper_many([z.conjugate() if low else z for z, low in zip(zs, lower)])
             return [tuple(map(bar, v)) if low else v for v, low in zip(values, lower)]
 
-        return cls(stem, with_inputs, with_inputs_at, domain, branch)
+        return cls(stem, with_inputs_at, domain, branch)
 
 
 # -- orthogonal decomposition along f_v ---------------------------------------

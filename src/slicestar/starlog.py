@@ -4,7 +4,7 @@ exp_*(f) is induced by z -> cq_exp(F(z)) and equals the *-power series
 sum f^{*n}/n!.  When F avoids the loci V_-1 and V_inf (equivalently
 f^s != 0 != f_v^s), the exponential of the algebra is a covering map with
 Z^2 monodromy, so f has a two-parameter family of *-logarithms indexed by
-BranchIndex (h1, h2): writing the fiber coordinates alpha = F0 + i m and
+(h1, h2): writing the fiber coordinates alpha = F0 + i m and
 beta = F0 - i m with m a continuous branch of sqrt(f_v^s), the branch
 (h1, h2) continues log(alpha) + 2 pi i h1 and log(beta) + 2 pi i h2 from
 the anchor and induces
@@ -18,7 +18,9 @@ the square root of f_v^s nearest the previous m, then the covering's
 ``log_pair_step`` of alpha and beta.  Every value is thus exactly +-sqrt
 or log + 2 pi i k of the stem at that point, not a sum of increments
 along a path, so it does not depend on the order in which points are
-queried.
+queried.  ``continued_log`` is this walk for any stem and seed: ``star_log``
+seeds it with the (h1, h2) branch, ``bch.bch_combine`` runs it on the
+product of two exponential stems.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R); on a domain off R the lift is built on the
@@ -37,9 +39,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .continuation import BranchContinuation, ZeroCount, locus_scan
-from .covering import BranchIndex, from_log_pair, log_pair_step
+from .covering import from_log_pair, log_pair_step
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain)
@@ -56,24 +59,11 @@ MAX_BRANCH_INDEX = 10 ** 6
 
 @dataclass(frozen=True)
 class LogBranch:
-    """Branch selector for *-logarithms: monodromy index plus anchor basepoint.
-
-    ``real_constraint`` marks branches meant for domains meeting R, where
-    only h2 = -h1 produces real values on the real axis.
-    """
+    """Branch selector for *-logarithms: monodromy index plus anchor basepoint."""
 
     h1: int
     h2: int
     basepoint: complex
-    real_constraint: bool = False
-
-    def __post_init__(self):
-        if self.real_constraint and self.h1 + self.h2 != 0:
-            raise JNotDefined(
-                "on a domain meeting R only branches with h2 = -h1 exist")
-
-    def index(self) -> BranchIndex:
-        return BranchIndex(self.h1, self.h2)
 
 
 def _require_index(what: str, h1: int, h2: int) -> None:
@@ -123,7 +113,7 @@ def _sqrt_step(w: complex, prev: complex):
 
 def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> ContinuedFunction:
     """Continuous branch of sqrt(f_v^s), slice preserving; its
-    ``with_inputs(z)`` is the 1-tuple of its stem at z.
+    ``with_inputs_at(zs)`` is the list of 1-tuples of its stem at each z.
 
     The branch takes the value sign * principal_sqrt(f_v^s(basepoint)) at
     the basepoint (reflected to the upper component on domains off R,
@@ -162,10 +152,52 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
+def continued_log(stem: Callable[[complex], CQuaternion], anchor: complex,
+                  seed: tuple, domain: Domain) -> ContinuedFunction:
+    """The *-logarithm G of ``stem`` continued from ``seed`` = (m, la, lb,
+    F(anchor)), a square root of F_v^s and logarithms of alpha and beta at
+    the anchor; ``with_inputs_at(zs)`` of the result is the list of
+    (G(z), F(z)).
+
+    Each step evaluates the stem once, takes the square root of F_v^s
+    nearest the previous m, then the covering's ``log_pair_step`` of alpha
+    and beta, and keeps F for the read G = u0 + (u1/m) * vec F.  A read
+    where |m^2| = |F_v^s| <= TAU_CLASSIFY raises HitsVLocus: there u1/m
+    cannot recover the vector part.
+    """
+
+    # the state (m, la, lb, F) keeps the stem value of the last step
+    def stepper(z0: complex, v0: tuple, z1: complex):
+        fz = stem(z1)
+        m0, la, lb, _ = v0
+        m = _sqrt_step(fz.vec_norm2(), m0)
+        if isinstance(m, type):          # a refusal
+            return m
+        alpha, beta = _fiber_pair(fz.z0, m, z1)
+        pair = log_pair_step(alpha, beta, la, lb)
+        if isinstance(pair, type):
+            return pair
+        la, lb = pair
+        return m, la, lb, fz
+
+    def read(z: complex, state: tuple) -> tuple[CQuaternion, CQuaternion]:
+        m, la, lb, fz = state
+        if abs(m * m) <= TAU_CLASSIFY:
+            raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
+                             "the vector part of the logarithm is not recoverable")
+        u0, u1 = from_log_pair(la, lb)
+        c = u1 / m
+        _, f1, f2, f3 = fz
+        return _new(CQuaternion, (u0, c * f1, c * f2, c * f3)), fz
+
+    cont = BranchContinuation(anchor, seed, stepper, domain)
+    return ContinuedFunction.from_branch(read, cont)
+
+
 def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
     """The (h1, h2) branch of the *-logarithm: exp_*(result) = f; its
-    ``with_inputs(z)`` is (G(z), F(z)), and ``with_inputs_at(zs)`` the
-    list of those pairs from one walk of the branch.
+    ``with_inputs_at(zs)`` is the list of (G(z), F(z)) from one walk of
+    the branch.
 
     Preconditions: the stem avoids V_-1 and V_inf on the whole domain
     (f^s and f_v^s have no zeros, counted exactly on the boundary circle
@@ -184,6 +216,8 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         fz = stem(z)
         return fz.vec_norm2(), fz.csym()
 
+    # with no zeros inside, the boundary bound holds on the whole disk
+    # (minimum modulus principle), so the continuation's read never refuses
     vsym, sym = locus_scan(loci, dom.center, dom.radius)
     if min(vsym.min_abs, sym.min_abs) <= TAU_CLASSIFY:
         raise HitsVLocus("f^s or f_v^s meets the loci on the boundary circle "
@@ -194,36 +228,12 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         raise HitsVLocus(f"f^s has {sym.zeros} zero(s) in the disk; "
                          "no *-logarithm branch")
 
-    # the state (m, la, lb, F) keeps the stem value of the last step
     fa = stem(anchor)
     m0 = cmath.sqrt(fa.vec_norm2())
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
     seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,
             cmath.log(b0) + 2j * math.pi * branch.h2, fa)
-
-    def stepper(z0: complex, v0: tuple, z1: complex):
-        fz = stem(z1)
-        m0, la, lb, _ = v0
-        m = _sqrt_step(fz.vec_norm2(), m0)
-        if isinstance(m, type):          # a refusal
-            return m
-        alpha, beta = _fiber_pair(fz.z0, m, z1)
-        pair = log_pair_step(alpha, beta, la, lb)
-        if isinstance(pair, type):
-            return pair
-        la, lb = pair
-        return m, la, lb, fz
-
-    # G = u0 + (u1/m) * vec F
-    def read(z: complex, state: tuple) -> tuple[CQuaternion, CQuaternion]:
-        m, la, lb, fz = state
-        u0, u1 = from_log_pair(la, lb)
-        c = u1 / m
-        _, f1, f2, f3 = fz
-        return _new(CQuaternion, (u0, c * f1, c * f2, c * f3)), fz
-
-    cont = BranchContinuation(anchor, seed, stepper, dom)
-    return ContinuedFunction.from_branch(read, cont)
+    return continued_log(stem, anchor, seed, dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

@@ -83,8 +83,14 @@ def stem_bits(v) -> tuple[str, ...]:
 
 
 def inputs_bits(values) -> list:
-    """``stem_bits`` of each stem in a sequence of ``with_inputs`` tuples."""
+    """``stem_bits`` of each stem in a sequence of ``with_inputs_at`` tuples."""
     return [tuple(map(stem_bits, v)) for v in values]
+
+
+def one_at_a_time(g: ContinuedFunction, zs) -> list:
+    """``g.with_inputs_at`` of each point in its own one-point batch: a
+    one-point walk starts from the nearest node, as ``at`` does."""
+    return [g.with_inputs_at([z])[0] for z in zs]
 
 
 def continuation_of(g: ContinuedFunction) -> BranchContinuation:

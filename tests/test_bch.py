@@ -1,12 +1,14 @@
+import cmath
 import math
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-import slicestar.bch
-from conftest import (assert_same_nodes, generic_poly, inputs_bits, quat_exp_series,
-                      rand_cq, rand_poly, rand_quat, stem_bits, switch_arguments)
+import slicestar.cquaternion
+from conftest import (assert_same_nodes, generic_poly, inputs_bits, one_at_a_time,
+                      quat_exp_series, rand_cq, rand_poly, rand_quat, stem_bits,
+                      switch_arguments)
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
                        constant, cq_dot, cq_exp, cq_mul, cq_wedge, even_trig,
@@ -15,9 +17,12 @@ from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        star_exp, star_exp_derivative, star_exp_derivative_stem,
                        star_log, stem_symmetry_defect, vanishing_vsym_partner)
 from slicestar.bch import (CONDITION_SAMPLES, TAU_BCH, TAU_DEG, TAU_LATTICE, BCHReport,
-                           _coeff_a, _on_lattice, exp_stem_product)
-from slicestar.errors import (BadExampleInput, DegenerateAngle, NotExponential,
+                           _coeff_a, _on_lattice)
+from slicestar.continuation import BranchContinuation
+from slicestar.errors import (BadExampleInput, HitsVLocus, NotExponential,
                               VanishingVectorPart)
+from slicestar.slicefn import ContinuedFunction
+from slicestar.starlog import _anchor
 
 DOM = Domain(0.0, 1.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -203,8 +208,9 @@ def test_condition_obstruction_tracks_product_vsym(rng):
         assert abs(theta - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
-def _exp_stem_product_kernels(fz: CQuaternion, gz: CQuaternion) -> tuple:
-    """(C, W, f0 + g0) built from the kernels, as exp_stem_product was."""
+def _product_kernels(fz: CQuaternion, gz: CQuaternion) -> tuple:
+    """(C, W, f0 + g0) of the product of the exponential stems,
+    e^{f0+g0} (C + W), built from the kernels."""
     cf, sf = even_trig(fz.vec_norm2())
     cg, sg = even_trig(gz.vec_norm2())
     c = cf * cg - sf * sg * cq_dot(fz, gz)
@@ -233,8 +239,7 @@ def test_on_lattice_matches_distance_threshold(k):
 
 
 def _condition_reference(f, g) -> BCHReport:
-    """The scan on exp_stem_product's C, with f_v^s, g_v^s and the wedge
-    from the kernels, as bch_condition was."""
+    """The scan with C, f_v^s, g_v^s and the wedge from the kernels."""
     pts = f.domain.mesh_points(CONDITION_SAMPLES)
     values = []
     lattice_ok = True
@@ -242,7 +247,7 @@ def _condition_reference(f, g) -> BCHReport:
     scale_max = 1.0
     for z in pts:
         fz, gz = f.stem_at(z), g.stem_at(z)
-        c = exp_stem_product(fz, gz)[0]
+        c = _product_kernels(fz, gz)[0]
         fvs, gvs = fz.vec_norm2(), gz.vec_norm2()
         values.append(fvs * (1 - c * c))
         wedge_max = max(wedge_max, cq_wedge(fz, gz).norm())
@@ -258,19 +263,6 @@ def _condition_reference(f, g) -> BCHReport:
 def _report_bits(rep: BCHReport) -> tuple:
     return (rep.points, [(v.real.hex(), v.imag.hex()) for v in rep.values],
             rep.min_abs.hex(), rep.lattice_ok, rep.commuting, rep.admissible, rep.tol)
-
-
-_CQ_ENTRIES = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
-_CQS = st.builds(CQuaternion, _CQ_ENTRIES, _CQ_ENTRIES, _CQ_ENTRIES, _CQ_ENTRIES)
-
-
-@given(_CQS, _CQS)
-def test_exp_stem_product_bitwise_matches_kernels(fz, gz):
-    c, w, h0 = exp_stem_product(fz, gz)
-    want_c, want_w, want_h0 = _exp_stem_product_kernels(fz, gz)
-    assert type(w) is CQuaternion and stem_bits(w) == stem_bits(want_w)
-    assert [(x.real.hex(), x.imag.hex()) for x in (c, h0)] == \
-        [(x.real.hex(), x.imag.hex()) for x in (want_c, want_h0)]
 
 
 def _constants(dom, *quats) -> tuple:
@@ -416,8 +408,8 @@ def test_combine_stem_symmetry(rng):
 
 
 def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
-    # the continuation state carries W and h0, so a fresh point costs one
-    # (C, W) evaluation per step (two even_trig) plus sin(theta)/theta
+    # the continuation state carries the product P = exp(F) exp(G), so a
+    # fresh point costs one P per step: two even_trig, inside cq_exp
     while True:
         f = rand_poly(rng, DOM, scale=0.6, deg=1)
         g = rand_poly(rng, DOM, scale=0.6, deg=1)
@@ -430,7 +422,7 @@ def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
         calls[0] += 1
         return even_trig(w)
 
-    monkeypatch.setattr(slicestar.bch, "even_trig", counted)
+    monkeypatch.setattr(slicestar.cquaternion, "even_trig", counted)
     h = bch_combine(f, g, report=rep)
     pts = DOM.sample_points(rng, 300)
     calls[0] = 0
@@ -453,7 +445,7 @@ def test_combine_batch_walk_matches_pointwise_queries(rng, dom):
     pts = dom.sample_points(rng, 200)
     queries = pts[100:] + [dom.center] + pts[:120]
     assert inputs_bits(batch.with_inputs_at(queries)) == \
-        inputs_bits(map(point.with_inputs, queries))
+        inputs_bits(one_at_a_time(point, queries))
     assert_same_nodes(batch, point)
     assert batch.with_inputs_at([]) == []
 
@@ -467,22 +459,77 @@ def test_combine_batch_of_commuting_pair(rng, dom):
     h = bch_combine(f, g)
     pts = dom.sample_points(rng, 50)
     pts += pts[:5]
-    assert inputs_bits(h.with_inputs_at(pts)) == inputs_bits(map(h.with_inputs, pts))
+    assert inputs_bits(h.with_inputs_at(pts)) == inputs_bits(one_at_a_time(h, pts))
     assert h.with_inputs_at([]) == []
+    # (H, P): f + g and the product of the exponential stems
+    for z, (hz, pz) in zip(pts, h.with_inputs_at(pts)):
+        fz, gz = f.stem_at(z), g.stem_at(z)
+        assert stem_bits(hz) == stem_bits(fz + gz)
+        assert stem_bits(pz) == stem_bits(cq_mul(cq_exp(fz), cq_exp(gz)))
 
 
 def test_combine_degenerate_angle():
-    # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so sin(theta) = 0 and the
-    # vector part cannot be recovered; the scan rejects the pair (f_v^s = pi^2
-    # is on the lattice), so force the report through
+    # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so P_v^s = sin^2(theta) = 0
+    # and the vector part cannot be recovered; the scan rejects the pair
+    # (f_v^s = pi^2 is on the lattice), so force the report through
     f = constant(Quaternion(0, math.pi, 0, 0), DOM)
     g = constant(Quaternion(0, 0, 2 * math.pi, 0), DOM)
     rep = bch_condition(f, g)
     assert not rep.admissible and not rep.commuting
     rep.admissible = True
     h = bch_combine(f, g, report=rep)
-    with pytest.raises(DegenerateAngle):
+    with pytest.raises(HitsVLocus):
         h.stem_at(0.2 + 0.1j)
+
+
+def _angle_walk(f, g) -> ContinuedFunction:
+    """h = f0 + g0 + W / sincr(theta^2) of the angle walk: theta solves
+    cos(theta) = C, seeded with the principal arccos at the domain anchor
+    and continued by the arccos +- 2 pi k nearest the previous angle,
+    refusing moves beyond 0.5.  The reference for ``bch_combine``, which
+    continues the logarithm of the product instead."""
+    dom = f.domain
+    fstem, gstem = f._stem, g._stem
+    anchor = _anchor(dom, dom.center)
+    c, w, h0 = _product_kernels(fstem(anchor), gstem(anchor))
+
+    def stepper(z0: complex, v0: tuple, z1: complex):
+        c, w, h0 = _product_kernels(fstem(z1), gstem(z1))
+        base, th0 = cmath.acos(c), v0[0]
+        best = min((sign * base + 2 * math.pi * round((th0.real - sign * base.real)
+                                                      / (2 * math.pi))
+                    for sign in (1.0, -1.0)), key=lambda t: abs(t - th0))
+        return (best, w, h0) if abs(best - th0) <= 0.5 else HitsVLocus
+
+    def read(z: complex, state: tuple) -> tuple:
+        theta, w, h0 = state
+        v0, v1, v2, v3 = w / even_trig(theta * theta).sincr
+        return (CQuaternion(h0 + v0, v1, v2, v3),)
+
+    cont = BranchContinuation(anchor, (cmath.acos(c), w, h0), stepper, dom)
+    return ContinuedFunction.from_branch(read, cont)
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_combine_matches_the_angle_walk(rng, dom):
+    # the logarithm of P = exp(F) exp(G) is s + W theta / sin(theta) on the
+    # branch seeded at the anchor, so h is the angle walk's to rounding
+    worst = 0.0
+    for scale in (0.6, 0.9):
+        built = 0
+        while built < 6:
+            f = rand_poly(rng, dom, scale=scale, deg=1)
+            g = rand_poly(rng, dom, scale=scale, deg=1)
+            rep = bch_condition(f, g)
+            if not rep.admissible or rep.commuting:
+                continue
+            built += 1
+            pts = dom.sample_points(rng, 32)
+            got = bch_combine(f, g, report=rep).with_inputs_at(pts)
+            want = _angle_walk(f, g).with_inputs_at(pts)
+            for (hz, _), (ref,) in zip(got, want):
+                worst = max(worst, (hz - ref).norm() / max(1.0, ref.norm()))
+    assert worst <= 1e-13
 
 
 # -- derivative of the *-exponential --------------------------------------------

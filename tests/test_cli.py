@@ -509,8 +509,8 @@ def test_log_and_root_stem_calls_per_sample(capsys, monkeypatch, verb, fn, basep
 
 
 def test_bch_stem_calls_per_sample(capsys, monkeypatch):
-    # the residual's F(z) and G(z) come from bch_combine's continuation
-    # state, so each h sample costs one call of each stem
+    # the residual's product exp(F(z)) exp(G(z)) comes from bch_combine's
+    # continuation state, so each h sample costs one call of each stem
     calls = _count_stem_calls(monkeypatch)
     seen = {}
     for samples in (1, 32):
@@ -533,6 +533,28 @@ def test_bch_stem_calls_per_sample(capsys, monkeypatch):
 def test_misspelled_tol_key_exits_2(capsys, monkeypatch, argv, message):
     monkeypatch.chdir(DATA)
     _assert_one_line_config_error(main(argv), capsys, message)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize("argv, key", [
+    (["bch", "--f", "bch-f.json", "--g", "bch-g.json", "--samples", "2"], "bch"),
+    (["verify", "--suite", "algebra", "--samples", "5"], "cq_exp_inverse"),
+])
+def test_infinite_tol_exits_2(capsys, monkeypatch, argv, key, value):
+    # an infinite tolerance passes every residual (or, on bch, admits every
+    # pair), and the report would hold a non-JSON Infinity
+    monkeypatch.chdir(DATA)
+    _assert_one_line_config_error(main(argv + ["--tol", f"{key}={value}"]), capsys,
+                                  f"--tol {key} must be finite, got {value!r}")
+
+
+@pytest.mark.parametrize("verb", ["log", "root"])
+@pytest.mark.parametrize("basepoint", ["nan,0", "inf,0", "0.1,-inf", "0.1,nan", "nan"])
+def test_non_finite_basepoint_exits_2(capsys, verb, basepoint):
+    argv = GRID_VERBS[verb] + ["--samples", "2"]
+    argv[argv.index("--basepoint") + 1] = basepoint
+    _assert_one_line_config_error(main(argv), capsys,
+                                  f"--basepoint must be finite, got {basepoint!r}")
 
 
 def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from conftest import (assert_same_nodes, continuation_of, generic_poly, inputs_bits,
-                      rand_quat, stem_bits)
+                      one_at_a_time, rand_quat, stem_bits)
 from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        constant, cq_exp, identity, log_translate, polynomial,
                        quat_exp, slice_preserving, sqrt_vsym, star_exp,
@@ -167,8 +167,6 @@ def test_star_log_real_constraint(rng):
     f = generic_poly(rng, DOM, deg=2)
     with pytest.raises(JNotDefined):
         star_log(f, LogBranch(1, 0, 0.1 + 0j))
-    with pytest.raises(JNotDefined):
-        LogBranch(1, 1, 0.0j, real_constraint=True)
     # admissible branch is real on the real trace
     g = star_log(f, LogBranch(2, -2, 0.1 + 0j))
     for t in (-0.8, -0.3, 0.0, 0.4, 0.85):
@@ -486,7 +484,7 @@ def test_batch_walk_matches_pointwise_queries(rng, dom):
     f = generic_poly(rng, dom, deg=2)
     pts = dom.sample_points(rng, 400)
     batch, point = star_log(f, _branch(dom)), star_log(f, _branch(dom))
-    assert inputs_bits(batch.with_inputs_at(pts)) == inputs_bits(map(point.with_inputs, pts))
+    assert inputs_bits(batch.with_inputs_at(pts)) == inputs_bits(one_at_a_time(point, pts))
     assert_same_nodes(batch, point)
     # the stem read pointwise afterwards agrees with the batch's stems
     assert [stem_bits(batch.stem_at(z)) for z in pts] == \
@@ -505,11 +503,11 @@ def test_batch_walk_edge_cases(rng, dom):
     earlier = pts[:30]
     for g in (batch, point):
         for z in earlier:
-            g.with_inputs(z)
+            g.with_inputs_at([z])
     anchor = continuation_of(batch).anchor
     queries = pts[20:] + pts[50:60] + [anchor, anchor.conjugate()] + pts[:5] + [anchor]
     assert inputs_bits(batch.with_inputs_at(queries)) == \
-        inputs_bits(map(point.with_inputs, queries))
+        inputs_bits(one_at_a_time(point, queries))
     assert_same_nodes(batch, point)
 
 
@@ -537,7 +535,7 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
     # one fresh branch; every value is the single-threaded one, bit for bit
     f = generic_poly(rng, dom, deg=2)
     pts = dom.sample_points(rng, 400)
-    single = inputs_bits(map(star_log(f, _branch(dom)).with_inputs, pts))
+    single = inputs_bits(one_at_a_time(star_log(f, _branch(dom)), pts))
     g = star_log(f, _branch(dom))
     got: list[dict] = [{} for _ in range(4)]
     start = threading.Barrier(4)
@@ -553,7 +551,7 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
                 got[i].update(zip(chunk, inputs_bits(values)))
         else:
             for j in order:
-                got[i][j] = inputs_bits([g.with_inputs(pts[j])])[0]
+                got[i][j] = inputs_bits(g.with_inputs_at([pts[j]]))[0]
 
     threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -595,7 +593,7 @@ def test_sqrt_vsym_batch_matches_pointwise_and_reference(rng, dom):
     pts = dom.sample_points(rng, 300)
     batch, point, ref = (sqrt_vsym(f, bp, -1) for _ in range(3))
     got = batch.with_inputs_at(pts)
-    assert inputs_bits(got) == inputs_bits(map(point.with_inputs, pts))
+    assert inputs_bits(got) == inputs_bits(one_at_a_time(point, pts))
     assert_same_nodes(batch, point)
     assert [stem_bits(point.stem_at(z)) for z in pts] == [stem_bits(v[0]) for v in got]
     reference = slice_preserving(_mirrored_scalar(continuation_of(ref), dom), dom)
@@ -620,7 +618,7 @@ def test_star_log_refuses_indices_past_the_precision_limit(rng):
     # the largest accepted index keeps the round trip within the suites' 1e-8
     g = star_log(f, LogBranch(MAX_BRANCH_INDEX, -MAX_BRANCH_INDEX, bp))
     for z in DOM_OFF.sample_points(rng, 50):
-        gz, fz = g.with_inputs(z)
+        gz, fz = g.with_inputs_at([z])[0]
         assert (cq_exp(gz) - fz).norm() <= 1e-8 * max(1.0, fz.norm())
 
 

@@ -10,26 +10,28 @@ e^{f0+g0} (C + W) where
     C = cf*cg - sf*sg*<f_v, g_v>_*
     W = cf*sg*g_v + cg*sf*f_v + sf*sg*(f_v ^ g_v),
 
-and C^2 + n(W) = 1 identically.  With s = f0 + g0 and cos(theta) = C,
-the product P = exp(F) exp(G) has P0 = e^s cos(theta) and
-P_v^s = e^{2s} sin^2(theta), so P0 +- i sqrt(P_v^s) = e^{s +- i theta}.
-h is the *-logarithm of P: ``starlog.continued_log`` continues it as it
-continues any logarithm, and its G = u0 + (u1/m) * vec P is
+and C^2 + n(W) = 1 identically.  With s = f0 + g0 the product
+P = exp(F) exp(G) is e^s Q, where Q = exp(F_v) exp(G_v) = C + W has
+Q_v^s = sin^2(theta) for cos(theta) = C, so Q0 +- i sqrt(Q_v^s) =
+e^{+- i theta}.  h is s plus the *-logarithm of Q: ``starlog.continued_log``
+continues that logarithm as it continues any other, and its
+s + u0 + (u1/m) * vec Q is
 
     h = s + W * theta / sin(theta)
 
-on the branch seeded at the domain anchor with u0 = s and u1 the
-principal arccos of C.  The solver builds no W: vec P is e^s W.  Where
-|P_v^s| <= TAU_CLASSIFY the vector part is not recoverable and the read
-raises HitsVLocus.  The obstruction to the product being a *-exponential
-is
+on the branch seeded at the domain anchor with u0 = 0 and u1 the
+principal arccos of Q0 = C.  The walk never evaluates e^s, so neither
+its refusal nor its range depends on the scalar parts: where
+|Q_v^s| = |sin^2(theta)| <= TAU_CLASSIFY the vector part is not
+recoverable and the read raises HitsVLocus.  The solver builds no W: Q
+is the product of two cq_exp.  The obstruction to the product being a
+*-exponential is
 
     Theta = f_v^s * n(W) = f_v^s * (1 - C^2),
 
 which equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s and is entire: it
-needs no division by f_v^s.  One scalar helper defines C: the admissibility
-scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it, and the solver's seed
-reads C.
+needs no division by f_v^s.  One scalar helper defines C, and the
+admissibility scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it.
 
 The slice derivative of exp_*(f) has the closed form
 
@@ -199,11 +201,11 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     of the result is the list of (H(z), P(z)), with P = exp(F) exp(G) the
     product of the exponential stems.
 
-    Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h is the
-    *-logarithm of the product, continued by ``starlog.continued_log``
-    from the branch with h0 = f0 + g0 and the principal arccos of C at the
-    domain anchor, which is real on domains meeting R, so the result is a
-    stem function.
+    Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h is
+    f0 + g0 plus the *-logarithm of exp(F_v) exp(G_v), continued by
+    ``starlog.continued_log`` from the branch with the principal arccos
+    of C at the domain anchor, which is real on domains meeting R, so the
+    result is a stem function.
     """
     f._require_same_domain(g)
     if report is None:
@@ -214,33 +216,34 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         total = f + g
 
         def summed_at(zs: list) -> list:
-            pairs = [(fstem(z), gstem(z)) for z in zs]
-            return [(fz + gz, cq_mul(cq_exp(fz), cq_exp(gz))) for fz, gz in pairs]
+            return [(fz + gz, fz, gz) for fz, gz in zip(map(fstem, zs), map(gstem, zs))]
 
-        return ContinuedFunction(total._stem, summed_at, dom, None, total.node)
-    if not report.admissible:
+        h = ContinuedFunction(total._stem, summed_at, dom, None, total.node)
+    elif not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
             "the product is not a *-exponential on this domain")
+    else:
+        # the walk sees Q = exp(F_v) exp(G_v) = C + W, never e^s: its
+        # refusal and its range do not depend on the scalar parts
+        def parts(z: complex) -> tuple:
+            fz, gz = fstem(z), gstem(z)
+            return fz.z0 + gz.z0, cq_mul(cq_exp(fz.vec()), cq_exp(gz.vec())), fz, gz
 
-    def product(z: complex) -> CQuaternion:
-        return cq_mul(cq_exp(fstem(z)), cq_exp(gstem(z)))
+        # the seed is the branch h = s + W theta / sin(theta) at the anchor:
+        # there Q0 +- i sin(theta) = e^{+- i theta} with theta = arccos Q0
+        anchor = _anchor(dom, dom.center)
+        pa = parts(anchor)
+        theta = cmath.acos(pa[1].z0)
+        m, near = cmath.sqrt(pa[1].vec_norm2()), cmath.sin(theta)
+        m = m if abs(m - near) <= abs(m + near) else -m
+        h = continued_log(parts, anchor, (m, 1j * theta, -1j * theta, pa), dom)
+    inputs_at = h.with_inputs_at
 
-    # the seed is the branch h = s + W theta / sin(theta) at the anchor, with
-    # s = f0 + g0 and theta = arccos C: there P0 +- i sqrt(P_v^s) = e^{s +- i theta}
-    anchor = _anchor(dom, dom.center)
-    fa, ga = fstem(anchor), gstem(anchor)
-    pa = cq_mul(cq_exp(fa), cq_exp(ga))
-    s = fa.z0 + ga.z0
-    theta = cmath.acos(_product_terms(fa, ga)[0])
-    m = cmath.sqrt(pa.vec_norm2())
-    near = cmath.exp(s) * cmath.sin(theta)
-    if abs(m + near) < abs(m - near):
-        m = -m
-    la, lb = cmath.log(pa.z0 + 1j * m), cmath.log(pa.z0 - 1j * m)
-    la += 2j * math.pi * round((s.imag + theta.real - la.imag) / (2 * math.pi))
-    lb += 2j * math.pi * round((s.imag - theta.real - lb.imag) / (2 * math.pi))
-    return continued_log(product, anchor, (m, la, lb, pa), dom)
+    def with_product_at(zs: list) -> list:
+        return [(hz, cq_mul(cq_exp(fz), cq_exp(gz))) for hz, fz, gz in inputs_at(zs)]
+
+    return ContinuedFunction(h._stem, with_product_at, dom, h.branch, h.node)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -20,7 +20,8 @@ or log + 2 pi i k of the stem at that point, not a sum of increments
 along a path, so it does not depend on the order in which points are
 queried.  ``continued_log`` is this walk for any stem and seed: ``star_log``
 seeds it with the (h1, h2) branch, ``bch.bch_combine`` runs it on the
-product of two exponential stems.
+product of the exponentials of two vector parts and adds the scalar
+parts back.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R); on a domain off R the lift is built on the
@@ -152,23 +153,25 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def continued_log(stem: Callable[[complex], CQuaternion], anchor: complex,
+def continued_log(parts: Callable[[complex], tuple], anchor: complex,
                   seed: tuple, domain: Domain) -> ContinuedFunction:
-    """The *-logarithm G of ``stem`` continued from ``seed`` = (m, la, lb,
-    F(anchor)), a square root of F_v^s and logarithms of alpha and beta at
-    the anchor; ``with_inputs_at(zs)`` of the result is the list of
-    (G(z), F(z)).
+    """The *-logarithm continued from ``seed`` = (m, la, lb, parts(anchor)),
+    a square root of F_v^s and logarithms of alpha and beta at the anchor.
 
-    Each step evaluates the stem once, takes the square root of F_v^s
-    nearest the previous m, then the covering's ``log_pair_step`` of alpha
-    and beta, and keeps F for the read G = u0 + (u1/m) * vec F.  A read
-    where |m^2| = |F_v^s| <= TAU_CLASSIFY raises HitsVLocus: there u1/m
-    cannot recover the vector part.
+    ``parts(z)`` is (s, F, *inputs): the walk continues the logarithm G of
+    F, and ``with_inputs_at(zs)`` of the result is the list of
+    (s + G(z), *inputs(z)); s = None adds nothing.  Each step evaluates
+    ``parts`` once, takes the square root of F_v^s nearest the previous m,
+    then the covering's ``log_pair_step`` of alpha and beta, and keeps the
+    parts for the read G = u0 + (u1/m) * vec F.  A read where
+    |m^2| = |F_v^s| <= TAU_CLASSIFY raises HitsVLocus: there u1/m cannot
+    recover the vector part.
     """
 
-    # the state (m, la, lb, F) keeps the stem value of the last step
+    # the state (m, la, lb, parts) keeps the parts of the last step
     def stepper(z0: complex, v0: tuple, z1: complex):
-        fz = stem(z1)
+        pz = parts(z1)
+        fz = pz[1]
         m0, la, lb, _ = v0
         m = _sqrt_step(fz.vec_norm2(), m0)
         if isinstance(m, type):          # a refusal
@@ -178,17 +181,19 @@ def continued_log(stem: Callable[[complex], CQuaternion], anchor: complex,
         if isinstance(pair, type):
             return pair
         la, lb = pair
-        return m, la, lb, fz
+        return m, la, lb, pz
 
-    def read(z: complex, state: tuple) -> tuple[CQuaternion, CQuaternion]:
-        m, la, lb, fz = state
+    def read(z: complex, state: tuple) -> tuple:
+        m, la, lb, (s, fz, *inputs) = state
         if abs(m * m) <= TAU_CLASSIFY:
             raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
                              "the vector part of the logarithm is not recoverable")
         u0, u1 = from_log_pair(la, lb)
+        if s is not None:
+            u0 += s
         c = u1 / m
         _, f1, f2, f3 = fz
-        return _new(CQuaternion, (u0, c * f1, c * f2, c * f3)), fz
+        return (_new(CQuaternion, (u0, c * f1, c * f2, c * f3)), *inputs)
 
     cont = BranchContinuation(anchor, seed, stepper, domain)
     return ContinuedFunction.from_branch(read, cont)
@@ -228,12 +233,16 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         raise HitsVLocus(f"f^s has {sym.zeros} zero(s) in the disk; "
                          "no *-logarithm branch")
 
+    def parts(z: complex) -> tuple:
+        fz = stem(z)
+        return None, fz, fz
+
     fa = stem(anchor)
     m0 = cmath.sqrt(fa.vec_norm2())
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
     seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,
-            cmath.log(b0) + 2j * math.pi * branch.h2, fa)
-    return continued_log(stem, anchor, seed, dom)
+            cmath.log(b0) + 2j * math.pi * branch.h2, (None, fa, fa))
+    return continued_log(parts, anchor, seed, dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:

@@ -408,8 +408,8 @@ def test_combine_stem_symmetry(rng):
 
 
 def test_combine_even_trig_calls_per_fresh_point(rng, monkeypatch):
-    # the continuation state carries the product P = exp(F) exp(G), so a
-    # fresh point costs one P per step: two even_trig, inside cq_exp
+    # the continuation state carries Q = exp(F_v) exp(G_v), so a fresh
+    # point costs one Q per step: two even_trig, inside cq_exp
     while True:
         f = rand_poly(rng, DOM, scale=0.6, deg=1)
         g = rand_poly(rng, DOM, scale=0.6, deg=1)
@@ -469,7 +469,7 @@ def test_combine_batch_of_commuting_pair(rng, dom):
 
 
 def test_combine_degenerate_angle():
-    # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so P_v^s = sin^2(theta) = 0
+    # exp(pi i) exp(2 pi j) = -1: cos(theta) = -1, so Q_v^s = sin^2(theta) = 0
     # and the vector part cannot be recovered; the scan rejects the pair
     # (f_v^s = pi^2 is on the lattice), so force the report through
     f = constant(Quaternion(0, math.pi, 0, 0), DOM)
@@ -487,7 +487,7 @@ def _angle_walk(f, g) -> ContinuedFunction:
     cos(theta) = C, seeded with the principal arccos at the domain anchor
     and continued by the arccos +- 2 pi k nearest the previous angle,
     refusing moves beyond 0.5.  The reference for ``bch_combine``, which
-    continues the logarithm of the product instead."""
+    continues the logarithm of exp(F_v) exp(G_v) instead."""
     dom = f.domain
     fstem, gstem = f._stem, g._stem
     anchor = _anchor(dom, dom.center)
@@ -512,8 +512,8 @@ def _angle_walk(f, g) -> ContinuedFunction:
 
 @pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
 def test_combine_matches_the_angle_walk(rng, dom):
-    # the logarithm of P = exp(F) exp(G) is s + W theta / sin(theta) on the
-    # branch seeded at the anchor, so h is the angle walk's to rounding
+    # s plus the logarithm of exp(F_v) exp(G_v) is s + W theta / sin(theta)
+    # on the branch seeded at the anchor, so h is the angle walk's to rounding
     worst = 0.0
     for scale in (0.6, 0.9):
         built = 0
@@ -530,6 +530,52 @@ def test_combine_matches_the_angle_walk(rng, dom):
             for (hz, _), (ref,) in zip(got, want):
                 worst = max(worst, (hz - ref).norm() / max(1.0, ref.norm()))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("c0", [-12.0, 800.0])
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_combine_constant_pair_far_from_unit_scale(dom, c0):
+    # f = c0 + 0.5i, g = 0.5j: admitted and not commuting, though the product
+    # exp(f) exp(g) has |P_v^s| ~ 1.5e-11 at c0 = -12, below TAU_CLASSIFY,
+    # and overflows at c0 = 800; h is c0 plus the logarithm of
+    # exp(0.5i) exp(0.5j)
+    f = constant(Quaternion(c0, 0.5, 0, 0), dom)
+    g = constant(Quaternion(0, 0, 0.5, 0), dom)
+    rep = bch_condition(f, g)
+    assert rep.admissible and not rep.commuting
+    z = dom.center + 0.1j
+    hz = bch_combine(f, g, report=rep).stem_at(z)
+    want = bch_combine(constant(Quaternion(0, 0.5, 0, 0), dom), g).stem_at(z)
+    assert abs(hz.z0 - c0 - want.z0) <= 1e-14 * abs(c0)
+    assert (hz.vec() - want.vec()).norm() <= 1e-14
+    if c0 < 0:
+        product = cq_mul(cq_exp(f.stem_at(z)), cq_exp(g.stem_at(z)))
+        assert (cq_exp(hz) - product).norm() <= 1e-14 * product.norm()
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_combine_shifts_with_the_scalar_part(rng, dom):
+    # exp(f + c) = e^c exp(f) for a real constant c, so h shifts by c: the
+    # branch, its refusal and its range do not depend on e^c
+    built = 0
+    while built < 4:
+        f = rand_poly(rng, dom, scale=0.6, deg=1)
+        g = rand_poly(rng, dom, scale=0.6, deg=1)
+        rep = bch_condition(f, g)
+        if not rep.admissible or rep.commuting:
+            continue
+        built += 1
+        pts = dom.sample_points(rng, 32)
+        want = bch_combine(f, g, report=rep).with_inputs_at(pts)
+        for c in (-12.0, 12.0):
+            shifted = f + constant(Quaternion(c, 0, 0, 0), dom)
+            srep = bch_condition(shifted, g)
+            assert srep.admissible and not srep.commuting
+            got = bch_combine(shifted, g, report=srep).with_inputs_at(pts)
+            for (hz, pz), (ref, pref) in zip(got, want):
+                assert abs(hz.z0 - c - ref.z0) <= 1e-13 * max(1.0, abs(ref.z0))
+                assert (hz.vec() - ref.vec()).norm() <= 1e-13 * max(1.0, ref.norm())
+                assert (pz - pref * math.exp(c)).norm() <= 1e-13 * pz.norm()
 
 
 # -- derivative of the *-exponential --------------------------------------------

@@ -96,26 +96,23 @@ def _on_lattice(v: complex) -> bool:
     return abs(v) < TAU_LATTICE
 
 
-def product_vsym(f: SliceFunction, g: SliceFunction, q: Quaternion, *,
-                 decomposition=None) -> complex:
+def product_vsym(f: SliceFunction, g: SliceFunction, q: Quaternion) -> complex:
     """(f*g)_v^s at q in closed form:
 
         (f0 g1 + g0)^2 f_v^s + f^s (g_perp)_v^s,
 
-    with g = g1 f_v + g_perp the orthogonal split along f_v.  Equals the
-    directly computed (f*g)_v^s; needs f_v^s(q) != 0.
+    with g = g1 f_v + g_perp the orthogonal split along f_v, read at q's
+    own point: g1 = <g_v, f_v>_* / f_v^s, the quotient ``orth_decompose``
+    gives away from the zeros of f_v^s.  Equals the directly computed
+    (f*g)_v^s; raises VanishingVectorPart where |f_v^s(q)| < 1e-12.
     """
-    from .slicefn import orth_decompose
     z = f.slice_point(q)
     fz = f.stem_at(z)
     gz = g.stem_at(z)
     fvs = fz.vec_norm2()
     if abs(fvs) < 1e-12:
         raise VanishingVectorPart(f"f_v^s({q}) ~ 0; decomposition undefined")
-    if decomposition is None:
-        decomposition = orth_decompose(f, g)
-    g1, _ = decomposition
-    g1z = g1.scalar_value(z)
+    g1z = cq_dot(gz, fz) / fvs
     perp = gz.vec() - g1z * fz.vec()
     return (fz.z0 * g1z + gz.z0) ** 2 * fvs + fz.csym() * perp.vec_norm2()
 
@@ -198,52 +195,47 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
 def bch_combine(f: SliceFunction, g: SliceFunction, *,
                 report: Optional[BCHReport] = None) -> ContinuedFunction:
     """Solve exp_*(f) * exp_*(g) = exp_*(h) for h; ``with_inputs_at(zs)``
-    of the result is the list of (H(z), P(z)), with P = exp(F) exp(G) the
-    product of the exponential stems.
+    of the result is the list of (H(z), Q(z), F(z), G(z)), with
+    Q = exp(F_v) exp(G_v), so that exp(F) exp(G) = e^s Q for s = f0 + g0.
 
     Commuting pairs (f_v ^ g_v = 0) give h = f + g.  Otherwise h is
-    f0 + g0 plus the *-logarithm of exp(F_v) exp(G_v), continued by
-    ``starlog.continued_log`` from the branch with the principal arccos
-    of C at the domain anchor, which is real on domains meeting R, so the
-    result is a stem function.
+    s plus the *-logarithm of Q, continued by ``starlog.continued_log``
+    from the branch with the principal arccos of C at the domain anchor,
+    which is real on domains meeting R, so the result is a stem function.
+    Neither path evaluates e^s.
     """
     f._require_same_domain(g)
     if report is None:
         report = bch_condition(f, g)
     dom = f.domain
     fstem, gstem = f._stem, g._stem
+
+    # (s, Q, Q, F, G): the walk continues the logarithm of Q, and its read
+    # adds s back and passes (Q, F, G) on
+    def parts(z: complex) -> tuple:
+        fz, gz = fstem(z), gstem(z)
+        q = cq_mul(cq_exp(fz.vec()), cq_exp(gz.vec()))
+        return fz.z0 + gz.z0, q, q, fz, gz
+
     if report.commuting:
         total = f + g
 
         def summed_at(zs: list) -> list:
-            return [(fz + gz, fz, gz) for fz, gz in zip(map(fstem, zs), map(gstem, zs))]
+            return [(fz + gz, q, fz, gz) for _, q, _, fz, gz in map(parts, zs)]
 
-        h = ContinuedFunction(total._stem, summed_at, dom, None, total.node)
-    elif not report.admissible:
+        return ContinuedFunction(total._stem, summed_at, dom, None, total.node)
+    if not report.admissible:
         raise NotExponential(
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
             "the product is not a *-exponential on this domain")
-    else:
-        # the walk sees Q = exp(F_v) exp(G_v) = C + W, never e^s: its
-        # refusal and its range do not depend on the scalar parts
-        def parts(z: complex) -> tuple:
-            fz, gz = fstem(z), gstem(z)
-            return fz.z0 + gz.z0, cq_mul(cq_exp(fz.vec()), cq_exp(gz.vec())), fz, gz
-
-        # the seed is the branch h = s + W theta / sin(theta) at the anchor:
-        # there Q0 +- i sin(theta) = e^{+- i theta} with theta = arccos Q0
-        anchor = _anchor(dom, dom.center)
-        pa = parts(anchor)
-        theta = cmath.acos(pa[1].z0)
-        m, near = cmath.sqrt(pa[1].vec_norm2()), cmath.sin(theta)
-        m = m if abs(m - near) <= abs(m + near) else -m
-        h = continued_log(parts, anchor, (m, 1j * theta, -1j * theta, pa), dom)
-    inputs_at = h.with_inputs_at
-
-    def with_product_at(zs: list) -> list:
-        return [(hz, cq_mul(cq_exp(fz), cq_exp(gz))) for hz, fz, gz in inputs_at(zs)]
-
-    return ContinuedFunction(h._stem, with_product_at, dom, h.branch, h.node)
+    # the seed is the branch h = s + W theta / sin(theta) at the anchor:
+    # there Q0 +- i sin(theta) = e^{+- i theta} with theta = arccos Q0
+    anchor = _anchor(dom, dom.center)
+    pa = parts(anchor)
+    theta = cmath.acos(pa[1].z0)
+    m, near = cmath.sqrt(pa[1].vec_norm2()), cmath.sin(theta)
+    m = m if abs(m - near) <= abs(m + near) else -m
+    return continued_log(parts, anchor, (m, 1j * theta, -1j * theta, pa), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -303,9 +303,13 @@ def cmd_bch(args) -> int:
         pts = _function_samples(f, args.seed, min(args.samples, 32))
         residual = 0.0
         hs = []
-        for z, (hz, pz) in zip(pts, h.with_inputs_at(pts)):
+        # exp(F) exp(G) = e^s Q and exp(H) = e^s exp(H - s): the residual is
+        # relative to e^{Re s}, which is never evaluated
+        for z, (hz, qz, fz, gz) in zip(pts, h.with_inputs_at(pts)):
             hs.append((z.real, z.imag, *_cq_floats(hz)))
-            residual = max(residual, (pz - cq_exp(hz)).norm())
+            h0, h1, h2, h3 = hz
+            shifted = CQuaternion(h0 - (fz.z0 + gz.z0), h1, h2, h3)
+            residual = max(residual, (qz - cq_exp(shifted)).norm())
         payload["h_samples"] = _Rows(_h_sample, hs)
         payload["residual"] = residual
     _emit(args, payload)

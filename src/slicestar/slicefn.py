@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .continuation import locus_scan
 from .cquaternion import CQuaternion, cq_dot, cq_mul
 from .errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                      NearBoundary, NonIsolatedZero, OutOfDomain, RealAxis,
@@ -46,10 +47,9 @@ QUAD_RADIUS = 0.1
 #: minimum boundary distance at which derivatives are still attempted
 BOUNDARY_FLOOR = 1e-6
 
-#: mesh points with which orth_decompose looks for zeros of f_v^s
-ORTH_SCAN = 200
-
-#: |f_v^s| below this fraction of its mesh maximum counts as a zero
+#: |f_v^s| below this fraction of its maximum on the disk counts as a zero,
+#: and so does a Fourier coefficient of g1 on a ring below this fraction of
+#: g1's largest value there (``orth_decompose``)
 ORTH_REL_TOL = 1e-8
 
 #: largest difference of centres and of radii of domains that match
@@ -105,7 +105,7 @@ class Domain:
         return (abs(self.center - other.center) <= DOMAIN_MATCH_TOL
                 and abs(self.radius - other.radius) <= DOMAIN_MATCH_TOL)
 
-    def mesh_points(self, n: int = 160) -> list[complex]:
+    def mesh_points(self, n: int) -> list[complex]:
         """Deterministic points covering the domain (rings around each center)."""
         pts: list[complex] = []
         centers = [self.center]
@@ -556,59 +556,65 @@ class ContinuedFunction(SliceFunction):
 # -- orthogonal decomposition along f_v ---------------------------------------
 
 
-def _cluster(points: list[complex], spacing: float) -> list[complex]:
-    centers: list[list] = []
-    for z in points:
-        for c in centers:
-            if abs(z - c[0] / c[1]) < spacing:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            centers.append([z, 1])
-    return [c[0] / c[1] for c in centers]
-
-
 def orth_decompose(f: SliceFunction, g: SliceFunction):
     """Split g = g1 * f_v + g_perp with g1 slice preserving and <f_v, g_perp>_* = 0.
 
-    g1 = <g_v, f_v>_* / f_v^s wherever f_v^s != 0; across isolated zeros of
-    f_v^s the value is recovered by the Cauchy mean over a small circle.
-    Requires f_v^s not identically zero on any component; then the wedge
-    identity (f_v ^ g_perp)^s = f_v^s * g_perp_v^s holds.
+    g1 = <g_v, f_v>_* / f_v^s where |f_v^s| exceeds ORTH_REL_TOL of its
+    maximum on the disk, read by one ``locus_scan`` of the boundary circle.
+    Nearer a zero z of f_v^s, g1(z) is the Cauchy mean of the quotient on a
+    ring round z, halved until the ring's own scan counts N < QUAD_POINTS/2
+    zeros inside, which bound the order of any pole, and the ring values'
+    modes -1 .. -N (the Laurent coefficients a_{-k} eps^{-k}) and
+    QUAD_POINTS/2 (convergence) vanish (Trefethen & Weideman, SIAM Review
+    56, 2014).  Where a ring shows a pole, f_v^s vanishes to a higher order
+    than <g_v, f_v>_* and g1(z) raises VanishingVectorPart naming z; where
+    no ring clears the zeros, NonIsolatedZero.  With f_v^s not identically
+    zero, (f_v ^ g_perp)^s = f_v^s * g_perp_v^s.
     """
     f._require_same_domain(g)
     dom = f.domain
     fs = f._stem
     gs = g._stem
 
-    pts = dom.mesh_points(ORTH_SCAN)
-    vals = [fs(z).vec_norm2() for z in pts]
-    scale = max(abs(v) for v in vals)
+    def vsym(z: complex) -> tuple[complex]:
+        return (fs(z).vec_norm2(),)
+
+    scale = locus_scan(vsym, dom.center, dom.radius)[0].max_abs
     if scale < 1e-14:
         raise VanishingVectorPart("f_v^s vanishes identically (within tolerance)")
-
     zero_thresh = ORTH_REL_TOL * scale
-    spacing = 4.0 * dom.radius / math.sqrt(max(len(pts), 1))
-    zeros = _cluster([z for z, v in zip(pts, vals) if abs(v) < math.sqrt(zero_thresh * scale)],
-                     spacing)
+    roots = _unit_roots(QUAD_POINTS)
+    half = QUAD_POINTS // 2
 
     def raw_g1(z: complex) -> complex:
         fz = fs(z)
         return cq_dot(gs(z), fz) / fz.vec_norm2()
 
+    def mode(vals: list, k: int) -> float:
+        return abs(sum(v * roots[j * k % QUAD_POINTS][0] for j, v in enumerate(vals)))
+
     def g1_value(z: complex) -> complex:
         if abs(fs(z).vec_norm2()) > zero_thresh:
             return raw_g1(z)
-        # Cauchy mean on a circle that stays clear of the other zeros
-        others = [abs(z - z0) for z0 in zeros if abs(z - z0) > spacing / 2]
-        eps = min([dom.boundary_distance(z) / 2, QUAD_RADIUS] + [d / 2 for d in others])
+        d = dom.boundary_distance(z)
+        eps, pole = min(d / 2, QUAD_RADIUS), None
         for _ in range(6):
-            ring = [z + eps * cmath.exp(2j * math.pi * k / QUAD_POINTS)
-                    for k in range(QUAD_POINTS)]
-            if all(abs(fs(w).vec_norm2()) > zero_thresh for w in ring):
-                return sum(raw_g1(w) for w in ring) / QUAD_POINTS
+            # a zero at z keeps |f_v^s| below scale * eps / d on the ring
+            # (Schwarz's lemma); the ring must stay above ORTH_REL_TOL of that,
+            # and no ring fits round a point of the boundary (d = 0)
+            n, low, _ = locus_scan(vsym, z, eps)[0]
+            if n is not None and n < half and low * d > zero_thresh * eps:
+                vals = [raw_g1(z + eps * w) for w, _ in roots]
+                tol = ORTH_REL_TOL * QUAD_POINTS * max(map(abs, vals))
+                if any(mode(vals, k) > tol for k in range(1, n + 1)):
+                    pole = eps
+                elif mode(vals, half) <= tol:
+                    return sum(vals) / QUAD_POINTS
             eps /= 2
+        if pole is not None:
+            raise VanishingVectorPart(
+                f"g1 = <g_v, f_v>_*/f_v^s has a pole within {pole:.3g} of {z}: f_v^s "
+                "vanishes there to a higher order than <g_v, f_v>_*")
         raise NonIsolatedZero(f"no isolated-zero circle around {z}")
 
     g1 = slice_preserving(g1_value, dom)

@@ -17,8 +17,9 @@ from conftest import (generic_poly, left_mul_matrix, quat_exp_series,
 from slicestar import (BranchIndex, CQuaternion, Domain, I_UNIT, LiftPoint,
                        LogBranch, Quaternion, SampledPath, branch_translate,
                        bch_combine, bch_condition, concatenate, constant,
-                       cq_exp, cq_mul, cq_pow, deck_translate, idempotent_plus,
-                       identity, lift_path, lifted_exp, lifted_exp_preimage,
+                       cq_dot, cq_exp, cq_mul, cq_pow, deck_translate,
+                       idempotent_plus, identity, lift_path, lifted_exp,
+                       lifted_exp_preimage,
                        log_translate, loop_monodromy, orth_decompose,
                        polynomial, product_vsym, project, quat_exp, quat_mul,
                        representation_formula, root_deck_action,
@@ -275,19 +276,24 @@ def test_acceptance_6_bch():
         rhs = cq_mul(z, w).vec_norm2()
         worst_pv = max(worst_pv, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
-    # and at slice-function level through orth_decompose
+    # and at slice-function level, where orth_decompose's g1 is the quotient
+    # <g_v, f_v>_* / f_v^s that product_vsym reads at its own point
     checked = 0
     while checked < 1000:
         f = generic_poly(rng, dom, deg=1)
         g = rand_poly(rng, dom, deg=1)
-        dec = orth_decompose(f, g)
+        g1 = orth_decompose(f, g)[0]
         direct = f.star(g).vsym()
         for z in dom.sample_points(rng, 50):
             q = Quaternion(z.real, abs(z.imag), 0, 0)
             zq = f.slice_point(q)
-            lhs = product_vsym(f, g, q, decomposition=dec)
+            lhs = product_vsym(f, g, q)
             rhs = direct.scalar_value(zq)
             worst_pv = max(worst_pv, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            fz = f.stem_at(zq)
+            quotient = cq_dot(g.stem_at(zq), fz) / fz.vec_norm2()
+            worst_pv = max(worst_pv, abs(g1.scalar_value(zq) - quotient)
+                           / max(1.0, abs(quotient)))
             checked += 1
 
     dom_off = Domain(1.5j, 0.8)

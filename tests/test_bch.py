@@ -12,7 +12,7 @@ from conftest import (assert_same_nodes, generic_poly, inputs_bits, one_at_a_tim
 from slicestar import (CQuaternion, Domain, I_UNIT, LogBranch, Locus,
                        Quaternion, bch_combine, bch_condition, classify,
                        constant, cq_dot, cq_exp, cq_mul, cq_wedge, even_trig,
-                       exp_derivative_bracket, orth_decompose, polynomial,
+                       exp_derivative_bracket, polynomial,
                        product_vsym, quat_exp, quat_mul, slice_preserving,
                        star_exp, star_exp_derivative, star_exp_derivative_stem,
                        star_log, stem_symmetry_defect, vanishing_vsym_partner)
@@ -35,12 +35,11 @@ def test_product_vsym_equals_direct(rng):
     for _ in range(8):
         f = generic_poly(rng, DOM, deg=1)
         g = rand_poly(rng, DOM, deg=2)
-        dec = orth_decompose(f, g)
         direct = f.star(g).vsym()
         for z in DOM.sample_points(rng, 25):
             q = Quaternion(z.real, abs(z.imag), 0, 0)
             zq = f.slice_point(q)
-            lhs = product_vsym(f, g, q, decomposition=dec)
+            lhs = product_vsym(f, g, q)
             rhs = direct.scalar_value(zq)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -461,11 +460,13 @@ def test_combine_batch_of_commuting_pair(rng, dom):
     pts += pts[:5]
     assert inputs_bits(h.with_inputs_at(pts)) == inputs_bits(one_at_a_time(h, pts))
     assert h.with_inputs_at([]) == []
-    # (H, P): f + g and the product of the exponential stems
-    for z, (hz, pz) in zip(pts, h.with_inputs_at(pts)):
-        fz, gz = f.stem_at(z), g.stem_at(z)
+    # (H, Q, F, G): f + g, the product of the exponentials of the vector
+    # parts, and the two inputs
+    for z, (hz, qz, fz, gz) in zip(pts, h.with_inputs_at(pts)):
+        assert stem_bits(fz) == stem_bits(f.stem_at(z))
+        assert stem_bits(gz) == stem_bits(g.stem_at(z))
         assert stem_bits(hz) == stem_bits(fz + gz)
-        assert stem_bits(pz) == stem_bits(cq_mul(cq_exp(fz), cq_exp(gz)))
+        assert stem_bits(qz) == stem_bits(cq_mul(cq_exp(fz.vec()), cq_exp(gz.vec())))
 
 
 def test_combine_degenerate_angle():
@@ -527,7 +528,7 @@ def test_combine_matches_the_angle_walk(rng, dom):
             pts = dom.sample_points(rng, 32)
             got = bch_combine(f, g, report=rep).with_inputs_at(pts)
             want = _angle_walk(f, g).with_inputs_at(pts)
-            for (hz, _), (ref,) in zip(got, want):
+            for (hz, *_), (ref,) in zip(got, want):
                 worst = max(worst, (hz - ref).norm() / max(1.0, ref.norm()))
     assert worst <= 1e-13
 
@@ -572,10 +573,11 @@ def test_combine_shifts_with_the_scalar_part(rng, dom):
             srep = bch_condition(shifted, g)
             assert srep.admissible and not srep.commuting
             got = bch_combine(shifted, g, report=srep).with_inputs_at(pts)
-            for (hz, pz), (ref, pref) in zip(got, want):
+            for (hz, qz, *_), (ref, qref, *_) in zip(got, want):
                 assert abs(hz.z0 - c - ref.z0) <= 1e-13 * max(1.0, abs(ref.z0))
                 assert (hz.vec() - ref.vec()).norm() <= 1e-13 * max(1.0, ref.norm())
-                assert (pz - pref * math.exp(c)).norm() <= 1e-13 * pz.norm()
+                # exp(F) exp(G) = e^{f0 + g0} Q, and Q does not see c
+                assert (qz - qref).norm() <= 1e-13 * qref.norm()
 
 
 # -- derivative of the *-exponential --------------------------------------------

@@ -248,6 +248,32 @@ def test_bch_verb(tmp_path, capsys):
     assert data["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("c0", [800.0, -12.0])
+def test_bch_verb_far_from_unit_scale(tmp_path, capsys, c0):
+    # exp(F) exp(G) overflows at Re f0 = 800, but the residual |Q - exp(H - s)|
+    # never evaluates e^s = e^{f0 + g0}: the verb reports it relative to
+    # e^{Re s}, and h is the h of f0 = 0 shifted by f0
+    g = str(DATA / "bch-g.json")
+    outs = {}
+    for c in (0.0, c0):
+        f = write(tmp_path, f"f{c}.json",
+                  {"fn": {"kind": "const", "value": [c, 0.5, 0.0, 0.0]},
+                   "domain": {"center": [0, 0], "radius": 1.0,
+                              "realIntersecting": True}})
+        code, out = run(capsys, ["bch", "--f", f, "--g", g, "--samples", "8"])
+        assert code == 0
+        outs[c] = json.loads(out)
+    data, ref = outs[c0], outs[0.0]
+    assert data["admissible"] is True and data["commuting"] is False
+    assert data["residual"] < 1e-13
+    assert len(data["h_samples"]) == len(ref["h_samples"]) == 8
+    for got, want in zip(data["h_samples"], ref["h_samples"]):
+        assert got["z"] == want["z"]
+        (h0, *vec), (w0, *wvec) = got["value"], want["value"]
+        assert abs(complex(*h0) - c0 - complex(*w0)) <= 1e-14 * abs(c0)
+        assert all(abs(complex(*a) - complex(*b)) <= 1e-14 for a, b in zip(vec, wvec))
+
+
 def test_dexp_verb(tmp_path, capsys):
     fn = write(tmp_path, "f.json", FN_GENERIC)
     code, out = run(capsys, ["dexp", "--f", fn, "--at", "[0.2,0.3,0,0]"])
@@ -509,8 +535,9 @@ def test_log_and_root_stem_calls_per_sample(capsys, monkeypatch, verb, fn, basep
 
 
 def test_bch_stem_calls_per_sample(capsys, monkeypatch):
-    # the residual's product exp(F(z)) exp(G(z)) comes from bch_combine's
-    # continuation state, so each h sample costs one call of each stem
+    # the residual's Q(z) = exp(F_v(z)) exp(G_v(z)) and s(z) = f0 + g0 come
+    # from bch_combine's continuation state, so each h sample costs one call
+    # of each stem
     calls = _count_stem_calls(monkeypatch)
     seen = {}
     for samples in (1, 32):

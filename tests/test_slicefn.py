@@ -1,7 +1,9 @@
+import ast
 import cmath
 import functools
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from slicestar import (CQuaternion, Domain, I_UNIT, ImagUnit, J_UNIT, LogBranch,
 from slicestar.errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                               NearBoundary, NonIsolatedZero, OutOfDomain,
                               RealAxis, SliceStarError, VanishingVectorPart)
+from slicestar import slicefn
 from slicestar.slicefn import BOUNDARY_FLOOR, QUAD_POINTS, QUAD_RADIUS
 
 DOM = Domain(0.0, 3.0)
@@ -413,6 +416,90 @@ def test_orth_decompose_non_isolated_zero():
     g1, _ = orth_decompose(f, g)
     with pytest.raises(NonIsolatedZero):
         g1.scalar_value(0j)
+
+
+def _i_power(c0: float, k: int, dom: Domain) -> SliceFunction:
+    """c0 + z^k i, whose f_v^s = z^(2k) has a zero of order 2k at 0."""
+    zero = Quaternion.zero()
+    return polynomial([Quaternion(c0, 0, 0, 0)] + [zero] * (k - 1) + [I_UNIT], dom)
+
+
+@pytest.mark.parametrize("k, z", [(1, 0j), (2, 0j), (3, 0j), (4, 0j),
+                                  (1, 0.01 + 0.005j), (2, 0.01 + 0.005j),
+                                  (3, 0.01 + 0.005j)])
+def test_orth_decompose_removable_zero(k, z):
+    # g = gamma f_v + 0.5 j: g1 = gamma, a removable singularity of the
+    # quotient where f_v^s = z^(2k) vanishes; at k = 4 the ring of radius 0.1
+    # round 0 sits at 1e-8 of the boundary maximum
+    dom = Domain(0.0, 1.0)
+    f = _i_power(0.2, k, dom)
+    gamma = polynomial([Quaternion(0.7, 0, 0, 0), Quaternion(0.3, 0, 0, 0),
+                        Quaternion(-0.2, 0, 0, 0)], dom)
+    g = gamma.star(f.vector_part()) + constant(Quaternion(0, 0, 0.5, 0), dom)
+    g1, _ = orth_decompose(f, g)
+    assert abs(g1.scalar_value(z) - gamma.scalar_value(z)) < 1e-8
+
+
+@pytest.mark.parametrize("f_of, g", [
+    # f_v^s = z^2 and <g_v, f_v>_* = 0.2 z: g1 = 0.2 / z, a simple pole
+    (lambda dom: _i_power(0.2, 1, dom), [Quaternion(0.3, 0.2, 0.5, 0.1)]),
+    # f_v^s = z^8 and <g_v, f_v>_* = (0.2 + 0.1 z) z^4: a pole of order 4
+    (lambda dom: _i_power(1.0, 4, dom),
+     [Quaternion(0.3, 0.2, 0.5, 0.1), Quaternion(0, 0.1, 0, 0.2)]),
+], ids=["simple", "order-4"])
+def test_orth_decompose_refuses_a_pole(f_of, g):
+    dom = Domain(0.0, 1.0)
+    g1, _ = orth_decompose(f_of(dom), polynomial(g, dom))
+    with pytest.raises(VanishingVectorPart, match=r"pole within .* of 0j"):
+        g1.scalar_value(0j)
+
+
+@pytest.mark.parametrize("a", [0.03, 0.15])
+def test_orth_decompose_pole_beside_a_removable_zero(a):
+    # f_v = z (z - a) i and g_v = (0.7 + 0.3 z) z i: g1 = (0.7 + 0.3 z)/(z - a)
+    # is regular at the double zero 0 of f_v^s and has a pole at a, inside
+    # or just outside the first ring, which the ring's modes reveal
+    dom = Domain(0.0, 1.0)
+    f = polynomial([Quaternion(0.2, 0, 0, 0), Quaternion(0, -a, 0, 0), I_UNIT], dom)
+    g = polynomial([Quaternion(0, 0, 0.5, 0), Quaternion(0, 0.7, 0, 0),
+                    Quaternion(0, 0.3, 0, 0)], dom)
+    g1, _ = orth_decompose(f, g)
+    assert abs(g1.scalar_value(0j) + 0.7 / a) < 1e-8
+
+
+def test_orth_decompose_near_zero_on_the_boundary():
+    # |f_v^s(1)| = 1e-12 counts as a zero, and no ring fits round a point
+    # of the boundary circle
+    dom = Domain(0.0, 1.0)
+    f = polynomial([Quaternion(0.2, -1 + 1e-6, 0, 0), I_UNIT], dom)
+    g1, _ = orth_decompose(f, constant(Quaternion(0.3, 0.2, 0.5, 0.1), dom))
+    with pytest.raises(NonIsolatedZero, match="around 1.0"):
+        g1.scalar_value(1.0)
+
+
+def test_orth_decompose_build_scans_the_boundary_once():
+    # one locus_scan of f_v^s round the circle: SCAN_ARCS points, no halving
+    # for this f (f_v^s winds twice), and no interior mesh
+    dom = Domain(0.0, 1.0)
+    f = _i_power(0.2, 1, dom) + constant(Quaternion(0, 0.1, 0.3, 0), dom)
+    calls = []
+    stem = f._stem
+    counted = SliceFunction(lambda z: calls.append(z) or stem(z), dom)
+    orth_decompose(counted, constant(J_UNIT, dom))
+    assert len(calls) == 64
+
+
+def test_mesh_points_has_two_callers():
+    # the BCH admission scan and the verify suites' inputs are the only
+    # interior meshes left in the library
+    callers = set()
+    for path in Path(slicefn.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "mesh_points"
+                   for node in ast.walk(top)):
+                callers.add(path.stem if path.stem == "suites"
+                            else f"{path.stem}.{getattr(top, 'name', '')}")
+    assert callers == {"bch.bch_condition", "suites"}
 
 
 def _scalar_draw_points(dom: Domain, rng, n: int, margin_frac: float) -> list[complex]:

@@ -606,7 +606,7 @@ def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):
 
 def test_suite_property_tuples_name_the_reported_properties():
     from slicestar.suites import _RUNNERS
-    golden = json.loads((DATA.parent / "verify-seed1-samples200.json").read_text())
+    golden = json.loads((DATA / "verify-all.out").read_text())
     assert {name: [r["name"] for r in rs] for name, rs in golden["results"].items()} \
         == {name: list(props) for name, (_, props) in _RUNNERS.items()}
 

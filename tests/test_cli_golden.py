@@ -43,6 +43,7 @@ CASES = {
     "eval": ["eval", "--fn", "f-two-sided.json", "--at", "[0.1,0.9,-1.2,0.3]"],
     "verify-algebra": ["verify", "--suite", "algebra", "--seed", "2",
                        "--samples", "10"],
+    "verify-all": ["verify", "--suite", "all", "--seed", "1", "--samples", "200"],
 }
 
 

@@ -1,7 +1,11 @@
 """Seeded property-verification suites behind the ``verify`` CLI verb.
 
-Each suite samples its module's identities with a deterministic generator
-(per-property child seeds of the configured seed) and reports one line per
+One ordered table, ``PROPERTIES``, declares every property once, next to
+the loop that measures it: the loop's suite, the index k of its generator
+(the child seed [seed, k], or None for a loop that draws nothing), and the
+name and default tolerance of each property it reports.  ``run_suite``
+checks the ``--tol`` keys against the table before any loop runs, then runs
+the loops of the requested suites in table order and reports one row per
 property: name, sample count, worst residual, tolerance, pass/fail.  The
 same seed always produces a byte-identical report.
 """
@@ -24,8 +28,6 @@ from .quaternion import Quaternion, _new, quat_exp, quat_mul
 from .slicefn import Domain, constant, polynomial, stem_symmetry_defect
 from .starlog import LogBranch, star_exp, star_log, star_root, log_translate
 
-SUITE_NAMES = ("algebra", "covering", "log", "bch", "derivative")
-
 
 @dataclass
 class SuiteConfig:
@@ -45,32 +47,22 @@ class SuiteConfig:
                 raise ValueError(f"tolerance {k} must be positive, got {v}")
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    samples: int
-    max_residual: float
-    tol: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "samples": self.samples,
-                "max_residual": self.max_residual, "tol": self.tol,
-                "pass": self.passed}
-
-
 def _rng(cfg: SuiteConfig, index: int):
     return np.random.default_rng([cfg.seed, index])
 
 
-def _tol(cfg: SuiteConfig, name: str, default: float) -> float:
-    return float(cfg.tolerances.get(name, default))
+#: every loop, in report order: (suite, generator index or None,
+#: ((property name, default tolerance), ...), loop).  ``loop(rng, samples)``
+#: yields (sample count, worst residual) once per property, in order.
+PROPERTIES: list = []
 
 
-def _result(cfg, name, default_tol, samples, residual) -> PropertyResult:
-    tol = _tol(cfg, name, default_tol)
-    residual = float(residual)
-    return PropertyResult(name, int(samples), residual, tol, bool(residual < tol))
+def _measures(suite: str, index: int | None, *properties):
+    """Append the decorated loop to PROPERTIES."""
+    def add(loop):
+        PROPERTIES.append((suite, index, properties, loop))
+        return loop
+    return add
 
 
 # The draws are Python numbers, not numpy scalars: numpy's complex
@@ -165,20 +157,8 @@ def left_mul_matrix(p: Quaternion) -> np.ndarray:
 # -- algebra -----------------------------------------------------------------
 
 
-#: the properties run_algebra reports, in its order
-ALGEBRA_PROPERTIES = (
-    "quat_mul_vs_matrix_oracle", "quat_norm_multiplicative",
-    "quat_mul_associative", "quat_exp_vs_series", "csym_multiplicative_formula",
-    "even_trig_pythagoras", "power_recurrence_vs_repeated_mul", "cq_exp_vs_series",
-    "cq_sinc_vs_series", "cq_exp_inverse",
-)
-
-
-def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
-    out = []
-    n = cfg.samples
-
-    rng = _rng(cfg, 0)
+@_measures("algebra", 0, ("quat_mul_vs_matrix_oracle", 1e-11))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         p, q = rand_quat(rng), rand_quat(rng)
@@ -186,33 +166,41 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
         oracle = left_mul_matrix(p) @ np.array(q.components())
         scale = max(1.0, float(np.linalg.norm(oracle)))
         worst = max(worst, float(np.linalg.norm(direct - oracle)) / scale)
-    out.append(_result(cfg, "quat_mul_vs_matrix_oracle", 1e-11, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 1)
+
+@_measures("algebra", 1, ("quat_norm_multiplicative", 1e-11))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         p, q = rand_quat(rng), rand_quat(rng)
         worst = max(worst, abs(quat_mul(p, q).norm() - p.norm() * q.norm())
                     / max(1.0, p.norm() * q.norm()))
-    out.append(_result(cfg, "quat_norm_multiplicative", 1e-11, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 2)
+
+@_measures("algebra", 2, ("quat_mul_associative", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         p, q, r = (rand_quat(rng) for _ in range(3))
         a = quat_mul(quat_mul(p, q), r)
         b = quat_mul(p, quat_mul(q, r))
         worst = max(worst, (a - b).norm() / max(1.0, a.norm()))
-    out.append(_result(cfg, "quat_mul_associative", 1e-12, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 3)
+
+@_measures("algebra", 3, ("quat_exp_vs_series", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(min(n, 100)):
         q = rand_quat(rng, 1.2)
         worst = max(worst, (quat_exp(q) - quat_exp_series(q)).norm())
-    out.append(_result(cfg, "quat_exp_vs_series", 1e-12, min(n, 100), worst))
+    yield min(n, 100), worst
 
-    rng = _rng(cfg, 4)
+
+@_measures("algebra", 4, ("csym_multiplicative_formula", 1e-11))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         z, w = rand_cq(rng), rand_cq(rng)
@@ -220,17 +208,21 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
         lhs = zw.csym()
         rhs = z.csym() * w.csym()
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out.append(_result(cfg, "csym_multiplicative_formula", 1e-11, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 5)
+
+@_measures("algebra", 5, ("even_trig_pythagoras", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         w = complex(4 * rng.standard_normal(), 4 * rng.standard_normal())
         et = even_trig(w)
         worst = max(worst, abs(et.cosr ** 2 + w * et.sincr ** 2 - 1.0))
-    out.append(_result(cfg, "even_trig_pythagoras", 1e-12, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 6)
+
+@_measures("algebra", 6, ("power_recurrence_vs_repeated_mul", 1e-12))
+def _(rng, n):
     worst = 0.0
     count = 0
     for _ in range(min(n, 80)):
@@ -241,78 +233,52 @@ def run_algebra(cfg: SuiteConfig) -> list[PropertyResult]:
             worst = max(worst, (cq_pow(z, k) - power).norm()
                         / max(1.0, power.norm()))
             count += 1
-    out.append(_result(cfg, "power_recurrence_vs_repeated_mul", 1e-12, count, worst))
+    yield count, worst
 
-    rng = _rng(cfg, 7)
+
+@_measures("algebra", 7, ("cq_exp_vs_series", 1e-10))
+def _(rng, n):
     worst = 0.0
     for _ in range(min(n, 60)):
         z = rand_cq(rng, 0.5)
         worst = max(worst, (cq_exp(z) - cq_exp_series(z)).norm())
-    out.append(_result(cfg, "cq_exp_vs_series", 1e-10, min(n, 60), worst))
+    yield min(n, 60), worst
 
-    rng = _rng(cfg, 8)
+
+@_measures("algebra", 8, ("cq_sinc_vs_series", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(min(n, 60)):
         z = rand_cq(rng, 0.4)
         worst = max(worst, (cq_sinc(z) - cq_sinc_series(z)).norm())
-    out.append(_result(cfg, "cq_sinc_vs_series", 1e-12, min(n, 60), worst))
+    yield min(n, 60), worst
 
-    rng = _rng(cfg, 9)
+
+@_measures("algebra", 9, ("cq_exp_inverse", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         z = rand_cq(rng, 0.8)
         worst = max(worst, (cq_mul(cq_exp(z), cq_exp(-z)) - CQuaternion.one()).norm())
-    out.append(_result(cfg, "cq_exp_inverse", 1e-12, n, worst))
-
-    return out
+    yield n, worst
 
 
 # -- covering ----------------------------------------------------------------
 
 
-#: the properties run_covering reports, in its order
-COVERING_PROPERTIES = (
-    "exp_intertwines_projection", "deck_parity_even_fixes_exp",
-    "deck_parity_odd_moves_exp", "scalar_deck_fixes_cq_exp",
-    "power_of_exp_is_exp_of_multiple", "double_cover_fibers_and_swap",
-    "preimage_round_trip", "loop_circle_gives_1_m1", "loop_scalar_gives_1_1",
-    "loop_contractible_gives_0_0", "loop_monodromy_additive",
-)
-
-
-def _additivity_loops(rng, pairs: int, s: CQuaternion, npts: int):
-    """``pairs`` pairs of loops (alpha, beta) = (ra e^{i na t}, rb e^{i nb t}),
-    each with its winding numbers BranchIndex(na, nb); the two loops of a
-    pair share the base point (alpha, beta) = (ra, rb).  ``rng.uniform``
-    returns Python floats, so every point holds Python numbers."""
-    for _ in range(pairs):
-        ra, rb = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-        loops = []
-        for _ in range(2):
-            na, nb = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
-            pts = []
-            for k in range(npts + 1):
-                t = 2 * math.pi * k / npts
-                alpha = ra * cmath.exp(1j * na * t)
-                beta = rb * cmath.exp(1j * nb * t)
-                pts.append((k / npts, (alpha + beta) / 2, (alpha - beta) / 2j, s))
-            loops.append((SampledPath.from_points(pts), BranchIndex(na, nb)))
-        yield loops
-
-
-def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
-    out = []
-    n = cfg.samples
-
-    rng = _rng(cfg, 10)
+@_measures("covering", 10, ("exp_intertwines_projection", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         p = LiftPoint(complex(*rng.standard_normal(2)),
                       complex(*rng.standard_normal(2)), _rand_unit(rng))
         worst = max(worst, (cq_exp(project(p)) - project(lifted_exp(p))).norm())
-    out.append(_result(cfg, "exp_intertwines_projection", 1e-12, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 11)
+
+@_measures("covering", 11, ("deck_parity_even_fixes_exp", 1e-12),
+           ("deck_parity_odd_moves_exp", 0.5))
+def _(rng, n):
     worst_even = 0.0
     best_odd = math.inf
     for _ in range(n):
@@ -326,19 +292,23 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
             worst_even = max(worst_even, delta)
         else:
             best_odd = min(best_odd, delta)
-    out.append(_result(cfg, "deck_parity_even_fixes_exp", 1e-12, n, worst_even))
-    sep = 0.0 if (best_odd is math.inf or best_odd >= 1e-2) else 1.0
-    out.append(_result(cfg, "deck_parity_odd_moves_exp", 0.5, n, sep))
+    yield n, worst_even
+    # 0 when every odd translation moves exp_* by at least 1e-2, else 1
+    yield n, 0.0 if best_odd >= 1e-2 else 1.0
 
-    rng = _rng(cfg, 12)
+
+@_measures("covering", 12, ("scalar_deck_fixes_cq_exp", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         z = rand_cq(rng)
         ez = cq_exp(z)
         worst = max(worst, (cq_exp(scalar_deck(z)) - ez).norm() / max(1.0, ez.norm()))
-    out.append(_result(cfg, "scalar_deck_fixes_cq_exp", 1e-12, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 13)
+
+@_measures("covering", 13, ("power_of_exp_is_exp_of_multiple", 1e-10))
+def _(rng, n):
     worst = 0.0
     count = 0
     for _ in range(min(n, 100)):
@@ -348,9 +318,11 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
             ezk = cq_exp(z * k)
             worst = max(worst, (cq_pow(ez, k) - ezk).norm() / max(1.0, ezk.norm()))
             count += 1
-    out.append(_result(cfg, "power_of_exp_is_exp_of_multiple", 1e-10, count, worst))
+    yield count, worst
 
-    rng = _rng(cfg, 14)
+
+@_measures("covering", 14, ("double_cover_fibers_and_swap", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         z = rand_cq(rng)
@@ -361,9 +333,11 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
         sw = sheet_swap(f1)
         worst = max(worst, abs(sw.u0 - f2.u0), abs(sw.u1 - f2.u1),
                     (sw.s - f2.s).norm())
-    out.append(_result(cfg, "double_cover_fibers_and_swap", 1e-12, n, worst))
+    yield n, worst
 
-    rng = _rng(cfg, 15)
+
+@_measures("covering", 15, ("preimage_round_trip", 1e-12))
+def _(rng, n):
     worst = 0.0
     for _ in range(n):
         w0, w1 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
@@ -374,47 +348,56 @@ def run_covering(cfg: SuiteConfig) -> list[PropertyResult]:
         p = lifted_exp_preimage(w0, w1, s, h)
         img = lifted_exp(p)
         worst = max(worst, abs(img.u0 - w0), abs(img.u1 - w1))
-    out.append(_result(cfg, "preimage_round_trip", 1e-12, n, worst))
+    yield n, worst
 
-    # canonical loops and additivity
+
+def _loop(point, s: CQuaternion, npts: int) -> SampledPath:
+    """The closed path t -> (*point(2 pi t), s), sampled at t = k / npts."""
+    return SampledPath.from_points(
+        [(k / npts, *point(2 * math.pi * k / npts), s) for k in range(npts + 1)])
+
+
+def _additivity_loops(rng, pairs: int, s: CQuaternion, npts: int):
+    """``pairs`` pairs of loops (alpha, beta) = (ra e^{i na t}, rb e^{i nb t}),
+    each with its winding numbers BranchIndex(na, nb); the two loops of a
+    pair share the base point (alpha, beta) = (ra, rb).  ``rng.uniform``
+    returns Python floats, so every point holds Python numbers."""
+    for _ in range(pairs):
+        ra, rb = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        loops = []
+        for _ in range(2):
+            na, nb = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
+
+            def point(t):
+                alpha = ra * cmath.exp(1j * na * t)
+                beta = rb * cmath.exp(1j * nb * t)
+                return (alpha + beta) / 2, (alpha - beta) / 2j
+            loops.append((_loop(point, s, npts), BranchIndex(na, nb)))
+        yield loops
+
+
+@_measures("covering", 16, ("loop_circle_gives_1_m1", 0.5),
+           ("loop_scalar_gives_1_1", 0.5), ("loop_contractible_gives_0_0", 0.5),
+           ("loop_monodromy_additive", 0.5))
+def _(rng, n):
     s = unit_imaginary(CQuaternion(0j, 1 + 0j, 0j, 0j))
     npts = 48
-
-    def circle_loop():
-        return SampledPath.from_points(
-            [(k / npts, cmath.cos(2 * math.pi * k / npts),
-              cmath.sin(2 * math.pi * k / npts), s) for k in range(npts + 1)])
-
-    def exp_loop():
-        return SampledPath.from_points(
-            [(k / npts, cmath.exp(2j * math.pi * k / npts), 0j, s)
-             for k in range(npts + 1)])
-
-    def small_loop():
-        return SampledPath.from_points(
-            [(k / npts, 2.0 + 0.3 * cmath.cos(2 * math.pi * k / npts),
-              0.3 * cmath.sin(2 * math.pi * k / npts), s) for k in range(npts + 1)])
-
-    cases = [(circle_loop(), BranchIndex(1, -1), "loop_circle_gives_1_m1"),
-             (exp_loop(), BranchIndex(1, 1), "loop_scalar_gives_1_1"),
-             (small_loop(), BranchIndex(0, 0), "loop_contractible_gives_0_0")]
-    for path, expect, name in cases:
+    for point, expect in (
+            (lambda t: (cmath.cos(t), cmath.sin(t)), BranchIndex(1, -1)),
+            (lambda t: (cmath.exp(1j * t), 0j), BranchIndex(1, 1)),
+            (lambda t: (2.0 + 0.3 * cmath.cos(t), 0.3 * cmath.sin(t)), BranchIndex(0, 0))):
+        path = _loop(point, s, npts)
         start = lifted_exp_preimage(path.start().w0, path.start().w1, s)
         got = loop_monodromy(path, start)
-        residual = abs(got.h1 - expect.h1) + abs(got.h2 - expect.h2)
-        out.append(_result(cfg, name, 0.5, 1, float(residual)))
+        yield 1, abs(got.h1 - expect.h1) + abs(got.h2 - expect.h2)
 
     worst = 0.0
-    pairs = min(max(cfg.samples // 10, 4), 20)
-    for (p1, h1), (p2, h2) in _additivity_loops(_rng(cfg, 16), pairs, s, npts):
+    pairs = min(max(n // 10, 4), 20)
+    for (p1, h1), (p2, h2) in _additivity_loops(rng, pairs, s, npts):
         start1 = lifted_exp_preimage(p1.start().w0, p1.start().w1, s)
-        joined = concatenate(p1, p2)
-        got = loop_monodromy(joined, start1)
-        residual = abs(got.h1 - (h1.h1 + h2.h1)) + abs(got.h2 - (h1.h2 + h2.h2))
-        worst = max(worst, float(residual))
-    out.append(_result(cfg, "loop_monodromy_additive", 0.5, pairs, worst))
-
-    return out
+        got = loop_monodromy(concatenate(p1, p2), start1)
+        worst = max(worst, abs(got.h1 - (h1.h1 + h2.h1)) + abs(got.h2 - (h1.h2 + h2.h2)))
+    yield pairs, worst
 
 
 # -- logarithms ----------------------------------------------------------------
@@ -438,23 +421,16 @@ def _log_setup(rng, two_sided: bool):
     raise RuntimeError("could not draw a generic polynomial off the loci")
 
 
-#: the properties run_log reports, in its order
-LOG_PROPERTIES = (
-    "exp_of_log_round_trip", "branches_differ_by_translation",
-    "real_domain_log_real_on_axis", "log_stem_symmetry", "root_power_returns_f",
-    "root_branches_congruent_mod_n",
-)
+def _log_points(n: int) -> int:
+    """The sample points per function of a log loop of n samples."""
+    return max(10, min(60, n // 4))
 
 
-def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
-    out = []
-    funcs = max(2, min(8, cfg.samples // 25))
-    pts_per = max(10, min(60, cfg.samples // 4))
-
-    rng = _rng(cfg, 20)
+@_measures("log", 20, ("exp_of_log_round_trip", 1e-8))
+def _(rng, n):
     worst = 0.0
     checked = 0
-    for k in range(funcs):
+    for k in range(max(2, min(8, n // 25))):
         two_sided = bool(k % 2)
         dom, f = _log_setup(rng, two_sided)
         bp = dom.center + 0.2 if not two_sided else dom.center
@@ -463,14 +439,16 @@ def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
         for h1, h2 in branches:
             g = star_log(f, LogBranch(h1, h2, bp))
             eg = star_exp(g)
-            for z in dom.sample_points(rng, pts_per):
+            for z in dom.sample_points(rng, _log_points(n)):
                 r = (eg.stem_at(z) - f.stem_at(z)).norm() \
                     / max(1.0, f.stem_at(z).norm())
                 worst = max(worst, r)
                 checked += 1
-    out.append(_result(cfg, "exp_of_log_round_trip", 1e-8, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 21)
+
+@_measures("log", 21, ("branches_differ_by_translation", 1e-8))
+def _(rng, n):
     dom, f = _log_setup(rng, True)
     bp = dom.center
     g0 = star_log(f, LogBranch(0, 0, bp))
@@ -481,24 +459,25 @@ def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
         # the translated family is the same for either orientation of
         # sqrt(g_v^s); swapping (h1, h2) realizes the other orientation
         cands = [log_translate(g0, h1, h2), log_translate(g0, h2, h1)]
-        pts = dom.sample_points(rng, pts_per)
+        pts = dom.sample_points(rng, _log_points(n))
         worst_pair = min(max((gh.stem_at(z) - th.stem_at(z)).norm() for z in pts)
                          for th in cands)
         worst = max(worst, worst_pair)
         checked += len(pts)
-    out.append(_result(cfg, "branches_differ_by_translation", 1e-8, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 22)
+
+@_measures("log", 22, ("real_domain_log_real_on_axis", 1e-10))
+def _(rng, n):
     dom, f = _log_setup(rng, False)
     g = star_log(f, LogBranch(1, -1, dom.center + 0.1))
-    worst = 0.0
     reals = [complex(dom.center.real + t * 0.8 * dom.radius, 0.0)
              for t in np.linspace(-1, 1, 21)]
-    for x in reals:
-        worst = max(worst, g.stem_at(x).imag_part().norm())
-    out.append(_result(cfg, "real_domain_log_real_on_axis", 1e-10, len(reals), worst))
+    yield len(reals), max(g.stem_at(x).imag_part().norm() for x in reals)
 
-    rng = _rng(cfg, 23)
+
+@_measures("log", 23, ("log_stem_symmetry", 1e-10))
+def _(rng, n):
     worst = 0.0
     checked = 0
     for two_sided in (False, True):
@@ -508,9 +487,11 @@ def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
         pts = dom.sample_points(rng, 32)
         worst = max(worst, stem_symmetry_defect(g, pts))
         checked += len(pts)
-    out.append(_result(cfg, "log_stem_symmetry", 1e-10, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 24)
+
+@_measures("log", 24, ("root_power_returns_f", 1e-8))
+def _(rng, n):
     worst = 0.0
     checked = 0
     for nroot in (2, 3):
@@ -518,45 +499,32 @@ def run_log(cfg: SuiteConfig) -> list[PropertyResult]:
         bp = dom.center if nroot == 3 else dom.center + 0.1
         root = star_root(f, nroot, LogBranch(0, 0, bp))
         back = root.star_pow(nroot)
-        for z in dom.sample_points(rng, pts_per):
+        for z in dom.sample_points(rng, _log_points(n)):
             worst = max(worst, (back.stem_at(z) - f.stem_at(z)).norm()
                         / max(1.0, f.stem_at(z).norm()))
             checked += 1
-    out.append(_result(cfg, "root_power_returns_f", 1e-8, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 25)
+
+@_measures("log", 25, ("root_branches_congruent_mod_n", 1e-8))
+def _(rng, n):
     dom, f = _log_setup(rng, True)
     nroot = 3
     r1 = star_root(f, nroot, LogBranch(1, 0, dom.center))
     r2 = star_root(f, nroot, LogBranch(1 + nroot, nroot, dom.center))
-    worst = 0.0
-    pts = dom.sample_points(rng, pts_per)
-    for z in pts:
-        worst = max(worst, (r1.stem_at(z) - r2.stem_at(z)).norm())
-    out.append(_result(cfg, "root_branches_congruent_mod_n", 1e-8, len(pts), worst))
-
-    return out
+    pts = dom.sample_points(rng, _log_points(n))
+    yield len(pts), max((r1.stem_at(z) - r2.stem_at(z)).norm() for z in pts)
 
 
 # -- bch -----------------------------------------------------------------------
 
 
-#: the properties run_bch reports, in its order
-BCH_PROPERTIES = (
-    "product_vsym_closed_form", "vanishing_partner_kills_vsym",
-    "bch_combine_exponential_product", "bch_constant_vs_series_oracle",
-)
-
-
-def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
-    out = []
-    rng = _rng(cfg, 30)
+@_measures("bch", 30, ("product_vsym_closed_form", 1e-10))
+def _(rng, n):
     dom = Domain(0.0, 1.0)
-
     worst = 0.0
     checked = 0
-    pairs = max(4, min(20, cfg.samples // 50))
-    for _ in range(pairs):
+    for _ in range(max(4, min(20, n // 50))):
         f = rand_poly(rng, dom, scale=0.7, deg=1)
         g = rand_poly(rng, dom, scale=0.7, deg=1)
         fg_vs = f.star(g).vsym()
@@ -569,23 +537,26 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
             rhs = fg_vs.scalar_value(zq)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
             checked += 1
-    out.append(_result(cfg, "product_vsym_closed_form", 1e-10, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 31)
-    dom2 = Domain(1.5j, 0.8)
-    f = polynomial([Quaternion(1.0, 2.0, 0, 0), Quaternion(0.15, 0.3, 0, 0)], dom2)
-    g = bchmod.vanishing_vsym_partner(f)
-    fg_vs = f.star(g).vsym()
-    pts = dom2.sample_points(rng, 50)
-    worst = max(abs(fg_vs.scalar_value(z)) for z in pts)
-    out.append(_result(cfg, "vanishing_partner_kills_vsym", 1e-10, len(pts), worst))
 
-    rng = _rng(cfg, 32)
+@_measures("bch", 31, ("vanishing_partner_kills_vsym", 1e-10))
+def _(rng, n):
+    dom = Domain(1.5j, 0.8)
+    f = polynomial([Quaternion(1.0, 2.0, 0, 0), Quaternion(0.15, 0.3, 0, 0)], dom)
+    fg_vs = f.star(bchmod.vanishing_vsym_partner(f)).vsym()
+    pts = dom.sample_points(rng, 50)
+    yield len(pts), max(abs(fg_vs.scalar_value(z)) for z in pts)
+
+
+@_measures("bch", 32, ("bch_combine_exponential_product", 1e-8))
+def _(rng, n):
+    dom = Domain(0.0, 1.0)
     worst = 0.0
     built = 0
     checked = 0
     attempts = 0
-    while built < max(4, min(20, cfg.samples // 40)) and attempts < 200:
+    while built < max(4, min(20, n // 40)) and attempts < 200:
         attempts += 1
         f = rand_poly(rng, dom, scale=0.6, deg=1)
         g = rand_poly(rng, dom, scale=0.6, deg=1)
@@ -600,9 +571,12 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
             worst = max(worst, (lhs - eh.stem_at(z)).norm()
                         / max(1.0, lhs.norm()))
             checked += 1
-    out.append(_result(cfg, "bch_combine_exponential_product", 1e-8, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 33)
+
+@_measures("bch", 33, ("bch_constant_vs_series_oracle", 1e-10))
+def _(rng, n):
+    dom = Domain(0.0, 1.0)
     worst = 0.0
     trials = 0
     attempts = 0
@@ -621,9 +595,7 @@ def run_bch(cfg: SuiteConfig) -> list[PropertyResult]:
         oracle = quat_mul(quat_exp_series(p), quat_exp_series(q))
         worst = max(worst, (quat_exp(hq) - oracle).norm()
                     / max(1.0, oracle.norm()))
-    out.append(_result(cfg, "bch_constant_vs_series_oracle", 1e-10, trials, worst))
-
-    return out
+    yield trials, worst
 
 
 # -- derivative ------------------------------------------------------------------
@@ -647,22 +619,12 @@ def _ladder_bracket(fz: CQuaternion, dz: CQuaternion, terms: int = 34) -> CQuate
     return _new(CQuaternion, (a0, a1, a2, a3))
 
 
-#: the properties run_derivative reports, in its order
-DERIVATIVE_PROPERTIES = (
-    "closed_form_vs_quadrature", "slice_preserving_reduction",
-    "commutator_ladder_vs_closed_form", "degenerate_branch_continuity",
-)
-
-
-def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
-    out = []
+@_measures("derivative", 40, ("closed_form_vs_quadrature", 1e-8))
+def _(rng, n):
     dom = Domain(0.0, 1.5)
-
-    rng = _rng(cfg, 40)
     worst = 0.0
     checked = 0
-    funcs = max(4, min(20, cfg.samples // 20))
-    for _ in range(funcs):
+    for _ in range(max(4, min(20, n // 20))):
         f = rand_poly(rng, dom, scale=0.8, deg=3, extra=0.2)
         ef = star_exp(f)
         for z in dom.sample_points(rng, 10, margin_frac=0.3):
@@ -670,9 +632,12 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
             quad = ef.stem_derivative_at(z)
             worst = max(worst, (closed - quad).norm() / max(1.0, quad.norm()))
             checked += 1
-    out.append(_result(cfg, "closed_form_vs_quadrature", 1e-8, checked, worst))
+    yield checked, worst
 
-    rng = _rng(cfg, 41)
+
+@_measures("derivative", 41, ("slice_preserving_reduction", 1e-12))
+def _(rng, n):
+    dom = Domain(0.0, 1.5)
     worst = 0.0
     for _ in range(20):
         scalars = [Quaternion(float(rng.standard_normal()), 0, 0, 0)
@@ -682,9 +647,11 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
         closed = bchmod.star_exp_derivative_stem(f, z)
         expected = cq_mul(cq_exp(f.stem_at(z)), f.stem_derivative_at(z))
         worst = max(worst, (closed - expected).norm() / max(1.0, expected.norm()))
-    out.append(_result(cfg, "slice_preserving_reduction", 1e-12, 20, worst))
+    yield 20, worst
 
-    rng = _rng(cfg, 42)
+
+@_measures("derivative", 42, ("commutator_ladder_vs_closed_form", 1e-9))
+def _(rng, n):
     worst = 0.0
     checked = 0
     for _ in range(40):
@@ -696,40 +663,46 @@ def run_derivative(cfg: SuiteConfig) -> list[PropertyResult]:
         ladder = _ladder_bracket(fz, dz)
         worst = max(worst, (closed - ladder).norm() / max(1.0, ladder.norm()))
         checked += 1
-    out.append(_result(cfg, "commutator_ladder_vs_closed_form", 1e-9, checked, worst))
+    yield checked, worst
 
+
+@_measures("derivative", None, ("degenerate_branch_continuity", 1e-9))
+def _(rng, n):
     worst = 0.0
     for w0 in (1.0, bchmod.TAU_DEG):
         lo = bchmod._coeff_a(w0 * (1 - 1e-9)) - bchmod._coeff_a(w0 * (1 + 1e-9))
         hi = even_trig(w0 * (1 - 1e-9)).sincr ** 2 - even_trig(w0 * (1 + 1e-9)).sincr ** 2
         worst = max(worst, abs(lo), abs(hi))
-    out.append(_result(cfg, "degenerate_branch_continuity", 1e-9, 4, worst))
-
-    return out
+    yield 4, worst
 
 
-#: each suite's runner and the property names it reports
-_RUNNERS = {
-    "algebra": (run_algebra, ALGEBRA_PROPERTIES),
-    "covering": (run_covering, COVERING_PROPERTIES),
-    "log": (run_log, LOG_PROPERTIES),
-    "bch": (run_bch, BCH_PROPERTIES),
-    "derivative": (run_derivative, DERIVATIVE_PROPERTIES),
-}
+# -- the runner ------------------------------------------------------------------
+
+
+#: the suites, in table order
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, *_ in PROPERTIES))
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
     """Run the configured suite(s); deterministic given the seed.  A
-    ValueError, before any suite runs, when a tolerance key names no
+    ValueError, before any loop runs, when a tolerance key names no
     property of the suites asked for."""
-    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+    loops = [entry for entry in PROPERTIES if cfg.suite in ("all", entry[0])]
     unknown = sorted(set(cfg.tolerances)
-                     - {prop for name in names for prop in _RUNNERS[name][1]})
+                     - {name for _, _, props, _ in loops for name, _ in props})
     if unknown:
         raise ValueError(f"unknown tolerance key(s) {', '.join(unknown)}: no property "
                          f"of suite {cfg.suite!r} has that name")
-    results = {name: [r.to_json() for r in _RUNNERS[name][0](cfg)]
-               for name in sorted(names)}
+    results = {}
+    for suite, index, props, loop in loops:
+        rows = results.setdefault(suite, [])
+        rng = None if index is None else _rng(cfg, index)
+        for (name, tol), (samples, worst) in zip(props, loop(rng, cfg.samples),
+                                                 strict=True):
+            tol = float(cfg.tolerances.get(name, tol))
+            worst = float(worst)
+            rows.append({"name": name, "samples": int(samples), "max_residual": worst,
+                         "tol": tol, "pass": worst < tol})
     all_pass = all(r["pass"] for rs in results.values() for r in rs)
     return {"suite": cfg.suite, "seed": cfg.seed, "samples": cfg.samples,
             "results": results, "pass": all_pass}

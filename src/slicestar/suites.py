@@ -90,6 +90,21 @@ def rand_poly(rng, dom: Domain, scale=0.6, deg=1, extra=0.15):
     return polynomial(coeffs, dom)
 
 
+def generic_poly(rng, dom: Domain, deg=2, tries=60):
+    """Random polynomial whose stem stays clear of V_-1 and V_inf."""
+    for _ in range(tries):
+        base = rand_quat(rng, 1.0)
+        base = Quaternion(base.q0, *(v + math.copysign(0.6, v)
+                                     for v in (base.q1, base.q2, base.q3)))
+        f = constant(base, dom) + rand_poly(rng, dom, scale=1.0, deg=deg,
+                                            extra=0.08) * 0.2
+        vals = [f.stem_at(z) for z in dom.mesh_points(80)]
+        if min(abs(v.csym()) for v in vals) > 0.05 and \
+           min(abs(v.vec_norm2()) for v in vals) > 0.05:
+            return f
+    raise RuntimeError("no generic polynomial found")
+
+
 # The series oracles sum on flat components, in the operation order of
 # quat_mul and cq_mul, so they equal the kernel-built loops bit for bit.
 
@@ -405,20 +420,7 @@ def _(rng, n):
 
 def _log_setup(rng, two_sided: bool):
     dom = Domain(1.5j, 0.8) if two_sided else Domain(0.0, 1.0)
-    for _ in range(40):
-        f = rand_poly(rng, dom, scale=1.0, deg=2, extra=0.08)
-        base = rand_quat(rng, 1.0)
-        base = Quaternion(base.q0, *(v + math.copysign(0.6, v) for v in
-                                     (base.q1, base.q2, base.q3)))
-        f = constant(base, dom) + f * 0.2
-        try:
-            vals = [f.stem_at(z) for z in dom.mesh_points(60)]
-        except Exception:
-            continue
-        if min(abs(v.csym()) for v in vals) > 0.05 and \
-           min(abs(v.vec_norm2()) for v in vals) > 0.05:
-            return dom, f
-    raise RuntimeError("could not draw a generic polynomial off the loci")
+    return dom, generic_poly(rng, dom)
 
 
 def _log_points(n: int) -> int:

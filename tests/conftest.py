@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from slicestar import Domain, Quaternion, SliceFunction, constant, quat_mul
+from slicestar import Quaternion, SliceFunction, quat_mul
 from slicestar.continuation import BranchContinuation
 from slicestar.slicefn import ContinuedFunction
 # one copy of the shared generators and oracles, imported by the tests from here
-from slicestar.suites import (cq_exp_series, left_mul_matrix,  # noqa: F401
-                              quat_exp_series, rand_cq, rand_poly, rand_quat)
+from slicestar.suites import (cq_exp_series, generic_poly,  # noqa: F401
+                              left_mul_matrix, quat_exp_series, rand_cq, rand_poly,
+                              rand_quat)
 
 
 # property tests draw the same examples on every run
@@ -60,21 +61,6 @@ def poly_convolve(a_coeffs, b_coeffs):
         for m, b in enumerate(b_coeffs):
             out[n + m] = out[n + m] + quat_mul(a, b)
     return out
-
-
-def generic_poly(rng, dom: Domain, deg=2, tries=60):
-    """Random polynomial whose stem stays clear of V_-1 and V_inf."""
-    for _ in range(tries):
-        base = rand_quat(rng, 1.0)
-        base = Quaternion(base.q0, *(v + math.copysign(0.6, v)
-                                     for v in (base.q1, base.q2, base.q3)))
-        f = constant(base, dom) + rand_poly(rng, dom, scale=1.0, deg=deg,
-                                            extra=0.08) * 0.2
-        vals = [f.stem_at(z) for z in dom.mesh_points(80)]
-        if min(abs(v.csym()) for v in vals) > 0.05 and \
-           min(abs(v.vec_norm2()) for v in vals) > 0.05:
-            return f
-    raise RuntimeError("no generic polynomial found")
 
 
 def stem_bits(v) -> tuple[str, ...]:

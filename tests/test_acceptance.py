@@ -10,24 +10,20 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from conftest import (generic_poly, left_mul_matrix, quat_exp_series,
-                      rand_cq, rand_poly, rand_quat, rand_unit_axis)
+from conftest import generic_poly, rand_cq, rand_poly, rand_unit_axis
 from slicestar import (BranchIndex, CQuaternion, Domain, I_UNIT, LiftPoint,
                        LogBranch, Quaternion, SampledPath, branch_translate,
                        bch_combine, bch_condition, concatenate, constant,
-                       cq_dot, cq_exp, cq_mul, cq_pow, deck_translate,
-                       idempotent_plus, identity, lift_path, lifted_exp,
-                       lifted_exp_preimage,
-                       log_translate, loop_monodromy, orth_decompose,
-                       polynomial, product_vsym, project, quat_exp, quat_mul,
-                       representation_formula, root_deck_action,
-                       root_monodromy_generators, scalar_deck, sheet_swap,
+                       cq_dot, cq_exp, cq_mul, cq_pow, idempotent_plus,
+                       lift_path, lifted_exp, lifted_exp_preimage, log_translate,
+                       orth_decompose, polynomial, representation_formula,
+                       root_deck_action, root_monodromy_generators,
                        slice_preserving, star_exp, star_exp_derivative_stem,
                        star_log, star_root, stem_symmetry_defect,
                        unit_imaginary, unit_vector_part, vanishing_vsym_partner)
 from slicestar.errors import JNotDefined
+from slicestar.suites import SuiteConfig, run_suite
 
 I_VEC = CQuaternion(0j, 1 + 0j, 0j, 0j)
 
@@ -38,23 +34,20 @@ def report(num, name, passed, detail):
     assert passed, f"criterion {num} {name}: {detail}"
 
 
+def suite_rows(suite, seed, samples):
+    """The rows of ``verify --suite SUITE --seed SEED --samples SAMPLES``,
+    by property name."""
+    rows = run_suite(SuiteConfig(seed=seed, samples=samples, suite=suite))["results"][suite]
+    return {r["name"]: r for r in rows}
+
+
 def test_acceptance_1_algebra_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
     n = 10_000
-    worst = 0.0
-    for _ in range(n):
-        p, q = rand_quat(rng), rand_quat(rng)
-        direct = np.array(quat_mul(p, q).components())
-        oracle = left_mul_matrix(p) @ np.array(q.components())
-        worst = max(worst, float(np.linalg.norm(direct - oracle))
-                    / max(1.0, float(np.linalg.norm(oracle))))
-        worst = max(worst, abs(quat_mul(p, q).norm() - p.norm() * q.norm())
-                    / max(1.0, p.norm() * q.norm()))
-        z, w = rand_cq(rng), rand_cq(rng)
-        zw = cq_mul(z, w)
-        worst = max(worst, abs(zw.csym() - z.csym() * w.csym())
-                    / max(1.0, abs(z.csym() * w.csym())))
+    rows = suite_rows("algebra", 101, n)
+    worst = max(rows[name]["max_residual"] for name in (
+        "quat_mul_vs_matrix_oracle", "quat_norm_multiplicative",
+        "csym_multiplicative_formula"))
     dt = time.perf_counter() - t0
     report(1, "algebra", worst < 1e-11 and dt < 5.0,
            f"max_rel={worst:.3e} tol=1e-11, {n} pairs, {dt:.2f}s < 5s")
@@ -62,48 +55,28 @@ def test_acceptance_1_algebra_suite():
 
 def test_acceptance_2_covering_suite():
     t0 = time.perf_counter()
+    rows = suite_rows("covering", 102, 1000)
+    proj = rows["exp_intertwines_projection"]["max_residual"]
+    even = rows["deck_parity_even_fixes_exp"]["max_residual"]
+    # 0 when every odd deck translation moved exp by at least 1e-2
+    odd_sep = rows["deck_parity_odd_moves_exp"]["max_residual"] == 0.0
+    deck = rows["scalar_deck_fixes_cq_exp"]["max_residual"]
+
+    # the suite takes powers of at most 100 draws
     rng = np.random.default_rng(102)
-    worst_proj = 0.0
-    for _ in range(1000):
-        s = unit_imaginary(CQuaternion(0j, *(rng.standard_normal(3)
-                                             + 0.3j * rng.standard_normal(3))))
-        p = LiftPoint(complex(*rng.standard_normal(2)),
-                      complex(*rng.standard_normal(2)), s)
-        lhs = cq_exp(project(p))
-        rhs = project(lifted_exp(p))
-        worst_proj = max(worst_proj, (lhs - rhs).norm() / max(1.0, lhs.norm()))
-
-    worst_even = 0.0
-    min_odd = math.inf
-    for _ in range(500):
-        s = unit_imaginary(CQuaternion(0j, *(rng.standard_normal(3) + 0j)))
-        p = LiftPoint(complex(rng.uniform(-1, 1), rng.uniform(-2, 2)),
-                      complex(*rng.standard_normal(2)), s)
-        img = lifted_exp(p)
-        a, b = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-        moved = lifted_exp(deck_translate(p, a, b))
-        delta = abs(moved.u0 - img.u0) + abs(moved.u1 - img.u1)
-        if (a - b) % 2 == 0:
-            worst_even = max(worst_even, delta)
-        else:
-            min_odd = min(min_odd, delta)
-
-    worst_deck = 0.0
     worst_pow = 0.0
     for _ in range(500):
         z = rand_cq(rng, 0.6)
-        worst_deck = max(worst_deck, (cq_exp(scalar_deck(z)) - cq_exp(z)).norm()
-                         / max(1.0, cq_exp(z).norm()))
         for k in range(1, 7):
             rhs = cq_exp(z * k)
             worst_pow = max(worst_pow, (cq_pow(cq_exp(z), k) - rhs).norm()
                             / max(1.0, rhs.norm()))
     dt = time.perf_counter() - t0
-    ok = (worst_proj < 1e-12 and worst_even < 1e-12 and min_odd >= 1e-2
-          and worst_deck < 1e-12 and worst_pow < 1e-10 and dt < 5.0)
+    ok = (proj < 1e-12 and even < 1e-12 and odd_sep
+          and deck < 1e-12 and worst_pow < 1e-10 and dt < 5.0)
     report(2, "covering", ok,
-           f"proj={worst_proj:.2e}<1e-12 even={worst_even:.2e}<1e-12 "
-           f"odd_sep={min_odd:.2e}>=1e-2 S0={worst_deck:.2e}<1e-12 "
+           f"proj={proj:.2e}<1e-12 even={even:.2e}<1e-12 "
+           f"odd_sep>=1e-2={odd_sep} S0={deck:.2e}<1e-12 "
            f"powers={worst_pow:.2e}<1e-10, {dt:.2f}s < 5s")
 
 
@@ -260,11 +233,15 @@ def test_acceptance_5_roots():
 
 def test_acceptance_6_bch():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(106)
-    dom = Domain(0.0, 1.0)
+    rows = suite_rows("bch", 106, 1000)
+    prodvec = rows["product_vsym_closed_form"]["max_residual"]
+    example = rows["vanishing_partner_kills_vsym"]["max_residual"]
+    comb = rows["bch_combine_exponential_product"]
+    const = rows["bch_constant_vs_series_oracle"]
 
     # the identity on 10^3 raw algebra pairs via the orthogonal split
-    worst_pv = 0.0
+    rng = np.random.default_rng(106)
+    worst_split = 0.0
     for _ in range(1000):
         z, w = rand_cq(rng), rand_cq(rng)
         nz = z.vec_norm2()
@@ -274,73 +251,32 @@ def test_acceptance_6_bch():
         perp = w.vec() - w1 * z.vec()
         lhs = (z.z0 * w1 + w.z0) ** 2 * nz + z.csym() * perp.vec_norm2()
         rhs = cq_mul(z, w).vec_norm2()
-        worst_pv = max(worst_pv, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst_split = max(worst_split, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     # and at slice-function level, where orth_decompose's g1 is the quotient
-    # <g_v, f_v>_* / f_v^s that product_vsym reads at its own point
+    # <g_v, f_v>_* / f_v^s
+    dom = Domain(0.0, 1.0)
     checked = 0
     while checked < 1000:
         f = generic_poly(rng, dom, deg=1)
         g = rand_poly(rng, dom, deg=1)
         g1 = orth_decompose(f, g)[0]
-        direct = f.star(g).vsym()
         for z in dom.sample_points(rng, 50):
-            q = Quaternion(z.real, abs(z.imag), 0, 0)
-            zq = f.slice_point(q)
-            lhs = product_vsym(f, g, q)
-            rhs = direct.scalar_value(zq)
-            worst_pv = max(worst_pv, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            zq = f.slice_point(Quaternion(z.real, abs(z.imag), 0, 0))
             fz = f.stem_at(zq)
             quotient = cq_dot(g.stem_at(zq), fz) / fz.vec_norm2()
-            worst_pv = max(worst_pv, abs(g1.scalar_value(zq) - quotient)
-                           / max(1.0, abs(quotient)))
+            worst_split = max(worst_split, abs(g1.scalar_value(zq) - quotient)
+                              / max(1.0, abs(quotient)))
             checked += 1
-
-    dom_off = Domain(1.5j, 0.8)
-    fex = polynomial([Quaternion(1.0, 2.0, 0, 0), Quaternion(0.1, 0.2, 0, 0)],
-                     dom_off)
-    gex = vanishing_vsym_partner(fex)
-    vs = fex.star(gex).vsym()
-    worst_ex = max(abs(vs.scalar_value(z))
-                   for z in dom_off.sample_points(rng, 50))
-
-    worst_comb = 0.0
-    built = 0
-    while built < 20:
-        f = rand_poly(rng, dom, scale=0.6, deg=1)
-        g = rand_poly(rng, dom, scale=0.6, deg=1)
-        rep = bch_condition(f, g)
-        if not rep.admissible or rep.commuting:
-            continue
-        built += 1
-        h = bch_combine(f, g, report=rep)
-        ef, eg, eh = star_exp(f), star_exp(g), star_exp(h)
-        for z in dom.sample_points(rng, 32):
-            lhs = cq_mul(ef.stem_at(z), eg.stem_at(z))
-            worst_comb = max(worst_comb, (lhs - eh.stem_at(z)).norm()
-                             / max(1.0, lhs.norm()))
-
-    worst_const = 0.0
-    done = 0
-    while done < 10:
-        p, r = rand_quat(rng, 0.6), rand_quat(rng, 0.6)
-        f, g = constant(p, dom), constant(r, dom)
-        rep = bch_condition(f, g)
-        if not rep.admissible or rep.commuting:
-            continue
-        done += 1
-        h = bch_combine(f, g, report=rep)
-        hq = h(Quaternion.zero())
-        oracle = quat_mul(quat_exp_series(p), quat_exp_series(r))
-        worst_const = max(worst_const, (quat_exp(hq) - oracle).norm()
-                          / max(1.0, oracle.norm()))
     dt = time.perf_counter() - t0
-    ok = (worst_pv < 1e-10 and worst_ex < 1e-10 and worst_comb < 1e-8
-          and worst_const < 1e-10 and dt < 60.0)
+    # 20 combined pairs of 32 points each, and 12 constant pairs
+    ok = (prodvec < 1e-10 and worst_split < 1e-10 and example < 1e-10
+          and comb["max_residual"] < 1e-8 and comb["samples"] == 20 * 32
+          and const["max_residual"] < 1e-10 and const["samples"] == 12 and dt < 60.0)
     report(6, "bch", ok,
-           f"prodvec={worst_pv:.2e}<1e-10 example={worst_ex:.2e}<1e-10 "
-           f"combine={worst_comb:.2e}<1e-8 const={worst_const:.2e}<1e-10, "
-           f"{dt:.1f}s < 60s")
+           f"prodvec={prodvec:.2e}<1e-10 split={worst_split:.2e}<1e-10 "
+           f"example={example:.2e}<1e-10 combine={comb['max_residual']:.2e}<1e-8 "
+           f"const={const['max_residual']:.2e}<1e-10, {dt:.1f}s < 60s")
 
 
 def test_acceptance_7_derivative():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from slicestar.cli import main
+from slicestar.suites import PROPERTIES, SUITE_NAMES
 
 FN_IDENTITY = {"fn": {"kind": "poly", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]},
                "domain": {"center": [0.0, 0.0], "radius": 3.0,
@@ -602,6 +603,18 @@ def test_verify_checks_tol_keys_before_any_suite_runs(capsys, monkeypatch):
     _assert_one_line_config_error(
         code, capsys, "unknown tolerance key(s) exp_of_log_round_trip: no property "
         "of suite 'algebra' has that name")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_property_takes_its_tol_key(capsys, suite):
+    names = [name for s, _, props, _ in PROPERTIES if s == suite for name, _ in props]
+    tols = [(name, 2.0 + k / 16) for k, name in enumerate(names)]
+    argv = ["verify", "--suite", suite, "--samples", "1"]
+    for name, tol in tols:
+        argv += ["--tol", f"{name}={tol!r}"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["results"][suite]
+    assert [(r["name"], r["tol"]) for r in rows] == tols
 
 
 def test_log_refuses_branch_index_past_the_precision_limit(capsys):

@@ -1,12 +1,28 @@
+import ast
 import math
+from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slicestar import CQuaternion, Quaternion, cq_mul, quat_mul, unit_imaginary
-from slicestar.suites import (SuiteConfig, _additivity_loops, _ladder_bracket, _rand_unit,
-                              _rng, cq_exp_series, cq_sinc_series, quat_exp_series,
-                              rand_cq, rand_quat)
+from slicestar import suites
+from slicestar.suites import (PROPERTIES, SuiteConfig, _additivity_loops, _ladder_bracket,
+                              _rand_unit, _rng, cq_exp_series, cq_sinc_series,
+                              quat_exp_series, rand_cq, rand_quat)
+
+
+def test_table_declares_each_property_and_generator_once():
+    tree = ast.parse(Path(suites.__file__).read_text())
+    # only the runner draws: a loop gets its generator from its table entry
+    drawers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for call in ast.walk(fn) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_rng"]
+    assert drawers == ["run_suite"]
+    indices = [index for _, index, _, _ in PROPERTIES if index is not None]
+    assert len(indices) == len(set(indices))
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert all(literals.count(name) == 1 for _, _, props, _ in PROPERTIES for name, _ in props)
 
 
 # -- the draws are Python numbers ------------------------------------------------

@@ -36,7 +36,7 @@ from .descriptors import (lift_point_from_json, load_function, path_from_json,
                           quaternion_from_json, quaternion_to_json)
 from .errors import OutOfDomain, SliceStarError
 from .slicefn import SliceFunction, induce_value, star_pow_value
-from .starlog import LogBranch, star_exp, star_log
+from .starlog import LogBranch, star_exp, star_log, star_root
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -268,16 +268,8 @@ def cmd_root(args) -> int:
     _require_samples(args)
     f = load_function(args.fn)
     branch = LogBranch(args.h1, args.h2, _parse_complex(args.basepoint))
-    if args.n < 1:
-        raise ValueError(f"root order must be a positive integer, got {args.n}")
-    g = star_log(f, branch)
-    scale = 1.0 / args.n
-
-    def root_pairs(pts: list) -> list[tuple[CQuaternion, CQuaternion]]:
-        # star_root's exp_*(log_*(f) / n), with the same arithmetic
-        return [(cq_exp(gz * scale), fz) for gz, fz in g.with_inputs_at(pts)]
-
-    samples, stats, rows = _sampled_branch(args, f, root_pairs,
+    root = star_root(f, args.n, branch)
+    samples, stats, rows = _sampled_branch(args, f, root.with_inputs_at,
                                             lambda r: star_pow_value(r, args.n), "r")
     _emit(args, {"n": args.n, "branch": _branch_json(branch), "samples": samples,
                  "power_back": stats}, rows)

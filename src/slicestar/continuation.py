@@ -7,8 +7,9 @@ A ``step`` carries a value across one segment or refuses it by returning
 the error class that names why; a refused segment is halved, at most
 MAX_DEPTH times, and then that class is raised, so a genuine obstruction
 (a zero of the continued quantity) fails loudly instead of jumping
-branches.  ``BranchContinuation`` walks straight segments, valid on a
-convex disk.  Its nodes are the first queries, at most one per cell of a
+branches.  ``BranchContinuation`` walks straight segments, valid on the
+convex set where ``ContinuedFunction.from_branch`` queries it: the disk
+holding the anchor, cut to Im z >= 0.  Its nodes are the first queries, at most one per cell of a
 GRID x GRID grid, each stored with its value; every value is exact at
 its own point, so it does not matter which of several threads that miss
 one cell stores its node.  One query body serves both entry points: a
@@ -185,7 +186,7 @@ class BranchContinuation:
     """Continue a branch value from an anchor across the disk of ``domain``
     that holds it.  The anchor is on R or in the upper disk, so that disk
     is the one centred at ``domain.center``; the grid covers its bounding
-    square."""
+    square, of which queries with Im z >= 0 fill the cells above R."""
 
     def __init__(self, anchor: complex, seed, stepper: Stepper, domain):
         self.anchor = anchor

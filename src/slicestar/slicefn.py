@@ -524,19 +524,13 @@ class ContinuedFunction(SliceFunction):
         value of ``read(z, branch.at(z))``; ``with_inputs_at`` reads a
         batch's states from one ``branch.at_many`` walk.
 
-        The branch runs on the disk holding its anchor, which is on R or in
-        the upper disk.  On a pair of disks off R a lower point z gets the
-        ``bar`` of each value read at conj z, so the result has the stem
-        symmetry F(conj z) = bar(F(z)) by construction.
+        The branch runs on the disk holding its anchor (on R or in the
+        upper disk), cut to Im z >= 0: on every domain, a point z with
+        Im z < 0 gets the ``bar`` of each value read at conj z.  So the
+        result has the stem symmetry F(conj z) = bar(F(z)) by construction,
+        and a disk meeting R fills only the upper half of its grid.
         """
         at, at_many, domain = branch.at, branch.at_many, branch.domain
-
-        def upper_many(zs) -> list:
-            return list(map(read, zs, at_many(zs)))
-
-        if domain.real_intersecting:
-            return cls(lambda z: read(z, at(z))[0], upper_many, domain, branch)
-
         bar = CQuaternion.bar
 
         def stem(z: complex) -> CQuaternion:
@@ -547,7 +541,8 @@ class ContinuedFunction(SliceFunction):
 
         def with_inputs_at(zs) -> list:
             lower = [z.imag < 0 for z in zs]
-            values = upper_many([z.conjugate() if low else z for z, low in zip(zs, lower)])
+            uppers = [z.conjugate() if low else z for z, low in zip(zs, lower)]
+            values = map(read, uppers, at_many(uppers))
             return [tuple(map(bar, v)) if low else v for v, low in zip(values, lower)]
 
         return cls(stem, with_inputs_at, domain, branch)

@@ -24,8 +24,8 @@ product of the exponentials of two vector parts and adds the scalar
 parts back.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
-family, real values on R); on a domain off R the lift is built on the
-upper component and mirrored to the lower one by G(z) = bar(G(conj z)),
+family, real values on R).  On every domain the lift is built where
+Im z >= 0 and mirrored below R by G(z) = bar(G(conj z)),
 which makes the result a stem function by construction.  Any two branches
 differ by the translation
 
@@ -117,8 +117,8 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> Continued
     ``with_inputs_at(zs)`` is the list of 1-tuples of its stem at each z.
 
     The branch takes the value sign * principal_sqrt(f_v^s(basepoint)) at
-    the basepoint (reflected to the upper component on domains off R,
-    where the lower component is filled in by conjugate symmetry).
+    the basepoint (moved to R on domains meeting R, reflected to the upper
+    component off R); below R it is filled in by conjugate symmetry.
     Requires f_v^s to avoid 0 on the domain: its zeros are counted
     exactly on the boundary circle (``locus_scan``).
     """
@@ -279,11 +279,17 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
     return SliceFunction(translated, dom)
 
 
-def star_root(f: SliceFunction, n: int, branch: LogBranch) -> SliceFunction:
-    """n-th *-root exp_*(log_*(f)/n); its n-th *-power gives back f.
+def star_root(f: SliceFunction, n: int, branch: LogBranch) -> ContinuedFunction:
+    """n-th *-root exp_*(log_*(f)/n); its n-th *-power gives back f, and
+    its ``with_inputs_at(zs)`` is (R(z), F(z)) from the log's one walk.
 
     Branch indices congruent mod n (componentwise) give the same root.
     """
     if n < 1:
         raise ValueError(f"root order must be a positive integer, got {n}")
-    return star_exp(star_log(f, branch) / n)
+    log = star_log(f, branch)
+    stem, scale = log._stem, 1 / n
+    return ContinuedFunction(
+        lambda z: cq_exp(stem(z) * scale),
+        lambda zs: [(cq_exp(g * scale), fz) for g, fz in log.with_inputs_at(zs)],
+        f.domain, log.branch)

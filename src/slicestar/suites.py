@@ -292,7 +292,7 @@ def _(rng, n):
 
 
 @_measures("covering", 11, ("deck_parity_even_fixes_exp", 1e-12),
-           ("deck_parity_odd_moves_exp", 0.5))
+           ("deck_parity_odd_moves_exp", 100.0))
 def _(rng, n):
     worst_even = 0.0
     best_odd = math.inf
@@ -308,8 +308,9 @@ def _(rng, n):
         else:
             best_odd = min(best_odd, delta)
     yield n, worst_even
-    # 0 when every odd translation moves exp_* by at least 1e-2, else 1
-    yield n, 0.0 if best_odd >= 1e-2 else 1.0
+    # 1 / the smallest move of exp_* by an odd translation (0 with none
+    # drawn, inf when one fixes it): the default tolerance asks for 1e-2
+    yield n, 1 / best_odd if best_odd else math.inf
 
 
 @_measures("covering", 12, ("scalar_deck_fixes_cq_exp", 1e-12))

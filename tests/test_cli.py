@@ -340,6 +340,18 @@ def test_verify_tolerance_override_can_fail(tmp_path, capsys):
     assert report["pass"] is False
 
 
+def test_deck_parity_tol_moves_the_odd_separation_threshold(capsys):
+    # the row is 1 / the smallest odd separation (1.06 at this seed), so
+    # --tol X asks for a separation above 1/X
+    argv = ["verify", "--suite", "covering", "--seed", "1", "--samples", "200"]
+    code, out = run(capsys, argv + ["--tol", "deck_parity_odd_moves_exp=0.5"])
+    assert code == 1 and json.loads(out)["pass"] is False
+    code, out = run(capsys, argv)
+    row, = (r for r in json.loads(out)["results"]["covering"]
+            if r["name"] == "deck_parity_odd_moves_exp")
+    assert code == 0 and 1 / row["max_residual"] > 1e-2
+
+
 def test_verify_rejects_bad_tol(capsys):
     code, _ = run(capsys, ["verify", "--suite", "algebra", "--tol", "nonsense"])
     assert code == 2

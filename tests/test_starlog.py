@@ -10,15 +10,17 @@ from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from conftest import (assert_same_nodes, continuation_of, generic_poly, inputs_bits,
-                      one_at_a_time, rand_quat, stem_bits)
+                      one_at_a_time, rand_poly, rand_quat, stem_bits)
 from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
-                       constant, cq_exp, identity, log_translate, polynomial,
-                       quat_exp, slice_preserving, sqrt_vsym, star_exp,
-                       star_log, star_root, stem_symmetry_defect,
-                       unit_vector_part)
-from slicestar.continuation import GRID, ZeroCount, hilbert_index, locus_scan
+                       bch_combine, bch_condition, constant, cq_exp, identity,
+                       log_translate, polynomial, quat_exp, slice_preserving,
+                       sqrt_vsym, star_exp, star_log, star_root,
+                       stem_symmetry_defect, unit_vector_part)
+from slicestar.continuation import (GRID, BranchContinuation, ZeroCount, hilbert_index,
+                                    locus_scan)
 from slicestar.errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus,
                               JNotDefined, OutOfDomain)
+from slicestar.slicefn import ContinuedFunction
 from slicestar.starlog import MAX_BRANCH_INDEX
 
 DOM = Domain(0.0, 1.0)
@@ -431,12 +433,13 @@ def test_branch_nodes_are_the_first_queries(rng, dom):
     calls[0] = 0
     first = {z: stem_bits(g.stem_at(z)) for z in pts}
     assert calls[0] == len(pts)
-    # the continuation runs on the upper disk; lower points are mirrored
-    upper = [z if z.imag >= 0 or not dom.two_sided else z.conjugate() for z in pts]
+    # the continuation runs on the upper half-disk; lower points are mirrored
+    upper = [z if z.imag >= 0 else z.conjugate() for z in pts]
     firsts = {}
     for z in upper:
         firsts.setdefault(cont._cell_of(z), z)
     assert {key: node[0] for key, node in cont._cells.items()} == firsts
+    assert all(z.imag >= 0 for z, _ in cont._filled)
     assert cont._filled[0] == (cont.anchor, cont.seed)
     assert len(cont._filled) == len(cont._cells) + 1
     calls[0] = 0
@@ -519,8 +522,7 @@ def test_batch_walk_keeps_the_seed_at_the_anchor(rng, dom):
     g = star_log(f, _branch(dom))
     cont = continuation_of(g)
     key = cont._cell_of(cont.anchor)
-    pts = [z for z in dom.sample_points(rng, 200)
-           if dom.real_intersecting or z.imag > 0]
+    pts = [z for z in dom.sample_points(rng, 200) if z.imag > 0]
     pts = [z for z in pts if cont._cell_of(z) != key]
     first = min(pts, key=lambda z: hilbert_index(cont._cell_of(z)))
     assert hilbert_index(cont._cell_of(first)) < hilbert_index(key)
@@ -570,13 +572,13 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
     assert len(cont._filled) == len(cont._cells) + 1
 
 
-def _mirrored_scalar(cont, dom: Domain):
+def _mirrored_scalar(cont):
     """The scalar branch read straight from ``cont``: ``cont.at(z)``, and
-    conj(cont.at(conj z)) on the lower disk of a two-sided domain.  The
-    reference for ``sqrt_vsym``'s z0, mirrored with ``complex.conjugate``
-    instead of ``from_branch``'s ``bar``."""
+    conj(cont.at(conj z)) below R.  The reference for ``sqrt_vsym``'s z0,
+    mirrored with ``complex.conjugate`` instead of ``from_branch``'s
+    ``bar``."""
     def value(z: complex) -> complex:
-        if dom.two_sided and z.imag < 0:
+        if z.imag < 0:
             return cont.at(z.conjugate()).conjugate()
         return cont.at(z)
 
@@ -596,11 +598,63 @@ def test_sqrt_vsym_batch_matches_pointwise_and_reference(rng, dom):
     assert inputs_bits(got) == inputs_bits(one_at_a_time(point, pts))
     assert_same_nodes(batch, point)
     assert [stem_bits(point.stem_at(z)) for z in pts] == [stem_bits(v[0]) for v in got]
-    reference = slice_preserving(_mirrored_scalar(continuation_of(ref), dom), dom)
+    reference = slice_preserving(_mirrored_scalar(continuation_of(ref)), dom)
     assert [stem_bits(v[0])[:2] for v in got] == \
         [stem_bits(reference.stem_at(z))[:2] for z in pts]
     assert_same_nodes(batch, ref)
     assert [point.stem_at(z.conjugate()) for z in pts] == [point.stem_at(z).bar() for z in pts]
+
+
+def _unmirrored(build):
+    """``build()``, and a function giving, for a list of points, what its
+    read makes of a fresh walk of the same branch queried at the points
+    themselves: below R too, with no mirror."""
+    seen = []
+    from_branch = ContinuedFunction.from_branch.__func__
+
+    def spy(cls, read, branch):
+        seen.append((read, branch))
+        return from_branch(cls, read, branch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContinuedFunction, "from_branch", classmethod(spy))
+        g = build()
+    (read, branch), = seen
+    walk = BranchContinuation(branch.anchor, branch.seed, branch.stepper, branch.domain)
+    return g, lambda zs: [read(z, walk.at(z)) for z in zs]
+
+
+def _bits_but_zero_sign(values) -> list:
+    """``inputs_bits`` with -0.0 read as 0.0."""
+    return [tuple(tuple((x + 0.0).hex() for c in v for x in (c.real, c.imag))
+                  for v in t) for t in values]
+
+
+@given(center=st.floats(-2.0, 2.0), radius=st.floats(0.25, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(1, 3))
+def test_mirror_below_R_matches_an_unmirrored_walk(center, radius, seed, deg):
+    # the stems commute with conjugation bit for bit, and so do cmath.sqrt
+    # and cmath.log, so the bar of each value at conj z is the value a walk
+    # into the lower half-disk finds at z, up to the sign of zero
+    dom = Domain(center, radius)
+    rng = np.random.default_rng(seed)
+    f = generic_poly(rng, dom, deg=deg)
+    builds = {"star_log": lambda: star_log(f, LogBranch(1, -1, dom.center)),
+              "sqrt_vsym": lambda: sqrt_vsym(f, dom.center, -1)}
+    for _ in range(20):
+        g = rand_poly(rng, dom, scale=0.5, deg=1)
+        rep = bch_condition(f, g)
+        if rep.admissible and not rep.commuting:
+            builds["bch_combine"] = lambda: bch_combine(f, g, report=rep)
+            break
+    event(f"constructions: {', '.join(builds)}")
+    lower = [z.conjugate() if z.imag > 0 else z for z in dom.sample_points(rng, 40)]
+    for build in builds.values():
+        h, unmirrored = _unmirrored(build)
+        want = _bits_but_zero_sign(unmirrored(lower))
+        assert _bits_but_zero_sign(h.with_inputs_at(lower)) == want
+        assert _bits_but_zero_sign([(h.stem_at(z),) for z in lower]) == \
+            [v[:1] for v in want]
 
 
 def test_star_log_refuses_indices_past_the_precision_limit(rng):

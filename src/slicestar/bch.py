@@ -58,7 +58,7 @@ from .errors import BadExampleInput, NotExponential, VanishingVectorPart
 from .quaternion import J_UNIT, Quaternion
 from .slicefn import (ContinuedFunction, SliceFunction, constant, idempotent_plus,
                       induce_value)
-from .starlog import _anchor, continued_log
+from .starlog import _anchor, _nearest_sqrt, continued_log
 
 #: admissibility threshold on the obstruction value
 TAU_BCH = 1e-8
@@ -233,8 +233,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     anchor = _anchor(dom, dom.center)
     pa = parts(anchor)
     theta = cmath.acos(pa[1].z0)
-    m, near = cmath.sqrt(pa[1].vec_norm2()), cmath.sin(theta)
-    m = m if abs(m - near) <= abs(m + near) else -m
+    m = _nearest_sqrt(pa[1].vec_norm2(), cmath.sin(theta))
     return continued_log(parts, anchor, (m, 1j * theta, -1j * theta, pa), dom)
 
 

@@ -1,12 +1,17 @@
 """JSON wire formats: function descriptors, quaternions, lift points, paths.
 
-Function descriptor grammar (the ``fn`` value of a function file):
+Function descriptor grammar (the ``fn`` value of a function file), with
+the kinds of ``slicefn.KINDS``:
 
-    {"kind": "poly",  "coeffs": [[q0,q1,q2,q3], ...]}
+    {"kind": "poly", "coeffs": [[q0,q1,q2,q3], ...]}
     {"kind": "const", "value": [q0,q1,q2,q3]}
-    {"kind": "add",   "args": [<descriptor>, ...]}
-    {"kind": "mul",   "args": [<descriptor>, ...]}
-    {"kind": "exp",   "arg": <descriptor>}
+    {"kind": "add" | "mul", "args": [<descriptor>, ...]}
+    {"kind": "exp" | "neg" | "conj" | "scalar" | "vec" | "sym" | "vsym", "arg": <descriptor>}
+    {"kind": "scale", "arg": <descriptor>, "by": r}
+    {"kind": "dot" | "wedge", "args": [<descriptor>, <descriptor>]}
+
+``add`` and ``mul`` apply their arguments from the left; r is a finite
+number.  ``function_to_obj`` writes any function built from these kinds.
 
 A function file is {"fn": <descriptor>, "domain": {"center": [re,im],
 "radius": r, "realIntersecting": bool}}.  Quaternions are arrays
@@ -23,8 +28,8 @@ from typing import Any
 from .covering import LiftPoint, PathSample, SampledPath
 from .cquaternion import CQuaternion
 from .quaternion import Quaternion, _new
-from .slicefn import Domain, SliceFunction, constant, polynomial
-from .starlog import star_exp
+from .slicefn import (KINDS, NODE, NODES, NUMBER, PAIR, QUAT, QUATS, Domain,
+                      SliceFunction, _finite_number, derive)
 
 
 def _float(x, what: str) -> float:
@@ -111,6 +116,23 @@ def path_from_json(obj: dict) -> SampledPath:
     return SampledPath(tuple(samples))
 
 
+def _read_member(desc: dict, key: str, typ: str, domain: Domain):
+    """Member ``key``, of ``slicefn.KINDS`` type ``typ``, of the node ``desc``."""
+    if typ == QUAT:
+        return list(quaternion_from_json(desc.get(key)))
+    if typ == NUMBER:
+        if not _finite_number(desc.get(key)):
+            raise ValueError(f"descriptor node {desc!r}: {key!r} must be a finite number")
+        return float(desc[key])
+    if typ == NODE:
+        return build_function(_member(desc, key, dict, "descriptor node"), domain)
+    items = _member(desc, key, list, "descriptor node", nonempty=typ == NODES)
+    if typ == PAIR and len(items) != 2:
+        raise ValueError(f"descriptor node {desc!r}: {key!r} must be an array of two")
+    return [list(quaternion_from_json(c)) if typ == QUATS else build_function(c, domain)
+            for c in items]
+
+
 def build_function(desc: dict, domain: Domain) -> SliceFunction:
     """Build a slice function from a descriptor node on the given domain.
 
@@ -118,21 +140,10 @@ def build_function(desc: dict, domain: Domain) -> SliceFunction:
     if not isinstance(desc, dict):
         raise ValueError(f"descriptor node must be a JSON object, got {desc!r}")
     kind = desc.get("kind")
-    if kind == "poly":
-        coeffs = _member(desc, "coeffs", list, "descriptor node")
-        return polynomial([quaternion_from_json(c) for c in coeffs], domain)
-    if kind == "const":
-        return constant(quaternion_from_json(desc.get("value")), domain)
-    if kind in ("add", "mul"):
-        args = _member(desc, "args", list, "descriptor node", nonempty=True)
-        parts = [build_function(d, domain) for d in args]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p if kind == "add" else out.star(p)
-        return out
-    if kind == "exp":
-        return star_exp(build_function(_member(desc, "arg", dict, "descriptor node"), domain))
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    return derive(kind, domain, *(_read_member(desc, key, typ, domain)
+                                  for key, typ in KINDS[kind][0]))
 
 
 def function_from_obj(obj: dict) -> SliceFunction:

@@ -13,10 +13,14 @@ symmetrization f^s = f * f^c is slice preserving and multiplicative, and
 the slice derivative is induced by dF/dz, here computed with trapezoidal
 Cauchy quadrature on a circle (spectrally accurate for holomorphic F).
 
-Stems are closed-form evaluators built from a small node algebra
-(quaternion constants, the identity z, sums, products, exponentials, the
-unit-vector function on domains off R), never grids, so holomorphy and
-conjugate symmetry are inherited by construction.
+Stems are closed-form evaluators, never grids, so holomorphy and
+conjugate symmetry are inherited by construction.  ``KINDS`` is their node
+algebra, the JSON members and stem rule of ``poly``, ``const``, ``add``,
+``mul``, ``exp``, ``neg``, ``scale``, ``conj``, ``scalar``, ``vec``,
+``sym``, ``vsym``, ``dot`` and ``wedge``; every operator builds through
+``derive``.  Continued branches, ``slice_preserving``, the unit-vector
+function, the idempotents and ``derivative()`` have opaque stems, without
+a node, and so does every function built from one.
 
 Domains are "basic": a single disk centered on R, or the union of two
 conjugate disks that avoid R.
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .continuation import locus_scan
-from .cquaternion import CQuaternion, cq_dot, cq_mul
+from .cquaternion import CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge
 from .errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                      NearBoundary, NonIsolatedZero, OutOfDomain, RealAxis,
                      VanishingVectorPart)
@@ -245,34 +249,22 @@ class SliceFunction:
 
     # -- algebra ---------------------------------------------------------
 
-    def _binary_node(self, kind: str, other: "SliceFunction") -> Optional[dict]:
-        if self.node is not None and other.node is not None:
-            return {"kind": kind, "args": [self.node, other.node]}
-        return None
-
     def _require_same_domain(self, other: "SliceFunction") -> None:
         if not self.domain.matches(other.domain):
             raise DomainMismatch("slice functions live on different domains")
 
     def __add__(self, other: "SliceFunction") -> "SliceFunction":
-        self._require_same_domain(other)
-        f, g = self._stem, other._stem
-        return SliceFunction(lambda z: f(z) + g(z), self.domain,
-                             self._binary_node("add", other))
+        return derive("add", self.domain, (self, other))
 
     def __sub__(self, other: "SliceFunction") -> "SliceFunction":
         return self + (-other)
 
     def __neg__(self) -> "SliceFunction":
-        f = self._stem
-        return SliceFunction(lambda z: -f(z), self.domain)
+        return derive("neg", self.domain, self)
 
     def star(self, other: "SliceFunction") -> "SliceFunction":
         """*-product: the slice function induced by the pointwise stem product."""
-        self._require_same_domain(other)
-        f, g = self._stem, other._stem
-        return SliceFunction(lambda z: cq_mul(f(z), g(z)), self.domain,
-                             self._binary_node("mul", other))
+        return derive("mul", self.domain, (self, other))
 
     def __mul__(self, other):
         if isinstance(other, SliceFunction):
@@ -286,59 +278,46 @@ class SliceFunction:
         return self.scale(1.0 / float(scalar))
 
     def scale(self, r: float) -> "SliceFunction":
-        f = self._stem
-        return SliceFunction(lambda z: f(z) * r, self.domain)
+        return derive("scale", self.domain, self, r)
 
     def star_pow(self, n: int) -> "SliceFunction":
-        """f * ... * f (n factors), from one evaluation of f per point."""
+        """f * ... * f (n factors), from one evaluation of f per point, with
+        the node of the n - 1 nested *-products."""
         if n < 1:
             raise ValueError("star power needs n >= 1")
+        power = self
+        for _ in range(n - 1):
+            power = power.star(self)
         f = self._stem
-        node = self.node
-        if node is not None:
-            for _ in range(n - 1):
-                node = {"kind": "mul", "args": [node, self.node]}
-        return SliceFunction(lambda z: star_pow_value(f(z), n), self.domain, node)
+        return SliceFunction(lambda z: star_pow_value(f(z), n), self.domain, power.node)
 
     # -- derived functions -------------------------------------------------
 
     def conj(self) -> "SliceFunction":
         """Regular conjugate f^c, induced by z -> F(z)^c."""
-        f = self._stem
-        return SliceFunction(lambda z: f(z).conj(), self.domain)
+        return derive("conj", self.domain, self)
 
     def scalar_part(self) -> "SliceFunction":
-        f = self._stem
-        return SliceFunction(lambda z: CQuaternion(f(z).z0, 0j, 0j, 0j), self.domain)
+        return derive("scalar", self.domain, self)
 
     def vector_part(self) -> "SliceFunction":
-        f = self._stem
-        return SliceFunction(lambda z: f(z).vec(), self.domain)
+        return derive("vec", self.domain, self)
 
     def sym(self) -> "SliceFunction":
         """Symmetrization f^s = f * f^c (slice preserving)."""
-        f = self._stem
-        return SliceFunction(lambda z: CQuaternion(f(z).csym(), 0j, 0j, 0j), self.domain)
+        return derive("sym", self.domain, self)
 
     def vsym(self) -> "SliceFunction":
         """Vector-part symmetrization f_v^s = F1^2 + F2^2 + F3^2 (slice preserving)."""
-        f = self._stem
-        return SliceFunction(lambda z: CQuaternion(f(z).vec_norm2(), 0j, 0j, 0j),
-                             self.domain)
+        return derive("vsym", self.domain, self)
 
     def star_dot(self, other: "SliceFunction") -> "SliceFunction":
         """<f, g>_* = f1 g1 + f2 g2 + f3 g3, equal to (f*g^c + g*f^c)/2."""
-        self._require_same_domain(other)
-        f, g = self._stem, other._stem
-        return SliceFunction(lambda z: CQuaternion(cq_dot(f(z), g(z)), 0j, 0j, 0j),
-                             self.domain)
+        return derive("dot", self.domain, (self, other))
 
     def star_wedge(self, other: "SliceFunction") -> "SliceFunction":
         """f ^ g = [f, g]/2, the formal cross product of the vector parts."""
-        self._require_same_domain(other)
-        f, g = self._stem, other._stem
-        from .cquaternion import cq_wedge
-        return SliceFunction(lambda z: cq_wedge(f(z), g(z)), self.domain)
+        return derive("wedge", self.domain, (self, other))
 
     def scalar_value(self, z: complex) -> complex:
         """Stem z0-component; the natural value of a slice-preserving function."""
@@ -391,23 +370,14 @@ class SliceFunction:
         return self.stem_at(z).imag_part() / beta
 
 
-# -- constructors -----------------------------------------------------------
+# -- the node algebra ---------------------------------------------------------
 
 
-def constant(c: Quaternion, domain: Domain) -> SliceFunction:
-    value = CQuaternion.from_quaternion(c)
-    return SliceFunction(lambda z: value, domain,
-                         {"kind": "const", "value": list(c.components())})
-
-
-def polynomial(coeffs: Sequence[Quaternion], domain: Domain) -> SliceFunction:
-    """Polynomial q -> sum q^n a_n with right quaternion coefficients a_n.
-
-    The stem is Horner's rule run on each of the four components, with
-    the arithmetic of ``acc = acc * z + a`` on CQuaternions, so its values
-    are those bit for bit; it builds one CQuaternion per call.
-    """
-    cs = [CQuaternion.from_quaternion(a) for a in coeffs] or [CQuaternion.zero()]
+def _poly_stem(coeffs: list) -> Callable[[complex], CQuaternion]:
+    """Horner's rule run on each of the four components, with the arithmetic
+    of ``acc = acc * z + a`` on CQuaternions, so its values are those bit
+    for bit; it builds one CQuaternion per call."""
+    cs = [CQuaternion(*map(complex, row)) for row in coeffs] or [CQuaternion.zero()]
     # the leading coefficient's components, then the others from degree n-1 down
     top0, top1, top2, top3 = cs[-1]
     lower = tuple(reversed(cs[:-1]))
@@ -421,8 +391,77 @@ def polynomial(coeffs: Sequence[Quaternion], domain: Domain) -> SliceFunction:
             a3 = a3 * z + c3
         return _new(CQuaternion, (a0, a1, a2, a3))
 
-    return SliceFunction(stem, domain,
-                         {"kind": "poly", "coeffs": [list(a.components()) for a in coeffs]})
+    return stem
+
+
+def _const_stem(row: list) -> Callable[[complex], CQuaternion]:
+    value = CQuaternion(*map(complex, row))
+    return lambda z: value
+
+
+#: member types: a child node, an array of one or more or of exactly two
+#: child nodes, a quaternion row, an array of them, a finite number
+NODE, NODES, PAIR, QUAT, QUATS, NUMBER = "node", "nodes", "pair", "quat", "quats", "number"
+
+#: each kind's members in JSON order, as (key, type), and the rule that
+#: builds its stem from their values, a child's stem in a child's place;
+#: an array of NODES is folded from the left, as repeated + and star fold
+KINDS: dict[str, tuple[tuple[tuple[str, str], ...], Callable]] = {
+    "poly": ((("coeffs", QUATS),), _poly_stem),
+    "const": ((("value", QUAT),), _const_stem),
+    "add": ((("args", NODES),), lambda f, g: lambda z: f(z) + g(z)),
+    "mul": ((("args", NODES),), lambda f, g: lambda z: cq_mul(f(z), g(z))),
+    "exp": ((("arg", NODE),), lambda f: lambda z: cq_exp(f(z))),
+    "neg": ((("arg", NODE),), lambda f: lambda z: -f(z)),
+    "scale": ((("arg", NODE), ("by", NUMBER)), lambda f, r: lambda z: f(z) * r),
+    "conj": ((("arg", NODE),), lambda f: lambda z: f(z).conj()),
+    "scalar": ((("arg", NODE),), lambda f: lambda z: CQuaternion(f(z).z0, 0j, 0j, 0j)),
+    "vec": ((("arg", NODE),), lambda f: lambda z: f(z).vec()),
+    "sym": ((("arg", NODE),), lambda f: lambda z: CQuaternion(f(z).csym(), 0j, 0j, 0j)),
+    "vsym": ((("arg", NODE),),
+             lambda f: lambda z: CQuaternion(f(z).vec_norm2(), 0j, 0j, 0j)),
+    "dot": ((("args", PAIR),),
+            lambda f, g: lambda z: CQuaternion(cq_dot(f(z), g(z)), 0j, 0j, 0j)),
+    "wedge": ((("args", PAIR),), lambda f, g: lambda z: cq_wedge(f(z), g(z))),
+}
+
+
+def derive(kind: str, domain: Domain, *members) -> SliceFunction:
+    """The function of a ``kind`` node on ``domain``, from the members of
+    ``KINDS[kind]``: a SliceFunction per child node (a sequence of them for
+    an array), the JSON value otherwise; its node is kept when every child
+    has one, and children on different domains raise DomainMismatch."""
+    shape, rule = KINDS[kind]
+    node, args, children = {"kind": kind}, [], []
+    for (key, typ), member in zip(shape, members):
+        if typ == NODE:
+            children.append(member)
+            node[key] = member.node
+            args.append(member._stem)
+        elif typ == NODES or typ == PAIR:
+            children += member
+            node[key] = [f.node for f in member]
+            args += [f._stem for f in member]
+        else:
+            node[key] = member
+            args.append(member)
+    for f in children[1:]:
+        children[0]._require_same_domain(f)
+    stem = functools.reduce(rule, args) if shape[0][1] == NODES else rule(*args)
+    opaque = any(f.node is None for f in children)
+    return SliceFunction(stem, domain, None if opaque else node)
+
+
+# -- constructors -----------------------------------------------------------
+
+
+def constant(c: Quaternion, domain: Domain) -> SliceFunction:
+    return derive("const", domain, list(c.components()))
+
+
+def polynomial(coeffs: Sequence[Quaternion], domain: Domain) -> SliceFunction:
+    """Polynomial q -> sum q^n a_n with right quaternion coefficients a_n."""
+    return derive("poly", domain, [list(a.components()) for a in coeffs])
 
 
 def identity(domain: Domain) -> SliceFunction:

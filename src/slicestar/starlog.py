@@ -48,7 +48,7 @@ from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain)
 from .quaternion import _new
-from .slicefn import ContinuedFunction, Domain, SliceFunction
+from .slicefn import ContinuedFunction, Domain, SliceFunction, derive
 
 #: largest |h1|, |h2| of a *-logarithm branch.  Adding 2 pi i h to a
 #: principal logarithm costs about |h| ulps of it: the round trip
@@ -87,9 +87,7 @@ def _anchor(domain: Domain, basepoint: complex) -> complex:
 
 def star_exp(f: SliceFunction) -> SliceFunction:
     """exp_*(f), induced by the algebra exponential of the stem."""
-    stem = f._stem
-    node = {"kind": "exp", "arg": f.node} if f.node is not None else None
-    return SliceFunction(lambda z: cq_exp(stem(z)), f.domain, node)
+    return derive("exp", f.domain, f)
 
 
 def _require_root(vsym: ZeroCount) -> None:
@@ -102,11 +100,16 @@ def _require_root(vsym: ZeroCount) -> None:
             "no continuous square root")
 
 
+def _nearest_sqrt(w: complex, near: complex) -> complex:
+    """The square root of w nearest ``near``, the principal one on a tie."""
+    r = cmath.sqrt(w)
+    return r if abs(r - near) <= abs(r + near) else -r
+
+
 def _sqrt_step(w: complex, prev: complex):
     """The square root of w nearest ``prev``; BranchObstruction (a refusal:
     bisect) when it moves by more than 0.3 relative to the two values."""
-    r = cmath.sqrt(w)
-    cand = r if abs(r - prev) <= abs(r + prev) else -r
+    cand = _nearest_sqrt(w, prev)
     if abs(cand - prev) > 0.3 * (abs(cand) + abs(prev)):
         return BranchObstruction
     return cand

@@ -85,6 +85,8 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 
 #: a 401-digit JSON integer, which no float holds
 HUGE = 10 ** 400
+#: a valid child node
+ONE = {"kind": "const", "value": [1, 0, 0, 0]}
 MALFORMED_FN = {
     "add-no-args": ({"kind": "add", "args": []},
                     "descriptor node {'kind': 'add', 'args': []}: 'args' must be a non-empty array"),
@@ -101,6 +103,25 @@ MALFORMED_FN = {
     # a JSON integer beyond the float range
     "const-huge-entry": ({"kind": "const", "value": [0, HUGE, 0, 0]},
                          "quaternion entry must fit in a float, got an integer of 401 digits"),
+    "neg-no-arg": ({"kind": "neg"}, "descriptor node {'kind': 'neg'}: 'arg' must be an object"),
+    "conj-array-arg": ({"kind": "conj", "arg": [ONE]},
+                       f"descriptor node {{'kind': 'conj', 'arg': [{ONE!r}]}}: "
+                       "'arg' must be an object"),
+    "scale-nan-by": ({"kind": "scale", "arg": ONE, "by": math.nan},
+                     f"descriptor node {{'kind': 'scale', 'arg': {ONE!r}, 'by': nan}}: "
+                     "'by' must be a finite number"),
+    "scale-string-by": ({"kind": "scale", "arg": ONE, "by": "0.2"},
+                        f"descriptor node {{'kind': 'scale', 'arg': {ONE!r}, 'by': '0.2'}}: "
+                        "'by' must be a finite number"),
+    "scale-no-by": ({"kind": "scale", "arg": ONE},
+                    f"descriptor node {{'kind': 'scale', 'arg': {ONE!r}}}: "
+                    "'by' must be a finite number"),
+    "dot-one-arg": ({"kind": "dot", "args": [ONE]},
+                    f"descriptor node {{'kind': 'dot', 'args': [{ONE!r}]}}: "
+                    "'args' must be an array of two"),
+    "wedge-three-args": ({"kind": "wedge", "args": [ONE, ONE, ONE]},
+                         f"descriptor node {{'kind': 'wedge', 'args': [{ONE!r}, {ONE!r}, "
+                         f"{ONE!r}]}}: 'args' must be an array of two"),
 }
 MALFORMED_DOMAIN = {
     "center-scalar": {"center": 5, "radius": 1},
@@ -355,6 +376,22 @@ def test_deck_parity_tol_moves_the_odd_separation_threshold(capsys):
 def test_verify_rejects_bad_tol(capsys):
     code, _ = run(capsys, ["verify", "--suite", "algebra", "--tol", "nonsense"])
     assert code == 2
+
+
+def test_cli_loads_every_node_kind(tmp_path, capsys):
+    # a function written by function_to_obj, through every derived operator
+    from slicestar import Domain, Quaternion, constant, polynomial, star_exp
+    from slicestar.descriptors import function_to_obj, quaternion_to_json
+    dom = Domain(0.0, 1.2)
+    f = polynomial([Quaternion(0.3, 0.2, -0.1, 0.4), Quaternion(0.1, 0.5, 0.2, -0.3)], dom)
+    g = constant(Quaternion(0.2, -0.4, 0.1, 0.3), dom)
+    h = star_exp(-(f.conj() * 0.5).star_wedge(g.vsym() + g.sym()) + f.scalar_part()
+                 + f.vector_part().star(g).star_dot(f) * 0.1)
+    q = Quaternion(0.4, 0.2, -0.3, 0.1)
+    code, out = run(capsys, ["eval", "--fn", write(tmp_path, "h.json", function_to_obj(h)),
+                             "--at", json.dumps(quaternion_to_json(q))])
+    assert code == 0
+    assert json.loads(out)["value"] == quaternion_to_json(h(q))
 
 
 def test_descriptor_round_trip():

@@ -1,7 +1,9 @@
 import ast
 import cmath
 import functools
+import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from slicestar import (CQuaternion, Domain, I_UNIT, ImagUnit, J_UNIT, LogBranch,
 from slicestar.errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                               NearBoundary, NonIsolatedZero, OutOfDomain,
                               RealAxis, SliceStarError, VanishingVectorPart)
-from slicestar import slicefn
+from slicestar import descriptors, slicefn
+from slicestar.descriptors import function_from_obj, function_to_obj
 from slicestar.slicefn import BOUNDARY_FLOOR, QUAD_POINTS, QUAD_RADIUS
 
 DOM = Domain(0.0, 3.0)
@@ -698,3 +701,76 @@ def test_star_pow_evaluates_base_once_per_point(rng, n):
         assert _bits(got) == _bits(want.stem_at(z))
     assert power.node == want.node
 
+
+#: each operator, as a function of two operands (f, g) on one domain
+_OPERATORS = {
+    "neg": lambda f, g: -f,
+    "sub": lambda f, g: f - g,
+    "scale": lambda f, g: f.scale(-1.7),
+    "rmul": lambda f, g: 0.2 * f,
+    "truediv": lambda f, g: f / 3,
+    "conj": lambda f, g: f.conj(),
+    "scalar": lambda f, g: f.scalar_part(),
+    "vec": lambda f, g: f.vector_part(),
+    "sym": lambda f, g: f.sym(),
+    "vsym": lambda f, g: f.vsym(),
+    "dot": lambda f, g: f.star_dot(g),
+    "wedge": lambda f, g: f.star_wedge(g),
+    "add": lambda f, g: f + g,
+    "mul": lambda f, g: f.star(g),
+    "pow": lambda f, g: f.star_pow(3),
+    "exp": lambda f, g: star_exp(f),
+    "nested": lambda f, g: star_exp(-(f.conj() * 0.5).star_wedge(g.vsym() + g)),
+}
+
+
+def _kinds(node: dict) -> set:
+    out = {node["kind"]}
+    for child in [node.get("arg")] + node.get("args", []):
+        if child is not None:
+            out |= _kinds(child)
+    return out
+
+
+@pytest.mark.parametrize("dom", [_UNIT_DISK, DOM_OFF], ids=["real", "off"])
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+def test_operator_nodes_load_back_bit_for_bit(rng, dom, op):
+    f, g = rand_poly(rng, dom, deg=2), constant(rand_quat(rng), dom)
+    h = _OPERATORS[op](f, g)
+    obj = json.loads(json.dumps(function_to_obj(h)))
+    again = function_from_obj(obj)
+    assert again.node == obj["fn"] == h.node
+    for z in dom.sample_points(rng, 20):
+        assert _bits(again.stem_at(z)) == _bits(h.stem_at(z))
+
+
+def test_operators_write_every_node_kind(rng):
+    f, g = rand_poly(rng, DOM, deg=2), constant(rand_quat(rng), DOM)
+    written = set().union(*(_kinds(op(f, g).node) for op in _OPERATORS.values()))
+    assert written == set(slicefn.KINDS)
+
+
+def test_an_opaque_operand_drops_the_node(rng):
+    f = rand_poly(rng, DOM, deg=2)
+    for opaque in (f.derivative(), slice_preserving(lambda z: z, DOM)):
+        for h in (f + opaque, opaque.star(f), -opaque, opaque.vsym(), star_exp(opaque)):
+            assert h.node is None
+            with pytest.raises(ValueError, match="no closed-form descriptor"):
+                function_to_obj(h)
+
+
+def test_descriptor_grammar_lists_the_node_kinds():
+    # the docstring grammar gives each kind of the table once, with its
+    # members' keys in order; both module docstrings and README name each
+    listed = {}
+    for line in descriptors.__doc__.splitlines():
+        rule = re.fullmatch(r'\s*\{"kind": ("\w+"(?: \| "\w+")*), (.*)\}', line)
+        if rule:
+            for kind in re.findall(r'"(\w+)"', rule.group(1)):
+                assert kind not in listed
+                listed[kind] = re.findall(r'"(\w+)":', rule.group(2))
+    assert listed == {kind: [key for key, _ in shape]
+                      for kind, (shape, _) in slicefn.KINDS.items()}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (slicefn.__doc__, readme):
+        assert all(f"`{k}`" in text for k in slicefn.KINDS)

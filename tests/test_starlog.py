@@ -406,6 +406,49 @@ def test_branch_values_shared_across_threads(rng, dom):
     assert len(cont._filled) == len(cont._cells) + 1
 
 
+#: threads of the fill test, and fresh branches each one shares
+FILL_THREADS, FILL_BUILDS = 8, 12
+
+
+@pytest.mark.parametrize("dom", [DOM, Domain(0.3 + 1.5j, 0.8)], ids=["real", "off"])
+def test_lazy_fill_is_thread_safe(rng, dom):
+    # eight threads query overlapping windows of fresh points on one branch,
+    # switching as often as the interpreter allows: each value is the one a
+    # fresh single-threaded build gives, and each filled cell one node
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 160)
+    single = [stem_bits(v) for v in map(star_log(f, _branch(dom)).stem_at, pts)]
+    window = 2 * len(pts) // FILL_THREADS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for build in range(FILL_BUILDS):
+            g = star_log(f, _branch(dom))
+            got: list[dict] = [{} for _ in range(FILL_THREADS)]
+            start = threading.Barrier(FILL_THREADS, timeout=60)
+
+            def query(i: int):
+                ks = [(i * window // 2 + j) % len(pts) for j in range(window)]
+                random.Random(build * FILL_THREADS + i).shuffle(ks)
+                start.wait()
+                for k in ks:
+                    got[i][k] = stem_bits(g.stem_at(pts[k]))
+
+            threads = [threading.Thread(target=query, args=(i,))
+                       for i in range(FILL_THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(bits == single[k] for seen in got for k, bits in seen.items())
+            assert sum(map(len, got)) == FILL_THREADS * window
+            cont = continuation_of(g)
+            assert len(cont._filled) == len(cont._cells) + 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_branch_memory_is_bounded_by_the_grid(rng):
     # only grid cells are stored: 5000 distinct points leave at most one
     # state per cell plus the anchor, and asking again gives the same bits

@@ -63,9 +63,6 @@ from .starlog import _anchor, _nearest_sqrt, continued_log
 #: admissibility threshold on the obstruction value
 TAU_BCH = 1e-8
 
-#: |f_v^s| below which the derivative reports the degenerate regime
-TAU_DEG = 1e-6
-
 #: clearance required of f_v^s, g_v^s from the lattice {n^2 pi^2}
 TAU_LATTICE = 1e-8
 

@@ -222,6 +222,8 @@ class BranchContinuation:
         if hit is not None:
             return continue_along(self.stepper, _halve, hit[0], hit[1], z)
         if start is None or z == self.anchor:
+            # a list beside _cells: another thread may append while this one
+            # scans, and iterating _cells.values() would then raise RuntimeError
             start = min(self._filled, key=lambda t: abs(t[0] - z))
         v = continue_along(self.stepper, _halve, start[0], start[1], z)
         entry = (z, v)

@@ -11,7 +11,8 @@ the kinds of ``slicefn.KINDS``:
     {"kind": "dot" | "wedge", "args": [<descriptor>, <descriptor>]}
 
 ``add`` and ``mul`` apply their arguments from the left; r is a finite
-number.  ``function_to_obj`` writes any function built from these kinds.
+number.  ``function_to_obj`` writes any function built from these kinds,
+and refuses one scaled by an infinity or NaN.
 
 A function file is {"fn": <descriptor>, "domain": {"center": [re,im],
 "radius": r, "realIntersecting": bool}}.  Quaternions are arrays

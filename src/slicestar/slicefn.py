@@ -20,7 +20,8 @@ algebra, the JSON members and stem rule of ``poly``, ``const``, ``add``,
 ``sym``, ``vsym``, ``dot`` and ``wedge``; every operator builds through
 ``derive``.  Continued branches, ``slice_preserving``, the unit-vector
 function, the idempotents and ``derivative()`` have opaque stems, without
-a node, and so does every function built from one.
+a node, and so does every function built from one or scaled by a number
+that is not finite.
 
 Domains are "basic": a single disk centered on R, or the union of two
 conjugate disks that avoid R.
@@ -44,6 +45,10 @@ from .quaternion import ImagUnit, Quaternion, _new, quat_mul
 #: trapezoid points for Cauchy quadrature of stem derivatives
 QUAD_POINTS = 32
 
+#: the quadrature nodes (w_k, conj w_k), w_k = exp(2 pi i k / QUAD_POINTS)
+QUAD_NODES = tuple((w, w.conjugate()) for w in (
+    cmath.exp(1j * (2 * math.pi * k / QUAD_POINTS)) for k in range(QUAD_POINTS)))
+
 #: quadrature radius cap; the effective radius is min of this and half the
 #: distance to the domain boundary
 QUAD_RADIUS = 0.1
@@ -61,9 +66,6 @@ DOMAIN_MATCH_TOL = 1e-12
 
 #: fraction of the radius that domain meshes keep clear of the boundary
 MESH_MARGIN = 0.08
-
-#: fraction of the radius that a real anchor keeps clear of the boundary
-ANCHOR_PULL = 0.1
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,6 @@ class Domain:
             out.append(z)
         return out
 
-    def real_anchor(self, hint: float = 0.0) -> complex:
-        """Real point of the domain nearest to ``hint``, kept off the boundary."""
-        if not self.real_intersecting:
-            raise RealAxis("domain does not meet the real axis")
-        lo = self.center.real - (1.0 - ANCHOR_PULL) * self.radius
-        hi = self.center.real + (1.0 - ANCHOR_PULL) * self.radius
-        return complex(min(max(hint, lo), hi), 0.0)
-
     def to_json(self) -> dict:
         return {"center": [self.center.real, self.center.imag],
                 "radius": self.radius,
@@ -190,16 +184,6 @@ def _finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:           # an int too large for a float
         return False
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_roots(npts: int) -> tuple[tuple[complex, complex], ...]:
-    """The quadrature nodes (w_k, conj w_k), w_k = exp(2 pi i k / npts)."""
-    out = []
-    for k in range(npts):
-        w = cmath.exp(1j * (2 * math.pi * k / npts))
-        out.append((w, w.conjugate()))
-    return tuple(out)
 
 
 def star_pow_value(v: CQuaternion, n: int) -> CQuaternion:
@@ -325,13 +309,13 @@ class SliceFunction:
 
     # -- derivatives -------------------------------------------------------
 
-    def stem_derivative_at(self, z: complex, npts: int = QUAD_POINTS) -> CQuaternion:
+    def stem_derivative_at(self, z: complex) -> CQuaternion:
         """dF/dz by trapezoidal Cauchy quadrature on a safe circle around z.
 
-        The mean of F(z + r w) conj(w) over the npts-th roots of unity w,
-        divided by r, accumulated per component in the order of
-        ``acc = acc + F(z + r w) * conj(w)`` on CQuaternions, so the
-        result is that sum's bit for bit.
+        The mean of F(z + r w) conj(w) over the QUAD_POINTS-th roots of
+        unity w (``QUAD_NODES``), divided by r, accumulated per component
+        in the order of ``acc = acc + F(z + r w) * conj(w)`` on
+        CQuaternions, so the result is that sum's bit for bit.
         """
         dom = self.domain
         d = dom.boundary_distance(z)
@@ -344,13 +328,13 @@ class SliceFunction:
                               f"domain (center {dom.center}, radius {dom.radius})")
         stem = self._stem
         a0 = a1 = a2 = a3 = 0j
-        for w, wc in _unit_roots(npts):
+        for w, wc in QUAD_NODES:
             f0, f1, f2, f3 = stem(z + r * w)
             a0 = a0 + f0 * wc
             a1 = a1 + f1 * wc
             a2 = a2 + f2 * wc
             a3 = a3 + f3 * wc
-        s = npts * r
+        s = QUAD_POINTS * r
         return _new(CQuaternion, (a0 / s, a1 / s, a2 / s, a3 / s))
 
     def derivative(self) -> "SliceFunction":
@@ -430,7 +414,8 @@ def derive(kind: str, domain: Domain, *members) -> SliceFunction:
     """The function of a ``kind`` node on ``domain``, from the members of
     ``KINDS[kind]``: a SliceFunction per child node (a sequence of them for
     an array), the JSON value otherwise; its node is kept when every child
-    has one, and children on different domains raise DomainMismatch."""
+    has one and every number is finite, which is what the loader reads
+    back, and children on different domains raise DomainMismatch."""
     shape, rule = KINDS[kind]
     node, args, children = {"kind": kind}, [], []
     for (key, typ), member in zip(shape, members):
@@ -448,7 +433,8 @@ def derive(kind: str, domain: Domain, *members) -> SliceFunction:
     for f in children[1:]:
         children[0]._require_same_domain(f)
     stem = functools.reduce(rule, args) if shape[0][1] == NODES else rule(*args)
-    opaque = any(f.node is None for f in children)
+    opaque = any(f.node is None for f in children) or not all(
+        _finite_number(node[key]) for key, typ in shape if typ == NUMBER)
     return SliceFunction(stem, domain, None if opaque else node)
 
 
@@ -473,40 +459,36 @@ def slice_preserving(fn: Callable[[complex], complex], domain: Domain) -> SliceF
     return SliceFunction(lambda z: _new(CQuaternion, (fn(z), 0j, 0j, 0j)), domain)
 
 
+def _sided(domain: Domain, needs: str, above: CQuaternion,
+           below: CQuaternion) -> SliceFunction:
+    """The function with stem ``above`` where Im z > 0, ``below`` elsewhere;
+    JNotDefined on a domain meeting R, where the two would meet."""
+    if domain.real_intersecting:
+        raise JNotDefined(f"{needs} a domain avoiding the real axis")
+    return SliceFunction(lambda z: above if z.imag > 0 else below, domain)
+
+
 def unit_vector_part(domain: Domain) -> SliceFunction:
     """The slice-preserving function q -> q_v/|q_v| (value I on each C_I^+).
 
     Its stem is (i*sign(Im z), 0, 0, 0), locally constant, so the domain
     must avoid the real axis.
     """
-    if domain.real_intersecting:
-        raise JNotDefined("q -> q_v/|q_v| needs a domain avoiding the real axis")
-
-    def stem(z: complex) -> CQuaternion:
-        return CQuaternion(1j if z.imag > 0 else -1j, 0j, 0j, 0j)
-
-    return SliceFunction(stem, domain)
-
-
-def _idempotent(domain: Domain, sign: float) -> SliceFunction:
-    if domain.real_intersecting:
-        raise JNotDefined("idempotents need a domain avoiding the real axis")
-
-    def stem(z: complex) -> CQuaternion:
-        s = 1.0 if z.imag > 0 else -1.0
-        return CQuaternion(0.5 + 0j, sign * s * -0.5j, 0j, 0j)
-
-    return SliceFunction(stem, domain)
+    return _sided(domain, "q -> q_v/|q_v| needs", CQuaternion(1j, 0j, 0j, 0j),
+                  CQuaternion(-1j, 0j, 0j, 0j))
 
 
 def idempotent_plus(domain: Domain) -> SliceFunction:
     """(1 - J*i)/2 where J = q_v/|q_v|; a slice regular idempotent zero divisor."""
-    return _idempotent(domain, +1.0)
+    # complex(0, -0.5): the literal -0.5j has the real part -0.0
+    return _sided(domain, "idempotents need", CQuaternion(0.5 + 0j, complex(0, -0.5), 0j, 0j),
+                  CQuaternion(0.5 + 0j, 0.5j, 0j, 0j))
 
 
 def idempotent_minus(domain: Domain) -> SliceFunction:
     """(1 + J*i)/2; the complementary idempotent (plus * minus = 0)."""
-    return _idempotent(domain, -1.0)
+    return _sided(domain, "idempotents need", CQuaternion(0.5 + 0j, 0.5j, 0j, 0j),
+                  CQuaternion(0.5 + 0j, complex(0, -0.5), 0j, 0j))
 
 
 # -- the classical operators --------------------------------------------------
@@ -617,7 +599,6 @@ def orth_decompose(f: SliceFunction, g: SliceFunction):
     if scale < 1e-14:
         raise VanishingVectorPart("f_v^s vanishes identically (within tolerance)")
     zero_thresh = ORTH_REL_TOL * scale
-    roots = _unit_roots(QUAD_POINTS)
     half = QUAD_POINTS // 2
 
     def raw_g1(z: complex) -> complex:
@@ -625,7 +606,7 @@ def orth_decompose(f: SliceFunction, g: SliceFunction):
         return cq_dot(gs(z), fz) / fz.vec_norm2()
 
     def mode(vals: list, k: int) -> float:
-        return abs(sum(v * roots[j * k % QUAD_POINTS][0] for j, v in enumerate(vals)))
+        return abs(sum(v * QUAD_NODES[j * k % QUAD_POINTS][0] for j, v in enumerate(vals)))
 
     def g1_value(z: complex) -> complex:
         if abs(fs(z).vec_norm2()) > zero_thresh:
@@ -638,7 +619,7 @@ def orth_decompose(f: SliceFunction, g: SliceFunction):
             # and no ring fits round a point of the boundary (d = 0)
             n, low, _ = locus_scan(vsym, z, eps)[0]
             if n is not None and n < half and low * d > zero_thresh * eps:
-                vals = [raw_g1(z + eps * w) for w, _ in roots]
+                vals = [raw_g1(z + eps * w) for w, _ in QUAD_NODES]
                 tol = ORTH_REL_TOL * QUAD_POINTS * max(map(abs, vals))
                 if any(mode(vals, k) > tol for k in range(1, n + 1)):
                     pole = eps

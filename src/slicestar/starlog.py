@@ -76,12 +76,15 @@ def _require_index(what: str, h1: int, h2: int) -> None:
 
 
 def _anchor(domain: Domain, basepoint: complex) -> complex:
-    """Continuation anchor: nearest real point for domains meeting R,
+    """Continuation anchor: for domains meeting R the real point nearest
+    the basepoint, kept a tenth of the radius clear of the boundary,
     otherwise the basepoint reflected into the upper component."""
     if not domain.contains(basepoint):
         raise OutOfDomain(f"basepoint {basepoint} outside the domain")
     if domain.real_intersecting:
-        return domain.real_anchor(basepoint.real)
+        c = domain.center.real
+        pull = 0.9 * domain.radius
+        return complex(min(max(basepoint.real, c - pull), c + pull), 0.0)
     return basepoint if basepoint.imag > 0 else basepoint.conjugate()
 
 

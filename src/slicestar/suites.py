@@ -672,7 +672,8 @@ def _(rng, n):
 @_measures("derivative", None, ("degenerate_branch_continuity", 1e-9))
 def _(rng, n):
     worst = 0.0
-    for w0 in (1.0, bchmod.TAU_DEG):
+    # A(w) and B(w) at the series switch |w| = 1 and near w = f_v^s = 0
+    for w0 in (1.0, 1e-6):
         lo = bchmod._coeff_a(w0 * (1 - 1e-9)) - bchmod._coeff_a(w0 * (1 + 1e-9))
         hi = even_trig(w0 * (1 - 1e-9)).sincr ** 2 - even_trig(w0 * (1 + 1e-9)).sincr ** 2
         worst = max(worst, abs(lo), abs(hi))

@@ -285,7 +285,7 @@ def test_quadrature_self_check(rng):
     f = star_exp(rand_poly(rng, DOM, deg=3))
     for z in DOM.sample_points(rng, 10, margin_frac=0.2):
         a = f.stem_derivative_at(z)
-        b = f.stem_derivative_at(z, npts=64)
+        b = _quadrature_reference(f, z, 64)
         assert (a - b).norm() < 1e-9 * max(1.0, b.norm())
 
 
@@ -332,6 +332,30 @@ def test_unit_vector_function_and_idempotents(rng):
         assert (lp.star(lp).stem_at(z) - lp.stem_at(z)).norm() < 1e-15
         assert (lm.star(lm).stem_at(z) - lm.stem_at(z)).norm() < 1e-15
         assert lp.star(lm).stem_at(z).norm() < 1e-15
+
+
+#: the reprs of the stem components of each two-sided constant above R
+#: and below it, so that a flipped sign of zero shows
+_SIDED_REPRS = {
+    unit_vector_part: (("1j", "0j", "0j", "0j"), ("(-0-1j)", "0j", "0j", "0j")),
+    idempotent_plus: (("(0.5+0j)", "-0.5j", "0j", "0j"), ("(0.5+0j)", "0.5j", "0j", "0j")),
+    idempotent_minus: (("(0.5+0j)", "0.5j", "0j", "0j"), ("(0.5+0j)", "-0.5j", "0j", "0j")),
+}
+
+
+@pytest.mark.parametrize("make", list(_SIDED_REPRS), ids=lambda make: make.__name__)
+def test_two_sided_constants_keep_their_bits(rng, make):
+    dom = Domain(0.3 + 1.5j, 0.8)
+    above, below = _SIDED_REPRS[make]
+    f = make(dom)
+    for z in [dom.center] + dom.sample_points(rng, 20):
+        upper = z if z.imag > 0 else z.conjugate()
+        assert tuple(map(repr, f.stem_at(upper))) == above
+        assert tuple(map(repr, f.stem_at(upper.conjugate()))) == below
+    needs = "q -> q_v/|q_v| needs" if make is unit_vector_part else "idempotents need"
+    with pytest.raises(JNotDefined) as err:
+        make(Domain(0, 1))
+    assert str(err.value) == f"{needs} a domain avoiding the real axis"
 
 
 def test_stem_symmetry_of_constructions(rng):
@@ -639,20 +663,28 @@ def _quad_function(kind: str, data) -> SliceFunction:
 @pytest.mark.parametrize("kind", ["0", "1", "2", "3", "4", "exp", "log", "derivative"])
 @given(data=st.data())
 def test_quadrature_bitwise_matches_reference_loop(kind, npts, data):
-    f = _quad_function(kind, data)
-    z = data.draw(_quad_points(f.domain))
-    want = _outcome(_quadrature_reference, f, z, npts)
-    assert _outcome(f.stem_derivative_at, z, npts) == want
-    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        if npts != QUAD_POINTS:
+            # the kernel reads its nodes from the module: the same loop at
+            # another size, inner derivatives included
+            mp.setattr(slicefn, "QUAD_POINTS", npts)
+            mp.setattr(slicefn, "QUAD_NODES", tuple(
+                (w, w.conjugate()) for w in (cmath.exp(1j * (2 * math.pi * k / npts))
+                                             for k in range(npts))))
+        f = _quad_function(kind, data)
+        z = data.draw(_quad_points(f.domain))
+        want = _outcome(_quadrature_reference, f, z, npts)
+        assert _outcome(f.stem_derivative_at, z) == want
+        calls = [0]
 
-    def counted(w):
-        calls[0] += 1
-        return f.stem_at(w)
+        def counted(w):
+            calls[0] += 1
+            return f.stem_at(w)
 
-    counted_got = _outcome(SliceFunction(counted, f.domain).stem_derivative_at, z, npts)
-    assert counted_got == want
-    if not isinstance(want, type):     # a refused inner derivative stops early
-        assert calls[0] == npts
+        counted_got = _outcome(SliceFunction(counted, f.domain).stem_derivative_at, z)
+        assert counted_got == want
+        if not isinstance(want, type):     # a refused inner derivative stops early
+            assert calls[0] == npts
 
 
 @pytest.mark.parametrize("dom", [_UNIT_DISK, DOM_OFF], ids=["real", "off"])
@@ -757,6 +789,21 @@ def test_an_opaque_operand_drops_the_node(rng):
             assert h.node is None
             with pytest.raises(ValueError, match="no closed-form descriptor"):
                 function_to_obj(h)
+
+
+@pytest.mark.parametrize("by", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_scale_drops_the_node(rng, by):
+    # the loader refuses a non-finite "by", so no descriptor is written
+    f = rand_poly(rng, DOM, deg=2)
+    for h in (f.scale(by), f * by, by * f):
+        assert h.node is None
+        with pytest.raises(ValueError, match="no closed-form descriptor"):
+            function_to_obj(h)
+        for z in DOM.sample_points(rng, 5):
+            assert _bits(h.stem_at(z)) == _bits(f.stem_at(z) * by)
+    kept = f.scale(2.5)
+    again = function_from_obj(json.loads(json.dumps(function_to_obj(kept))))
+    assert again.node == kept.node and again.node["by"] == 2.5
 
 
 def test_descriptor_grammar_lists_the_node_kinds():

@@ -21,7 +21,7 @@ from slicestar.continuation import (GRID, BranchContinuation, ZeroCount, hilbert
 from slicestar.errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus,
                               JNotDefined, OutOfDomain)
 from slicestar.slicefn import ContinuedFunction
-from slicestar.starlog import MAX_BRANCH_INDEX
+from slicestar.starlog import MAX_BRANCH_INDEX, _anchor
 
 DOM = Domain(0.0, 1.0)
 DOM_OFF = Domain(1.5j, 0.8)
@@ -101,6 +101,22 @@ def test_star_log_basepoint_in_lower_component(rng):
         assert (eg.stem_at(z) - f.stem_at(z)).norm() \
             <= 1e-9 * max(1.0, f.stem_at(z).norm())
     assert stem_symmetry_defect(g, pts) < 1e-10
+
+
+def test_anchor_clamps_on_R_and_reflects_off_R():
+    # on R: the real point nearest the basepoint, clamped to 0.9 R of the centre
+    on = Domain(0.5, 2.0)
+    for bp, want in ((0.7 + 0.3j, complex(0.7, 0.0)), (-0.2 - 1.1j, complex(-0.2, 0.0)),
+                     (2.45 + 0.1j, complex(0.5 + 0.9 * 2.0, 0.0)),
+                     (-1.45 - 0.2j, complex(0.5 - 0.9 * 2.0, 0.0))):
+        assert repr(_anchor(on, bp)) == repr(want)
+    # off R: the basepoint, reflected into the upper disk
+    off = Domain(0.3 + 1.5j, 0.8)
+    for bp in (0.4 + 1.2j, 0.1 + 2.1j):
+        assert repr(_anchor(off, bp)) == repr(_anchor(off, bp.conjugate())) == repr(bp)
+    for dom, bp in ((on, 2.6 + 0j), (on, 0.5 + 2.1j), (off, 0.3 + 0j), (off, 1.2 + 1.5j)):
+        with pytest.raises(OutOfDomain):
+            _anchor(dom, bp)
 
 
 def test_sqrt_vsym_obstruction():

@@ -19,19 +19,20 @@ s + u0 + (u1/m) * vec Q is
 
     h = s + W * theta / sin(theta)
 
-on the branch seeded at the domain anchor with u0 = 0 and u1 the
-principal arccos of Q0 = C.  The walk never evaluates e^s, so neither
-its refusal nor its range depends on the scalar parts: where
-|Q_v^s| = |sin^2(theta)| <= TAU_CLASSIFY the vector part is not
-recoverable and the read raises HitsVLocus.  The solver builds no W: Q
-is the product of two cq_exp.  The obstruction to the product being a
-*-exponential is
+on the branch seeded at the domain anchor with u0 = 0, u1 the principal
+arccos of Q0 = C, and L = log Q_v^s on the turn whose root m is nearer
+sin(theta) (a Q_v^s of exactly 0 there raises HitsVLocus at once).  The
+walk never evaluates e^s, so neither its refusal nor its range depends
+on the scalar parts: where |Q_v^s| = |sin^2(theta)| <= TAU_CLASSIFY the
+vector part is not recoverable and the read raises HitsVLocus.  The
+solver builds no W: Q is the product of two cq_exp.  The obstruction to
+the product being a *-exponential is
 
     Theta = f_v^s * n(W) = f_v^s * (1 - C^2),
 
 which equals f_v^s e^{-2(f0+g0)} (exp_* f * exp_* g)_v^s and is entire: it
-needs no division by f_v^s.  One scalar helper defines C, and the
-admissibility scan reads C, f_v^s, g_v^s and |f_v ^ g_v| from it.
+needs no division by f_v^s.  The admissibility scan computes C, f_v^s,
+g_v^s and |f_v ^ g_v| at each of its points.
 
 The slice derivative of exp_*(f) has the closed form
 
@@ -51,14 +52,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .continuation import locus_scan
+from .continuation import locus_scan, log_sqrt
 from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
-from .errors import BadExampleInput, NotExponential, VanishingVectorPart
+from .errors import BadExampleInput, HitsVLocus, NotExponential, VanishingVectorPart
 from .quaternion import J_UNIT, Quaternion
 from .slicefn import (ContinuedFunction, SliceFunction, constant, idempotent_plus,
                       induce_value)
-from .starlog import _anchor, _nearest_sqrt, continued_log
+from .starlog import _anchor, continued_log
 
 #: admissibility threshold on the obstruction value
 TAU_BCH = 1e-8
@@ -143,23 +144,6 @@ def vanishing_vsym_partner(f: SliceFunction) -> SliceFunction:
     return -f.conj() + idempotent_plus(dom).star(constant(J_UNIT, dom))
 
 
-def _product_terms(fz: CQuaternion, gz: CQuaternion) -> tuple:
-    """The scalars of the product of the exponential stems at one point:
-    (C, f_v^s, g_v^s, cf*sg, cg*sf, sf*sg, x1, x2, x3), where the three
-    products weigh g_v, f_v and f_v ^ g_v in W and (x1, x2, x3) are the
-    components of f_v ^ g_v.  The one definition of C."""
-    _, f1, f2, f3 = fz
-    _, g1, g2, g3 = gz
-    fvs = f1 * f1 + f2 * f2 + f3 * f3
-    gvs = g1 * g1 + g2 * g2 + g3 * g3
-    cf, sf = even_trig(fvs)
-    cg, sg = even_trig(gvs)
-    ss = sf * sg
-    c = cf * cg - ss * (f1 * g1 + f2 * g2 + f3 * g3)
-    return (c, fvs, gvs, cf * sg, cg * sf, ss,
-            f2 * g3 - f3 * g2, f3 * g1 - f1 * g3, f1 * g2 - f2 * g1)
-
-
 def bch_condition(f: SliceFunction, g: SliceFunction, *,
                   tol: float = TAU_BCH) -> BCHReport:
     """Scan the obstruction Theta = f_v^s (1 - C^2) on CONDITION_SAMPLES mesh
@@ -175,10 +159,12 @@ def bch_condition(f: SliceFunction, g: SliceFunction, *,
     scale_max = 1.0
     for z in pts:
         fz, gz = fstem(z), gstem(z)
-        c, fvs, gvs, _, _, _, x1, x2, x3 = _product_terms(fz, gz)
+        fvs, gvs = fz.vec_norm2(), gz.vec_norm2()
+        cf, sf = even_trig(fvs)
+        cg, sg = even_trig(gvs)
+        c = cf * cg - sf * sg * cq_dot(fz, gz)
         values.append(fvs * (1 - c * c))
-        # |f_v ^ g_v|, as CQuaternion.norm of the wedge element
-        wedge_max = max(wedge_max, math.sqrt(abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2))
+        wedge_max = max(wedge_max, cq_wedge(fz, gz).norm())
         scale_max = max(scale_max, fz.norm(), gz.norm())
         if _on_lattice(fvs) or _on_lattice(gvs):
             lattice_ok = False
@@ -226,12 +212,19 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
             f"obstruction reaches {report.min_abs:.3e} (tol {report.tol:.1e}); "
             "the product is not a *-exponential on this domain")
     # the seed is the branch h = s + W theta / sin(theta) at the anchor:
-    # there Q0 +- i sin(theta) = e^{+- i theta} with theta = arccos Q0
+    # there Q0 +- i sin(theta) = e^{+- i theta} with theta = arccos Q0.  L is
+    # log Q_v^s on the turn whose root is nearer sin(theta), never log of
+    # sin^2(theta), which can miss a tiny Q_v^s by orders of magnitude
     anchor = _anchor(dom, dom.center)
     pa = parts(anchor)
     theta = cmath.acos(pa[1].z0)
-    m = _nearest_sqrt(pa[1].vec_norm2(), cmath.sin(theta))
-    return continued_log(parts, anchor, (m, 1j * theta, -1j * theta, pa), dom)
+    w = pa[1].vec_norm2()
+    if w == 0:
+        raise HitsVLocus(f"Q_v^s = 0 at the anchor {anchor}: no vector part of h")
+    odd = (cmath.sqrt(w) * cmath.sin(theta).conjugate()).real < 0
+    big_l = cmath.log(w) + 2j * math.pi * odd
+    return continued_log(parts, anchor,
+                         (big_l, log_sqrt(w, big_l), 1j * theta, -1j * theta, pa), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

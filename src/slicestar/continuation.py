@@ -1,27 +1,31 @@
-"""Branch continuation: one bisection routine for disks and paths.
+"""Branch continuation: one step rule and one bisection routine.
 
-The square root of f_v^s and the *-logarithm (of f, or of a product of
-two exponential stems) are continued over a disk, and sampled paths are
-lifted through the covering exponential, all by ``continue_along``.
-A ``step`` carries a value across one segment or refuses it by returning
-the error class that names why; a refused segment is halved, at most
-MAX_DEPTH times, and then that class is raised, so a genuine obstruction
-(a zero of the continued quantity) fails loudly instead of jumping
-branches.  ``BranchContinuation`` walks straight segments, valid on the
-convex set where ``ContinuedFunction.from_branch`` queries it: the disk
-holding the anchor, cut to Im z >= 0.  Its nodes are the first queries, at most one per cell of a
-GRID x GRID grid, each stored with its value; every value is exact at
-its own point, so it does not matter which of several threads that miss
-one cell stores its node.  One query body serves both entry points: a
-query in a cell with a node is one segment from it; a query in a fresh
-cell is continued from a given start, or from the nearest stored node
-when it has none (and always at the anchor), and becomes that cell's
-node.  ``at`` gives it no start; ``at_many`` walks a batch in
-Hilbert-curve order of its cells and gives each query the previous point
-of the walk, so only the first fresh query of a batch searches the
-nodes.  The start only selects the branch, never the bits of the value,
-so the batch returns and stores exactly what one query after the other
-would.
+Every walk continues logarithms only, and ``log_step`` accepts each
+step: the principal logarithm plus the 2 pi i k nearest the previous
+value, refused at a zero or when it moves by MAX_LOG_STEP or more.  A
+square root of f_v^s is carried as L = log f_v^s and read by
+``log_sqrt``.  *-logarithms over a disk, lifted paths and the boundary
+circles of ``locus_scan`` are all walked by ``continue_along``: a ``step``
+carries a value across one segment or refuses it by returning the error
+class that names why; a refused segment is halved, at most MAX_DEPTH
+times, and then that class is raised, so a genuine obstruction (a zero
+of the continued quantity) fails loudly instead of jumping branches.
+
+``BranchContinuation`` walks straight segments, valid on the convex set
+where ``ContinuedFunction.from_branch`` queries it: the disk holding the
+anchor, cut to Im z >= 0.  Its nodes are the first queries, at most one
+per cell of a GRID x GRID grid, each stored with its value; every value
+is exact at its own point, so it does not matter which of several
+threads that miss one cell stores its node.  One query body serves both
+entry points: a query in a cell with a node is one segment from it; a
+query in a fresh cell is continued from a given start, or from the
+nearest stored node when it has none (and always at the anchor), and
+becomes that cell's node.  ``at`` gives it no start; ``at_many`` walks a
+batch in Hilbert-curve order of its cells and gives each query the
+previous point of the walk, so only the first fresh query of a batch
+searches the nodes.  The start only selects the branch, never the bits
+of the value, so the batch returns and stores exactly what one query
+after the other would.
 
 ``locus_scan`` continues the logarithms of holomorphic scalars once
 around a disk's boundary circle, so the argument principle counts their
@@ -47,9 +51,35 @@ MAX_DEPTH = 20
 #: arcs of the boundary circle in a locus scan, before halving
 SCAN_ARCS = 64
 
+#: largest move of a continued logarithm in one accepted step: below pi/2,
+#: and below 1.2187 so that, on L = log w, the root m = exp(L/2) moves by
+#: less than 0.3 (|m'| + |m|) in every direction (|log m' - log m| < 0.6094)
+MAX_LOG_STEP = 1.2
+
+_TWO_PI = 2 * math.pi
+_TWO_PI_I = 2j * math.pi
+
 #: step(a, value at a, b) -> the value at b, or the error class refusing it;
 #: ``isinstance(out, type)`` tells a refusal from a value
 Stepper = Callable[..., object]
+
+
+def log_step(w: complex, prev: complex) -> Optional[complex]:
+    """The principal logarithm of w plus the 2 pi i k nearest ``prev``;
+    None (a refusal: bisect) when w = 0 or the step moves by MAX_LOG_STEP
+    or more.  No walk picks the turn of a step anywhere else."""
+    if w == 0:
+        return None
+    l = cmath.log(w)
+    l += _TWO_PI_I * round((prev.imag - l.imag) / _TWO_PI)
+    return l if abs(l - prev) < MAX_LOG_STEP else None
+
+
+def log_sqrt(w: complex, l: complex) -> complex:
+    """exp(l / 2) for a logarithm l of w, read as cmath.sqrt(w), negated
+    when l is an odd number of turns from the principal logarithm."""
+    r = cmath.sqrt(w)
+    return -r if round((l.imag - cmath.phase(w)) / _TWO_PI) % 2 else r
 
 
 def continue_along(step: Stepper, midpoint: Callable, a, v, b):
@@ -139,17 +169,14 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
     """Count the zeros inside the disk of each scalar in ``values(z)``.
 
     Each scalar's logarithm is continued once around the boundary circle,
-    from SCAN_ARCS arcs: an arc whose argument moves by pi/2 or more is
-    halved by ``continue_along``, and the logarithm takes the 2 pi i k
-    nearest its previous value.  ``values`` is called once per distinct
-    point of the circle, shared by all scalars.
+    from SCAN_ARCS arcs, by ``log_step``: an arc it refuses is halved by
+    ``continue_along``.  ``values`` is called once per distinct point of
+    the circle, shared by all scalars.
     """
-    two_pi = 2 * math.pi
-    two_pi_i = 2j * math.pi
     samples: dict[float, tuple] = {}
 
     def sample(t: float) -> tuple:
-        t %= two_pi
+        t %= _TWO_PI
         hit = samples.get(t)
         if hit is None:
             hit = samples[t] = tuple(values(center + radius * cmath.exp(1j * t)))
@@ -157,12 +184,8 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
 
     def winding(i: int) -> Optional[int]:
         def step(t0: float, l0: complex, t1: float):
-            w = sample(t1)[i]
-            if w == 0:
-                return _Unresolved
-            l = cmath.log(w)
-            l += two_pi_i * round((l0.imag - l.imag) / two_pi)     # the turn nearest l0
-            return l if abs(l.imag - l0.imag) < math.pi / 2 else _Unresolved
+            l = log_step(sample(t1)[i], l0)
+            return _Unresolved if l is None else l
 
         start = sample(0.0)[i]
         if start == 0:
@@ -170,11 +193,11 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
         l0 = l = cmath.log(start)
         try:
             for k in range(SCAN_ARCS):
-                l = continue_along(step, _halve, two_pi * k / SCAN_ARCS, l,
-                                   two_pi * (k + 1) / SCAN_ARCS)
+                l = continue_along(step, _halve, _TWO_PI * k / SCAN_ARCS, l,
+                                   _TWO_PI * (k + 1) / SCAN_ARCS)
         except _Unresolved:
             return None
-        return round((l - l0).imag / two_pi)
+        return round((l - l0).imag / _TWO_PI)
 
     zeros = [winding(i) for i in range(len(sample(0.0)))]
     return [ZeroCount(n, min(abs(v[i]) for v in samples.values()),

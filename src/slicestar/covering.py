@@ -11,11 +11,11 @@ lifted_exp covers (C^2 \\ W) x S, W = {w0^2 + w1^2 = 0}; its fibers are the
 lattice translates (u0 + a*i*pi, u1 + b*pi) with a = b (mod 2), so the
 monodromy group is Z^2, indexed here by BranchIndex (h1, h2) acting as
 (a, b) = (h1+h2, h1-h2).  Paths avoiding W are lifted by continuing the
-logarithms la, lb of alpha = w0 + i w1 and beta = w0 - i w1 with
-``log_pair_step`` (principal Log + 2 pi i k nearest the previous value),
-the step the *-logarithm takes too, so every lifted point is exact, not a
-sum of increments; (u0, u1) = ((la + lb)/2, (la - lb)/(2i)).  The loop
-monodromy is then (h1, h2) = (winding of alpha, winding of beta).
+logarithms la, lb of alpha = w0 + i w1 and beta = w0 - i w1, each step
+by ``continuation.log_step`` (principal Log + 2 pi i k nearest the
+previous value), the step every walk takes, so every lifted point is
+exact, not a sum of increments; (u0, u1) = ((la + lb)/2, (la - lb)/(2i)).
+The loop monodromy is then (h1, h2) = (winding of alpha, winding of beta).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .continuation import continue_along
+from .continuation import continue_along, log_step
 from .cquaternion import CQuaternion
 from .errors import (BadOrder, BadStart, NotALoop, NotDeck, OnVinf, OnW,
                      PathTooWild)
@@ -33,9 +33,6 @@ from .quaternion import _new, value_type
 
 #: tolerance for n(z) ~ 0 when splitting fibers of the double cover
 TAU_FIBER = 1e-10
-
-#: largest admissible jump of each lifted coordinate between samples
-MAX_LIFT_STEP = math.pi / 2
 
 #: pre-rounding tolerance for integral monodromy
 TAU_MONODROMY = 1e-6
@@ -45,9 +42,6 @@ TAU_MONODROMY = 1e-6
 TAU_PATH = 1e-9
 
 _IPI = 1j * math.pi
-
-_TWO_PI = 2 * math.pi
-_TWO_PI_I = 2j * math.pi
 
 
 def _check_unit_vector(s: CQuaternion) -> None:
@@ -140,21 +134,6 @@ def lifted_exp(p: LiftPoint) -> LiftPoint:
 def from_log_pair(la: complex, lb: complex) -> tuple[complex, complex]:
     """(u0, u1) = ((la + lb)/2, (la - lb)/(2i)) from logs of alpha, beta."""
     return (la + lb) / 2, (la - lb) / 2j
-
-
-def log_pair_step(alpha: complex, beta: complex, la: complex, lb: complex):
-    """The logarithms of alpha and beta nearest (la, lb), each the principal
-    logarithm plus the 2 pi i k nearest its previous value; PathTooWild (a
-    refusal: bisect) when either moves by MAX_LIFT_STEP or more."""
-    l1 = cmath.log(alpha)
-    l1 = l1 + _TWO_PI_I * round((la.imag - l1.imag) / _TWO_PI)
-    if abs(l1 - la) >= MAX_LIFT_STEP:
-        return PathTooWild
-    l2 = cmath.log(beta)
-    l2 = l2 + _TWO_PI_I * round((lb.imag - l2.imag) / _TWO_PI)
-    if abs(l2 - lb) >= MAX_LIFT_STEP:
-        return PathTooWild
-    return l1, l2
 
 
 def lifted_exp_preimage(w0: complex, w1: complex, s: CQuaternion,
@@ -290,9 +269,10 @@ def lift_path(path: SampledPath, start: LiftPoint) -> list[LiftPoint]:
     """Lift a path through lifted_exp, one LiftPoint per input sample.
 
     ``start`` must lie on the fiber over path.start().  The lift continues
-    the logarithms of alpha = w0 + i w1 and beta = w0 - i w1 with
-    ``log_pair_step``, halving refused segments; the s component is
-    carried along unchanged by the covering and follows the input samples.
+    the logarithms of alpha = w0 + i w1 and beta = w0 - i w1 by
+    ``log_step``, halving a segment where either refuses (PathTooWild at
+    the depth limit); the s component is carried along unchanged by the
+    covering and follows the input samples.
     """
     p0 = path.start()
     img = lifted_exp(start)
@@ -303,8 +283,9 @@ def lift_path(path: SampledPath, start: LiftPoint) -> list[LiftPoint]:
 
     def step(a: PathSample, pair: tuple[complex, complex], b: PathSample):
         alpha, beta = _alpha_beta(b)
-        la, lb = pair
-        return log_pair_step(alpha, beta, la, lb)
+        la = log_step(alpha, pair[0])
+        lb = log_step(beta, pair[1])
+        return PathTooWild if la is None or lb is None else (la, lb)
 
     pair = (start.u0 + 1j * start.u1, start.u0 - 1j * start.u1)
     lifted = [start]

@@ -10,9 +10,10 @@ the kinds of ``slicefn.KINDS``:
     {"kind": "scale", "arg": <descriptor>, "by": r}
     {"kind": "dot" | "wedge", "args": [<descriptor>, <descriptor>]}
 
-``add`` and ``mul`` apply their arguments from the left; r is a finite
-number.  ``function_to_obj`` writes any function built from these kinds,
-and refuses one scaled by an infinity or NaN.
+``add`` and ``mul`` apply their arguments from the left; r and every
+quaternion entry are finite numbers.  ``function_to_obj`` writes any
+function built from these kinds, and refuses one that holds an infinity
+or NaN in either.
 
 A function file is {"fn": <descriptor>, "domain": {"center": [re,im],
 "radius": r, "realIntersecting": bool}}.  Quaternions are arrays
@@ -24,6 +25,7 @@ A function file is {"fn": <descriptor>, "domain": {"center": [re,im],
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .covering import LiftPoint, PathSample, SampledPath
@@ -50,7 +52,10 @@ def _float(x, what: str) -> float:
 def quaternion_from_json(obj) -> Quaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise ValueError(f"quaternion JSON must be a 4-array, got {obj!r}")
-    return Quaternion(*(_float(x, "quaternion entry") for x in obj))
+    q = Quaternion(*(_float(x, "quaternion entry") for x in obj))
+    if not all(map(math.isfinite, q)):
+        raise ValueError(f"quaternion entries must be finite, got {obj!r}")
+    return q
 
 
 def quaternion_to_json(q: Quaternion) -> list:

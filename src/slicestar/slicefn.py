@@ -414,10 +414,11 @@ def derive(kind: str, domain: Domain, *members) -> SliceFunction:
     """The function of a ``kind`` node on ``domain``, from the members of
     ``KINDS[kind]``: a SliceFunction per child node (a sequence of them for
     an array), the JSON value otherwise; its node is kept when every child
-    has one and every number is finite, which is what the loader reads
-    back, and children on different domains raise DomainMismatch."""
+    has one and every number, quaternion entries too, is finite, which is
+    what the loader reads back, and children on different domains raise
+    DomainMismatch."""
     shape, rule = KINDS[kind]
-    node, args, children = {"kind": kind}, [], []
+    node, args, children, numbers = {"kind": kind}, [], [], []
     for (key, typ), member in zip(shape, members):
         if typ == NODE:
             children.append(member)
@@ -430,11 +431,12 @@ def derive(kind: str, domain: Domain, *members) -> SliceFunction:
         else:
             node[key] = member
             args.append(member)
+            numbers += [member] if typ == NUMBER else member if typ == QUAT else \
+                [x for row in member for x in row]
     for f in children[1:]:
         children[0]._require_same_domain(f)
     stem = functools.reduce(rule, args) if shape[0][1] == NODES else rule(*args)
-    opaque = any(f.node is None for f in children) or not all(
-        _finite_number(node[key]) for key, typ in shape if typ == NUMBER)
+    opaque = any(f.node is None for f in children) or not all(map(_finite_number, numbers))
     return SliceFunction(stem, domain, None if opaque else node)
 
 

@@ -12,16 +12,17 @@ the anchor and induces
     G = u0 + (u1/m) * vec F,   u0 = (la + lb)/2,  u1 = (la - lb)/(2i).
 
 This is the lift of z -> F(z) through the covering exponential: one
-continuation carries (m, la, lb) over one grid per branch, evaluating the
-stem once per step and keeping that value for the query.  Each step takes
-the square root of f_v^s nearest the previous m, then the covering's
-``log_pair_step`` of alpha and beta.  Every value is thus exactly +-sqrt
-or log + 2 pi i k of the stem at that point, not a sum of increments
-along a path, so it does not depend on the order in which points are
-queried.  ``continued_log`` is this walk for any stem and seed: ``star_log``
-seeds it with the (h1, h2) branch, ``bch.bch_combine`` runs it on the
-product of the exponentials of two vector parts and adds the scalar
-parts back.
+continuation carries L = log f_v^s and the logarithms la, lb of alpha and
+beta over one grid per branch, evaluating the stem once per step and
+keeping that value for the query.  Each step continues L by
+``continuation.log_step``, reads m = +-sqrt(f_v^s) by the parity of L's
+turn count (``log_sqrt``), then continues la and lb by ``log_step``.
+Every value is thus exactly +-sqrt or log + 2 pi i k of the stem at that
+point, not a sum of increments along a path, so it does not depend on
+the order in which points are queried.  ``continued_log`` is this walk
+for any stem and seed: ``star_log`` seeds it with the (h1, h2) branch,
+``bch.bch_combine`` runs it on the product of the exponentials of two
+vector parts and adds the scalar parts back.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R).  On every domain the lift is built where
@@ -42,11 +43,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .continuation import BranchContinuation, ZeroCount, locus_scan
-from .covering import from_log_pair, log_pair_step
+from .continuation import BranchContinuation, ZeroCount, locus_scan, log_sqrt, log_step
+from .covering import from_log_pair
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
-                     OutOfDomain)
+                     OutOfDomain, PathTooWild)
 from .quaternion import _new
 from .slicefn import ContinuedFunction, Domain, SliceFunction, derive
 
@@ -97,25 +98,11 @@ def _require_root(vsym: ZeroCount) -> None:
     """BranchObstruction unless f_v^s has no zero in the disk and keeps
     above 1e-12 of its largest modulus on the boundary circle."""
     if vsym.zeros != 0 or not vsym.min_abs > 1e-12 * vsym.max_abs:
+        n = "an unresolved number of" if vsym.zeros is None else vsym.zeros
         raise BranchObstruction(
-            f"f_v^s has {vsym.zeros} zero(s) in the disk, |f_v^s| in "
+            f"f_v^s has {n} zero(s) in the disk, |f_v^s| in "
             f"[{vsym.min_abs:.3e}, {vsym.max_abs:.3e}] on its boundary; "
             "no continuous square root")
-
-
-def _nearest_sqrt(w: complex, near: complex) -> complex:
-    """The square root of w nearest ``near``, the principal one on a tie."""
-    r = cmath.sqrt(w)
-    return r if abs(r - near) <= abs(r + near) else -r
-
-
-def _sqrt_step(w: complex, prev: complex):
-    """The square root of w nearest ``prev``; BranchObstruction (a refusal:
-    bisect) when it moves by more than 0.3 relative to the two values."""
-    cand = _nearest_sqrt(w, prev)
-    if abs(cand - prev) > 0.3 * (abs(cand) + abs(prev)):
-        return BranchObstruction
-    return cand
 
 
 def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> ContinuedFunction:
@@ -124,7 +111,8 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> Continued
 
     The branch takes the value sign * principal_sqrt(f_v^s(basepoint)) at
     the basepoint (moved to R on domains meeting R, reflected to the upper
-    component off R); below R it is filled in by conjugate symmetry.
+    component off R); below R it is filled in by conjugate symmetry.  Its
+    state is (L, m): L = log f_v^s, a turn on for sign -1, m = ``log_sqrt``.
     Requires f_v^s to avoid 0 on the domain: its zeros are counted
     exactly on the boundary circle (``locus_scan``).
     """
@@ -138,13 +126,17 @@ def sqrt_vsym(f: SliceFunction, basepoint: complex, sign: int = +1) -> Continued
         return stem(z).vec_norm2()
 
     _require_root(*locus_scan(lambda z: (value(z),), dom.center, dom.radius))
-    seed = sign * cmath.sqrt(value(anchor))
+    w = value(anchor)
+    big_l = cmath.log(w) + (1 - sign) * 1j * math.pi
+    seed = big_l, log_sqrt(w, big_l)
 
-    def stepper(z0: complex, v0: complex, z1: complex):
-        return _sqrt_step(value(z1), v0)
+    def stepper(z0: complex, v0: tuple, z1: complex):
+        w = value(z1)
+        big_l = log_step(w, v0[0])
+        return BranchObstruction if big_l is None else (big_l, log_sqrt(w, big_l))
 
-    def read(z: complex, m: complex) -> tuple[CQuaternion]:
-        return (_new(CQuaternion, (m, 0j, 0j, 0j)),)
+    def read(z: complex, state: tuple) -> tuple[CQuaternion]:
+        return (_new(CQuaternion, (state[1], 0j, 0j, 0j)),)
 
     cont = BranchContinuation(anchor, seed, stepper, dom)
     return ContinuedFunction.from_branch(read, cont)
@@ -161,36 +153,36 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
 
 def continued_log(parts: Callable[[complex], tuple], anchor: complex,
                   seed: tuple, domain: Domain) -> ContinuedFunction:
-    """The *-logarithm continued from ``seed`` = (m, la, lb, parts(anchor)),
-    a square root of F_v^s and logarithms of alpha and beta at the anchor.
+    """The *-logarithm continued from ``seed`` = (L, m, la, lb,
+    parts(anchor)): a logarithm L of F_v^s and its root m =
+    ``log_sqrt(F_v^s, L)``, and logarithms of alpha and beta, at the anchor.
 
     ``parts(z)`` is (s, F, *inputs): the walk continues the logarithm G of
     F, and ``with_inputs_at(zs)`` of the result is the list of
     (s + G(z), *inputs(z)); s = None adds nothing.  Each step evaluates
-    ``parts`` once, takes the square root of F_v^s nearest the previous m,
-    then the covering's ``log_pair_step`` of alpha and beta, and keeps the
-    parts for the read G = u0 + (u1/m) * vec F.  A read where
-    |m^2| = |F_v^s| <= TAU_CLASSIFY raises HitsVLocus: there u1/m cannot
-    recover the vector part.
+    ``parts`` once, continues L by ``log_step`` (BranchObstruction when it
+    refuses), reads m from it, continues la and lb by ``log_step``
+    (PathTooWild), and keeps the parts for the read
+    G = u0 + (u1/m) * vec F.  A read where |m^2| = |F_v^s| <= TAU_CLASSIFY
+    raises HitsVLocus: there u1/m cannot recover the vector part.
     """
 
-    # the state (m, la, lb, parts) keeps the parts of the last step
+    # the state (L, m, la, lb, parts) keeps the parts of the last step
     def stepper(z0: complex, v0: tuple, z1: complex):
         pz = parts(z1)
         fz = pz[1]
-        m0, la, lb, _ = v0
-        m = _sqrt_step(fz.vec_norm2(), m0)
-        if isinstance(m, type):          # a refusal
-            return m
+        w = fz.vec_norm2()
+        big_l = log_step(w, v0[0])
+        if big_l is None:
+            return BranchObstruction
+        m = log_sqrt(w, big_l)
         alpha, beta = _fiber_pair(fz.z0, m, z1)
-        pair = log_pair_step(alpha, beta, la, lb)
-        if isinstance(pair, type):
-            return pair
-        la, lb = pair
-        return m, la, lb, pz
+        la = log_step(alpha, v0[2])
+        lb = None if la is None else log_step(beta, v0[3])
+        return PathTooWild if lb is None else (big_l, m, la, lb, pz)
 
     def read(z: complex, state: tuple) -> tuple:
-        m, la, lb, (s, fz, *inputs) = state
+        _, m, la, lb, (s, fz, *inputs) = state
         if abs(m * m) <= TAU_CLASSIFY:
             raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
                              "the vector part of the logarithm is not recoverable")
@@ -236,7 +228,8 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
                          f"{sym.min_abs:.3e}); no *-logarithm branch")
     _require_root(vsym)
     if sym.zeros != 0:
-        raise HitsVLocus(f"f^s has {sym.zeros} zero(s) in the disk; "
+        n = "an unresolved number of" if sym.zeros is None else sym.zeros
+        raise HitsVLocus(f"f^s has {n} zero(s) in the disk; "
                          "no *-logarithm branch")
 
     def parts(z: complex) -> tuple:
@@ -244,9 +237,10 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
         return None, fz, fz
 
     fa = stem(anchor)
-    m0 = cmath.sqrt(fa.vec_norm2())
+    w = fa.vec_norm2()
+    m0 = cmath.sqrt(w)
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
-    seed = (m0, cmath.log(a0) + 2j * math.pi * branch.h1,
+    seed = (cmath.log(w), m0, cmath.log(a0) + 2j * math.pi * branch.h1,
             cmath.log(b0) + 2j * math.pi * branch.h2, (None, fa, fa))
     return continued_log(parts, anchor, seed, dom)
 

@@ -483,6 +483,19 @@ def test_combine_degenerate_angle():
         h.stem_at(0.2 + 0.1j)
 
 
+def test_combine_refuses_a_vector_part_that_vanishes_at_the_anchor():
+    # f_v and g_v both vanish at the anchor 0, so Q = 1 there and L = log
+    # Q_v^s has no value to start from; forced through, bch_combine names
+    # the locus instead of exhausting its bisection on the first query
+    f = polynomial([Quaternion(0, 0, 0, 0), Quaternion(0, 1, 0, 0)], DOM)
+    g = polynomial([Quaternion(0, 0, 0, 0), Quaternion(0, 0, 1, 0)], DOM)
+    rep = bch_condition(f, g)
+    assert not rep.admissible and not rep.commuting
+    rep.admissible = True
+    with pytest.raises(HitsVLocus, match="Q_v\\^s = 0 at the anchor 0j"):
+        bch_combine(f, g, report=rep)
+
+
 def _angle_walk(f, g) -> ContinuedFunction:
     """h = f0 + g0 + W / sincr(theta^2) of the angle walk: theta solves
     cos(theta) = C, seeded with the principal arccos at the domain anchor

@@ -103,6 +103,11 @@ MALFORMED_FN = {
     # a JSON integer beyond the float range
     "const-huge-entry": ({"kind": "const", "value": [0, HUGE, 0, 0]},
                          "quaternion entry must fit in a float, got an integer of 401 digits"),
+    # json writes and reads Infinity and NaN, which no quaternion entry holds
+    "const-inf-entry": ({"kind": "const", "value": [math.inf, 0, 0, 0]},
+                        "quaternion entries must be finite, got [inf, 0, 0, 0]"),
+    "poly-nan-entry": ({"kind": "poly", "coeffs": [[0, 0, 0, 0], [0, math.nan, 0, 0]]},
+                       "quaternion entries must be finite, got [0, nan, 0, 0]"),
     "neg-no-arg": ({"kind": "neg"}, "descriptor node {'kind': 'neg'}: 'arg' must be an object"),
     "conj-array-arg": ({"kind": "conj", "arg": [ONE]},
                        f"descriptor node {{'kind': 'conj', 'arg': [{ONE!r}]}}: "
@@ -208,6 +213,16 @@ def test_non_number_point_exits_2(tmp_path, capsys, at, entry):
     fn = write(tmp_path, "f.json", FN_IDENTITY)
     code = main(["eval", "--fn", fn, "--at", at])
     _assert_one_line_config_error(code, capsys, f"quaternion entry must be a number, got {entry}")
+
+
+@pytest.mark.parametrize("verb", ["eval", "dexp"])
+@pytest.mark.parametrize("at, shown", [("[Infinity,0,0,0]", "[inf, 0, 0, 0]"),
+                                       ("[0,0,-Infinity,1]", "[0, 0, -inf, 1]"),
+                                       ("[0,NaN,0,0]", "[0, nan, 0, 0]")])
+def test_non_finite_point_exits_2(tmp_path, capsys, verb, at, shown):
+    fn = write(tmp_path, "f.json", FN_IDENTITY)
+    code = main([verb, "--fn" if verb == "eval" else "--f", fn, "--at", at])
+    _assert_one_line_config_error(code, capsys, f"quaternion entries must be finite, got {shown}")
 
 
 def test_huge_integer_point_exits_2(tmp_path, capsys):

@@ -40,6 +40,11 @@ CASES = {
     "dexp": ["dexp", "--f", "f-real.json", "--at", "[0.2,0.3,-0.1,0.25]"],
     "lift": ["lift", "--path", "path.json"],
     "monodromy": ["monodromy", "--path", "loop.json"],
+    # alpha winds with 5 samples per turn, so log alpha moves by about 1.26
+    # from one sample to the next: more than MAX_LOG_STEP, so each segment
+    # is halved
+    "lift-coarse": ["lift", "--path", "loop-coarse.json"],
+    "monodromy-coarse": ["monodromy", "--path", "loop-coarse.json"],
     "eval": ["eval", "--fn", "f-two-sided.json", "--at", "[0.1,0.9,-1.2,0.3]"],
     "verify-algebra": ["verify", "--suite", "algebra", "--seed", "2",
                        "--samples", "10"],

@@ -806,6 +806,23 @@ def test_a_non_finite_scale_drops_the_node(rng, by):
     assert again.node == kept.node and again.node["by"] == 2.5
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_quaternion_drops_the_node(x):
+    # the loader refuses a non-finite quaternion entry, so no descriptor is
+    # written for a "const" or "poly" that holds one
+    q = Quaternion(0.5, x, -0.25, 1.0)
+    for h in (constant(q, DOM), polynomial([Quaternion(1, 0, 0, 0), q], DOM)):
+        assert h.node is None
+        with pytest.raises(ValueError, match="no closed-form descriptor"):
+            function_to_obj(h)
+    for fn in ({"kind": "const", "value": list(q)},
+               {"kind": "poly", "coeffs": [[1, 0, 0, 0], list(q)]}):
+        with pytest.raises(ValueError, match="quaternion entries must be finite"):
+            function_from_obj({"fn": fn, "domain": DOM.to_json()})
+    kept = polynomial([Quaternion(1, 0, 0, 0), Quaternion(0.5, 2.0, -0.25, 1.0)], DOM)
+    assert function_from_obj(json.loads(json.dumps(function_to_obj(kept)))).node == kept.node
+
+
 def test_descriptor_grammar_lists_the_node_kinds():
     # the docstring grammar gives each kind of the table once, with its
     # members' keys in order; both module docstrings and README name each

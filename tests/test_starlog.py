@@ -1,8 +1,10 @@
 import cmath
+import json
 import math
 import random
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,18 @@ def test_star_log_interior_zero_names_what_vanished():
     # f_v^s of the V_-1 twin is the constant 1.5317^2: its root exists
     m = sqrt_vsym(vm1, bp, +1)
     assert abs(m.scalar_value(z0) - 1.5317) < 1e-12
+
+
+def test_star_log_names_a_winding_it_cannot_resolve():
+    # f = g^{*7}, the zero of g^s 0.02 outside the circle: f^s winds too
+    # fast there for the scan to follow, and the refusal says so instead
+    # of printing the count as None
+    c, r = 0.3 + 1.5j, 0.8
+    x0 = c + (r + 0.02) * cmath.exp(1j)
+    dom = Domain(c, r)
+    f = polynomial([Quaternion(-x0.real, x0.imag, 0, 0), Quaternion.one()], dom).star_pow(7)
+    with pytest.raises(HitsVLocus, match="f\\^s has an unresolved number of zero"):
+        star_log(f, LogBranch(0, 0, c))
 
 
 def test_branch_differences_match_translation(rng):
@@ -632,14 +646,14 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
 
 
 def _mirrored_scalar(cont):
-    """The scalar branch read straight from ``cont``: ``cont.at(z)``, and
-    conj(cont.at(conj z)) below R.  The reference for ``sqrt_vsym``'s z0,
-    mirrored with ``complex.conjugate`` instead of ``from_branch``'s
-    ``bar``."""
+    """The scalar branch read straight from ``cont``: the root m of its
+    state (L, m) at z, and conj(m) at conj z below R.  The reference for
+    ``sqrt_vsym``'s z0, mirrored with ``complex.conjugate`` instead of
+    ``from_branch``'s ``bar``."""
     def value(z: complex) -> complex:
         if z.imag < 0:
-            return cont.at(z.conjugate()).conjugate()
-        return cont.at(z)
+            return cont.at(z.conjugate())[1].conjugate()
+        return cont.at(z)[1]
 
     return value
 
@@ -797,3 +811,53 @@ def test_star_log_refuses_exactly_interior_zeros(dom, kind, u, v):
     for z in dom.sample_points(np.random.default_rng(0), 16):
         fz = f.stem_at(z)
         assert (eg.stem_at(z) - fz).norm() <= 1e-8 * max(1.0, fz.norm())
+
+
+#: ``stem_bits`` of ``_fast_log_bits``'s values, recorded under the three
+#: step rules that ``continuation.log_step`` replaced, whose steps there
+#: reached 1.2-1.5: the one bound halves those steps and keeps every bit
+FAST_LOG_BITS = Path(__file__).parent / "data" / "star-log-fast.json"
+
+
+def _fast_log_bits(dom: Domain) -> list:
+    """``stem_bits`` of one branch of log f, f = 2 e^{4z} + 0.05 i, queried
+    one point at a time at 16 points near the circle, far from the anchor.
+    log alpha turns at rate 4, so each walk from the anchor is halved
+    several times, down to steps near MAX_LOG_STEP."""
+    f = star_exp(polynomial([Quaternion(0, 0, 0, 0), Quaternion(4, 0, 0, 0)], dom)) * 2.0 \
+        + constant(Quaternion(0, 0.05, 0, 0), dom)
+    g = star_log(f, _branch(dom))
+    pts = [dom.center + 0.95 * dom.radius * cmath.exp(1j * (0.2 + 0.39 * k))
+           for k in range(16)]
+    return [list(stem_bits(g.stem_at(z))) for z in pts]
+
+
+@pytest.mark.parametrize("name, dom", [("real", DOM), ("off", DOM_OFF)])
+def test_fast_log_far_from_the_anchor_keeps_its_bits(name, dom):
+    assert _fast_log_bits(dom) == json.loads(FAST_LOG_BITS.read_text())[name]
+
+
+def _hex(c: complex) -> tuple[str, str]:
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_every_stored_root_is_a_signed_principal_sqrt(rng, dom):
+    # the walks carry L = log F_v^s; the root m in every stored state is
+    # cmath.sqrt(F_v^s), negated for an odd turn count of L, bit for bit
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 300)
+    bp = dom.center if dom.two_sided else 0.1 + 0j
+    pair = [rand_poly(rng, dom, scale=0.9, deg=1) for _ in range(2)]
+    walks = [(star_log(f, _branch(dom)), lambda z, state: state[4][1].vec_norm2()),
+             (bch_combine(*pair), lambda z, state: state[4][1].vec_norm2())]
+    walks += [(sqrt_vsym(f, bp, sign), lambda z, state: f.stem_at(z).vec_norm2())
+              for sign in (+1, -1)]
+    for g, vsym in walks:
+        g.with_inputs_at(pts)
+        for z, state in continuation_of(g)._filled:
+            big_l, m, w = state[0], state[1], vsym(z, state)
+            assert cmath.isclose(cmath.exp(big_l), w, rel_tol=1e-12)
+            r = cmath.sqrt(w)
+            turns = round((big_l.imag - cmath.phase(w)) / (2 * math.pi))
+            assert _hex(m) == _hex(-r if turns % 2 else r)

@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .continuation import locus_scan, log_sqrt
+from .continuation import locus_scan, log_sqrt, root_log
 from .cquaternion import (CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge,
                           even_trig)
 from .errors import BadExampleInput, HitsVLocus, NotExponential, VanishingVectorPart
@@ -221,8 +221,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
     w = pa[1].vec_norm2()
     if w == 0:
         raise HitsVLocus(f"Q_v^s = 0 at the anchor {anchor}: no vector part of h")
-    odd = (cmath.sqrt(w) * cmath.sin(theta).conjugate()).real < 0
-    big_l = cmath.log(w) + 2j * math.pi * odd
+    big_l = root_log(w, cmath.sin(theta))
     return continued_log(parts, anchor,
                          (big_l, log_sqrt(w, big_l), 1j * theta, -1j * theta, pa), dom)
 

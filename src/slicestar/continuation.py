@@ -1,9 +1,9 @@
 """Branch continuation: one step rule and one bisection routine.
 
 Every walk continues logarithms only, and ``log_step`` accepts each
-step: the principal logarithm plus the 2 pi i k nearest the previous
-value, refused at a zero or when it moves by MAX_LOG_STEP or more.  A
-square root of f_v^s is carried as L = log f_v^s and read by
+step: ``nearest_log``, the principal logarithm plus the 2 pi i k nearest
+the previous value, refused at a zero or when it moves by MAX_LOG_STEP
+or more.  A square root of f_v^s is carried as L = log f_v^s and read by
 ``log_sqrt``.  *-logarithms over a disk, lifted paths and the boundary
 circles of ``locus_scan`` are all walked by ``continue_along``: a ``step``
 carries a value across one segment or refuses it by returning the error
@@ -14,18 +14,11 @@ of the continued quantity) fails loudly instead of jumping branches.
 ``BranchContinuation`` walks straight segments, valid on the convex set
 where ``ContinuedFunction.from_branch`` queries it: the disk holding the
 anchor, cut to Im z >= 0.  Its nodes are the first queries, at most one
-per cell of a GRID x GRID grid, each stored with its value; every value
-is exact at its own point, so it does not matter which of several
-threads that miss one cell stores its node.  One query body serves both
-entry points: a query in a cell with a node is one segment from it; a
-query in a fresh cell is continued from a given start, or from the
-nearest stored node when it has none (and always at the anchor), and
-becomes that cell's node.  ``at`` gives it no start; ``at_many`` walks a
-batch in Hilbert-curve order of its cells and gives each query the
-previous point of the walk, so only the first fresh query of a batch
-searches the nodes.  The start only selects the branch, never the bits
-of the value, so the batch returns and stores exactly what one query
-after the other would.
+per cell of a GRID x GRID grid, each stored with its value.  Every value
+is exact at its own point, and a walk's start only selects the branch,
+never the bits of the value, so neither the order of queries (``at``
+one by one, ``at_many`` as a batch) nor which of several threads stores
+a cell's node changes a value.
 
 ``locus_scan`` continues the logarithms of holomorphic scalars once
 around a disk's boundary circle, so the argument principle counts their
@@ -64,14 +57,19 @@ _TWO_PI_I = 2j * math.pi
 Stepper = Callable[..., object]
 
 
+def nearest_log(w: complex, prev: complex) -> complex:
+    """The principal logarithm of w (not 0) plus the 2 pi i k nearest
+    ``prev``: the turn of every step of a walk or a scan."""
+    l = cmath.log(w)
+    return l + _TWO_PI_I * round((prev.imag - l.imag) / _TWO_PI)
+
+
 def log_step(w: complex, prev: complex) -> Optional[complex]:
-    """The principal logarithm of w plus the 2 pi i k nearest ``prev``;
-    None (a refusal: bisect) when w = 0 or the step moves by MAX_LOG_STEP
-    or more.  No walk picks the turn of a step anywhere else."""
+    """``nearest_log(w, prev)``; None (a refusal: bisect) when w = 0 or
+    the step moves by MAX_LOG_STEP or more.  The step rule of every walk."""
     if w == 0:
         return None
-    l = cmath.log(w)
-    l += _TWO_PI_I * round((prev.imag - l.imag) / _TWO_PI)
+    l = nearest_log(w, prev)
     return l if abs(l - prev) < MAX_LOG_STEP else None
 
 
@@ -80,6 +78,14 @@ def log_sqrt(w: complex, l: complex) -> complex:
     when l is an odd number of turns from the principal logarithm."""
     r = cmath.sqrt(w)
     return -r if round((l.imag - cmath.phase(w)) / _TWO_PI) % 2 else r
+
+
+def root_log(w: complex, near: complex) -> complex:
+    """The logarithm of w (not 0), principal or one turn up, whose root
+    ``log_sqrt`` reads nearer ``near``, the principal one on a tie: the
+    turn of a seed that is given a root rather than a branch index."""
+    l, r = cmath.log(w), cmath.sqrt(w)
+    return l if abs(r - near) <= abs(r + near) else l + _TWO_PI_I
 
 
 def continue_along(step: Stepper, midpoint: Callable, a, v, b):
@@ -169,9 +175,11 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
     """Count the zeros inside the disk of each scalar in ``values(z)``.
 
     Each scalar's logarithm is continued once around the boundary circle,
-    from SCAN_ARCS arcs, by ``log_step``: an arc it refuses is halved by
-    ``continue_along``.  ``values`` is called once per distinct point of
-    the circle, shared by all scalars.
+    from SCAN_ARCS arcs, by ``nearest_log``; ``continue_along`` halves an
+    arc whose argument moves by pi/2 or more.  Looser than ``log_step`` on
+    purpose: a finer scan resolves windings near a zero just outside the
+    circle, and so admits functions whose disk walk then aliases.
+    ``values`` is called once per distinct point of the circle.
     """
     samples: dict[float, tuple] = {}
 
@@ -184,8 +192,11 @@ def locus_scan(values: Callable[[complex], tuple], center: complex,
 
     def winding(i: int) -> Optional[int]:
         def step(t0: float, l0: complex, t1: float):
-            l = log_step(sample(t1)[i], l0)
-            return _Unresolved if l is None else l
+            w = sample(t1)[i]
+            if w == 0:
+                return _Unresolved
+            l = nearest_log(w, l0)
+            return l if abs(l.imag - l0.imag) < math.pi / 2 else _Unresolved
 
         start = sample(0.0)[i]
         if start == 0:

@@ -44,11 +44,6 @@ TAU_PATH = 1e-9
 _IPI = 1j * math.pi
 
 
-def _check_unit_vector(s: CQuaternion) -> None:
-    if abs(s.z0) > TAU_PATH or abs(s.vec_norm2() - 1.0) > TAU_PATH:
-        raise ValueError(f"s must be a pure vector with n(s) = 1, got {s}")
-
-
 def unit_imaginary(v: CQuaternion) -> CQuaternion:
     """Normalize a pure vector to S via the principal root of n(v)."""
     n = v.vec_norm2()
@@ -75,7 +70,8 @@ class LiftPoint(_LiftFields):
     __slots__ = ()
 
     def __new__(cls, u0: complex, u1: complex, s: CQuaternion):
-        _check_unit_vector(s)
+        if abs(s.z0) > TAU_PATH or abs(s.vec_norm2() - 1.0) > TAU_PATH:
+            raise ValueError(f"s must be a pure vector with n(s) = 1, got {s}")
         return _new(cls, (u0, u1, s))
 
     @classmethod
@@ -256,15 +252,6 @@ def _mid_sample(a: PathSample, b: PathSample) -> PathSample:
                       unit_imaginary(sv))
 
 
-def _alpha_beta(sample: PathSample) -> tuple[complex, complex]:
-    t, w0, w1, _ = sample
-    alpha = w0 + 1j * w1
-    beta = w0 - 1j * w1
-    if abs(alpha) <= TAU_FIBER or abs(beta) <= TAU_FIBER:
-        raise OnW(f"path sample on W at t = {t}")
-    return alpha, beta
-
-
 def lift_path(path: SampledPath, start: LiftPoint) -> list[LiftPoint]:
     """Lift a path through lifted_exp, one LiftPoint per input sample.
 
@@ -282,7 +269,11 @@ def lift_path(path: SampledPath, start: LiftPoint) -> list[LiftPoint]:
         raise BadStart("start point is not on the fiber over path(0)")
 
     def step(a: PathSample, pair: tuple[complex, complex], b: PathSample):
-        alpha, beta = _alpha_beta(b)
+        t, w0, w1, _ = b
+        alpha = w0 + 1j * w1
+        beta = w0 - 1j * w1
+        if abs(alpha) <= TAU_FIBER or abs(beta) <= TAU_FIBER:
+            raise OnW(f"path sample on W at t = {t}")
         la = log_step(alpha, pair[0])
         lb = log_step(beta, pair[1])
         return PathTooWild if la is None or lb is None else (la, lb)

@@ -431,8 +431,12 @@ def derive(kind: str, domain: Domain, *members) -> SliceFunction:
         else:
             node[key] = member
             args.append(member)
-            numbers += [member] if typ == NUMBER else member if typ == QUAT else \
-                [x for row in member for x in row]
+            if typ == NUMBER:
+                numbers.append(member)
+            elif typ == QUAT:
+                numbers += member
+            else:
+                numbers += [x for q in member for x in q]
     for f in children[1:]:
         children[0]._require_same_domain(f)
     stem = functools.reduce(rule, args) if shape[0][1] == NODES else rule(*args)

@@ -11,18 +11,12 @@ the anchor and induces
 
     G = u0 + (u1/m) * vec F,   u0 = (la + lb)/2,  u1 = (la - lb)/(2i).
 
-This is the lift of z -> F(z) through the covering exponential: one
-continuation carries L = log f_v^s and the logarithms la, lb of alpha and
-beta over one grid per branch, evaluating the stem once per step and
-keeping that value for the query.  Each step continues L by
-``continuation.log_step``, reads m = +-sqrt(f_v^s) by the parity of L's
-turn count (``log_sqrt``), then continues la and lb by ``log_step``.
-Every value is thus exactly +-sqrt or log + 2 pi i k of the stem at that
-point, not a sum of increments along a path, so it does not depend on
-the order in which points are queried.  ``continued_log`` is this walk
-for any stem and seed: ``star_log`` seeds it with the (h1, h2) branch,
-``bch.bch_combine`` runs it on the product of the exponentials of two
-vector parts and adds the scalar parts back.
+This is the lift of z -> F(z) through the covering exponential:
+``continued_log`` carries L = log f_v^s, m = +-sqrt(f_v^s) read off L,
+and la, lb over one grid per branch, each step by
+``continuation.log_step``, so every value is exact at its own point.
+``star_log`` seeds it with the (h1, h2) branch; ``bch.bch_combine`` runs
+it on the product of the exponentials of two vector parts.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R).  On every domain the lift is built where

@@ -1,4 +1,6 @@
-"""The one step rule: every walk continues logarithms through ``log_step``."""
+"""The one step rule: every walk continues logarithms through ``log_step``;
+every step, of a walk or of the boundary scan, takes its turn from
+``nearest_log``."""
 
 import ast
 import cmath
@@ -9,10 +11,12 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from slicestar import continuation
-from slicestar.continuation import MAX_LOG_STEP, log_sqrt, log_step
+from slicestar.continuation import (MAX_LOG_STEP, SCAN_ARCS, locus_scan, log_sqrt,
+                                    log_step, root_log)
 
 
-# the rules ``log_step`` replaced, as they read before it, for reference
+# the rules ``log_step`` replaced, as they read before it, for reference;
+# the scan's rule is still ``locus_scan``'s own
 
 
 def _old_pair_rule(l: complex, prev: complex) -> bool:
@@ -25,11 +29,16 @@ def _old_scan_rule(l: complex, prev: complex) -> bool:
     return abs(l.imag - prev.imag) < math.pi / 2
 
 
+def _old_nearest_sqrt(w: complex, near: complex) -> complex:
+    """The square root of w nearest ``near``, the principal one on a tie."""
+    r = cmath.sqrt(w)
+    return r if abs(r - near) <= abs(r + near) else -r
+
+
 def _old_sqrt_step(w: complex, prev: complex):
     """The square root of w nearest ``prev``, or None when it moves by more
     than 0.3 relative to the two roots."""
-    r = cmath.sqrt(w)
-    cand = r if abs(r - prev) <= abs(r + prev) else -r
+    cand = _old_nearest_sqrt(w, prev)
     return None if abs(cand - prev) > 0.3 * (abs(cand) + abs(prev)) else cand
 
 
@@ -56,6 +65,28 @@ def test_log_sqrt_reads_the_sign_off_the_turn_count(prev, turns):
     r = cmath.sqrt(w)
     assert log_sqrt(w, l) == (-r if turns % 2 else r)
     assert log_step(w, l) == l
+
+
+@given(_logs, st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_root_log_seeds_the_root_nearest_a_value(l, near):
+    w = cmath.exp(l)
+    seed = root_log(w, near)
+    assert seed in (cmath.log(w), cmath.log(w) + 2j * math.pi)
+    assert log_sqrt(w, seed) == _old_nearest_sqrt(w, near)
+
+
+def test_scan_bounds_the_argument_not_the_log_step():
+    # z^15 round the unit circle turns by 15 * 2 pi / 64 = 1.47 per arc:
+    # below the scan's pi/2, above MAX_LOG_STEP, so no arc is halved
+    calls = []
+
+    def values(z):
+        calls.append(z)
+        return (z ** 15,)
+
+    assert 15 * 2 * math.pi / SCAN_ARCS > MAX_LOG_STEP
+    assert locus_scan(values, 0j, 1.0)[0].zeros == 15
+    assert len(calls) == SCAN_ARCS
 
 
 def test_log_step_refuses_zero_and_a_move_of_max_log_step():
@@ -86,12 +117,12 @@ def _turn_pickers(tree: ast.AST) -> set[str]:
 
 
 def test_only_continuation_picks_a_turn():
-    # every walk takes its 2 pi i k from log_step, so a step rule lives in
-    # one place; the winding count of a scan reads its turns there too
+    # every step takes its 2 pi i k from nearest_log, so the turn rule lives
+    # in one place; the winding count of a scan reads its turns there too
     pickers = {path.stem: _turn_pickers(ast.parse(path.read_text()))
                for path in Path(continuation.__file__).parent.glob("*.py")}
     assert {name: found for name, found in pickers.items() if found} == \
-        {"continuation": {"log_step", "log_sqrt", "locus_scan"}}
+        {"continuation": {"nearest_log", "log_sqrt", "locus_scan"}}
     # the detector sees the spellings of 2 pi it is meant to
     for spelling in ("_TWO_PI", "two_pi", "(2 * math.pi)", "math.tau", "(pi * 2)"):
         assert _turn_pickers(ast.parse(f"def f(x):\n    return round(x / {spelling})"))

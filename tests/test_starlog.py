@@ -242,16 +242,47 @@ def test_star_log_interior_zero_names_what_vanished():
     assert abs(m.scalar_value(z0) - 1.5317) < 1e-12
 
 
-def test_star_log_names_a_winding_it_cannot_resolve():
-    # f = g^{*7}, the zero of g^s 0.02 outside the circle: f^s winds too
-    # fast there for the scan to follow, and the refusal says so instead
-    # of printing the count as None
+def _near_zero_power(k: int, gap: float, angle: float):
+    """f = g^{*k} on Domain(0.3+1.5j, 0.8), g = (z - x) + y i with the zero
+    x + y i of g^s at c + (0.8 + gap) e^{i angle}: f^s has a zero of order
+    k there, outside the disk when gap > 0; and g itself."""
     c, r = 0.3 + 1.5j, 0.8
-    x0 = c + (r + 0.02) * cmath.exp(1j)
-    dom = Domain(c, r)
-    f = polynomial([Quaternion(-x0.real, x0.imag, 0, 0), Quaternion.one()], dom).star_pow(7)
+    x0 = c + (r + gap) * cmath.exp(1j * angle)
+    g = polynomial([Quaternion(-x0.real, x0.imag, 0, 0), Quaternion.one()], Domain(c, r))
+    return g.star_pow(k), g
+
+
+def test_star_log_names_a_winding_it_cannot_resolve():
+    # the zero of g^s 1e-9 outside the circle: the argument of g^s turns
+    # by pi within a few 1e-9 of it, finer than the scan can halve to, and
+    # the refusal says so instead of printing the count as None
+    _, g = _near_zero_power(1, 1e-9, 1.0)
     with pytest.raises(HitsVLocus, match="f\\^s has an unresolved number of zero"):
-        star_log(f, LogBranch(0, 0, c))
+        star_log(g, LogBranch(0, 0, g.domain.center))
+
+
+@pytest.mark.parametrize("k, gap, angle", [(6, 0.02, 0.0), (7, 0.04, 2.5)])
+def test_a_zero_just_outside_is_refused_or_continued_without_a_jump(k, gap, angle):
+    # f^s has no zero in the disk, but one of order k just outside it.  A
+    # scan bounded like the walks resolves that, and admitted these two:
+    # (6, 0.02, 0) then jumped by a branch translation and (7, 0.04, 2.5)
+    # held to 1e-2.  Refusing is allowed; an admitted log f must be
+    # k log g up to one constant, on a fresh batch and pointwise
+    f, g = _near_zero_power(k, gap, angle)
+    c = g.domain.center
+    try:
+        logs = [star_log(f, LogBranch(0, 0, c)) for _ in range(2)]
+    except HitsVLocus:
+        return
+    rng = random.Random(5)
+    zs = [c + 0.8 * (1 - 0.06 * rng.random()) * cmath.exp(1j * (angle + rng.uniform(-0.6, 0.6)))
+          for _ in range(150)]
+    zs = [z if z.imag >= 0 else z.conjugate() for z in zs]
+    log_g = star_log(g, LogBranch(0, 0, c))
+    batch = [gz for gz, _ in logs[0].with_inputs_at(zs)]
+    for values in (batch, [logs[1].stem_at(z) for z in zs]):
+        diffs = [v - log_g.stem_at(z) * k for z, v in zip(zs, values)]
+        assert max((d - diffs[0]).norm() for d in diffs) < 1e-8
 
 
 def test_branch_differences_match_translation(rng):

@@ -22,8 +22,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import isfinite, sqrt
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -123,9 +124,10 @@ class _Rows:
     the row's floats.  ``text`` writes them all through one template:
     ``_json_text`` of the shape of the row (0.0, 1.0, ...), whose numbers
     name the slot each float fills, so the byte format keeps one definition.
-    A finite row is one ``%r`` format: the rows hold Python floats, whose
-    repr is ``float.__repr__``.  A row with a non-finite float writes each
-    float with ``_json_text``."""
+    A grid whose floats have a finite sum is one ``%r`` format of them
+    all: the rows hold Python floats, whose repr is ``float.__repr__``.
+    Otherwise each row is formatted apart, and a row with a non-finite
+    float writes each float with ``_json_text``."""
 
     __slots__ = ("shape", "rows")
 
@@ -146,13 +148,19 @@ class _Rows:
                 slots.append(int(float(m.group(1))))
                 end = m.end()
         pieces.append(example[end:].replace("%", "%%"))
-        template = "%s".join(pieces)
         fast = "%r".join(pieces)
         pick = itemgetter(*slots)
+        sep = ",\n" + inner
+        floats = tuple(chain.from_iterable(map(pick, self.rows)))
+        if isfinite(sum(floats)):
+            # the brackets are in the format too, so the text is built once
+            return ("[\n" + inner + sep.join([fast] * len(self.rows)) + "\n" + pad
+                    + "]") % floats
+        template = "%s".join(pieces)
         texts = [fast % pick(row) if isfinite(sum(row))
                  else template % tuple(map(_json_text, pick(row)))
                  for row in self.rows]
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+        return "[\n" + inner + sep.join(texts) + "\n" + pad + "]"
 
 
 def _pairs(flat) -> list:
@@ -235,10 +243,14 @@ def _sampled_branch(args, f: SliceFunction,
     each point, from one walk of the branch, and ``back`` maps g pointwise:
     the JSON samples, the residual max and mean, and the CSV rows when
     --csv asks for them.  Each sample is one ``_branch_sample`` row, in
-    the order the points were drawn."""
+    the order the points were drawn; its residual is summed as
+    ``CQuaternion.norm`` sums it."""
     pts = _function_samples(f, args.seed, args.samples)
-    rows = [(z.real, z.imag, *_cq_floats(gz), (back(gz) - fz).norm())
-            for z, (gz, fz) in zip(pts, pairs(pts))]
+    rows = [(z.real, z.imag, g0.real, g0.imag, g1.real, g1.imag, g2.real, g2.imag,
+             g3.real, g3.imag, sqrt(abs(b0 - f0) ** 2 + abs(b1 - f1) ** 2
+                                    + abs(b2 - f2) ** 2 + abs(b3 - f3) ** 2))
+            for z, (gz, (f0, f1, f2, f3)) in zip(pts, pairs(pts))
+            for (g0, g1, g2, g3), (b0, b1, b2, b3) in ((gz, back(gz)),)]
     residuals = [row[10] for row in rows]
     stats = {"max": max(residuals), "mean": sum(residuals) / len(residuals)}
     if args.fmt != "csv":

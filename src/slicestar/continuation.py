@@ -5,11 +5,13 @@ step: ``nearest_log``, the principal logarithm plus the 2 pi i k nearest
 the previous value, refused at a zero or when it moves by MAX_LOG_STEP
 or more.  A square root of f_v^s is carried as L = log f_v^s and read by
 ``log_sqrt``.  *-logarithms over a disk, lifted paths and the boundary
-circles of ``locus_scan`` are all walked by ``continue_along``: a ``step``
+circles of ``locus_scan`` are all walked the same way: a ``step``
 carries a value across one segment or refuses it by returning the error
 class that names why; a refused segment is halved, at most MAX_DEPTH
 times, and then that class is raised, so a genuine obstruction (a zero
 of the continued quantity) fails loudly instead of jumping branches.
+``continue_along`` and a grid query (in place) try the whole segment
+first and bisect only its refusal, so no segment is stepped twice.
 
 ``BranchContinuation`` walks straight segments, valid on the convex set
 where ``ContinuedFunction.from_branch`` queries it: the disk holding the
@@ -91,28 +93,24 @@ def root_log(w: complex, near: complex) -> complex:
 def continue_along(step: Stepper, midpoint: Callable, a, v, b):
     """Carry the value ``v`` at ``a`` to ``b``, halving refused segments at
     ``midpoint(a, b)``; raise the refusing class after MAX_DEPTH halvings."""
-
-    # most segments need no halving, so the whole one is tried before the
-    # recursion is built
     if b == a:
         return v
     out = step(a, v, b)
-    if not isinstance(out, type):
-        return out
+    return _bisect(step, midpoint, a, v, b, out) if isinstance(out, type) else out
 
-    def carry(a, v, b, depth: int):
-        if b == a:
-            return v
-        out = step(a, v, b)
-        return halve(a, v, b, out, depth) if isinstance(out, type) else out
 
-    def halve(a, v, b, refusal, depth: int):
-        if depth <= 0:
-            raise refusal(f"continuation from {a} to {b}: refinement depth exhausted")
-        m = midpoint(a, b)
-        return carry(m, carry(a, v, m, depth - 1), b, depth - 1)
-
-    return halve(a, v, b, out, MAX_DEPTH)
+def _bisect(step: Stepper, midpoint: Callable, a, v, b, refusal: type,
+            depth: int = MAX_DEPTH):
+    """Carry ``v`` at ``a`` to ``b`` once ``step`` has refused the whole
+    segment with ``refusal``: each half is stepped once and bisected in
+    turn when refused, so no segment is evaluated twice."""
+    if depth <= 0:
+        raise refusal(f"continuation from {a} to {b}: refinement depth exhausted")
+    m = midpoint(a, b)
+    for a, b in ((a, m), (m, b)):
+        out = v if b == a else step(a, v, b)
+        v = _bisect(step, midpoint, a, v, b, out, depth - 1) if isinstance(out, type) else out
+    return v
 
 
 def _halve(z0: complex, z1: complex) -> complex:
@@ -254,19 +252,24 @@ class BranchContinuation:
         the anchor."""
         hit = self._cells.get(key)
         if hit is not None:
-            return continue_along(self.stepper, _halve, hit[0], hit[1], z)
-        if start is None or z == self.anchor:
+            start = hit
+        elif start is None or z == self.anchor:
             # a list beside _cells: another thread may append while this one
             # scans, and iterating _cells.values() would then raise RuntimeError
             start = min(self._filled, key=lambda t: abs(t[0] - z))
-        v = continue_along(self.stepper, _halve, start[0], start[1], z)
-        entry = (z, v)
-        # threads that missed the same cell store values that are each exact
-        # at their own point; only the entry that lands in the grid becomes
-        # a start node
-        if self._cells.setdefault(key, entry) is entry:
-            self._filled.append(entry)
-        return v
+        # the whole segment is tried here; only its refusal is bisected
+        a, v = start
+        out = v if z == a else self.stepper(a, v, z)
+        if isinstance(out, type):
+            out = _bisect(self.stepper, _halve, a, v, z, out)
+        if hit is None:
+            entry = (z, out)
+            # threads that missed the same cell store values that are each
+            # exact at their own point; only the entry that lands in the
+            # grid becomes a start node
+            if self._cells.setdefault(key, entry) is entry:
+                self._filled.append(entry)
+        return out
 
     def at(self, z: complex):
         """The value at z; the first query in a cell starts from the nearest

@@ -100,25 +100,34 @@ def _member(obj, key: str, kind: type, what: str, nonempty: bool = False):
     return value
 
 
+def _members(obj: dict, keys: tuple, what: str) -> list:
+    """``[obj[key] for key in keys]``; a missing key raises a ValueError
+    that names ``what`` and shows ``obj`` and the key."""
+    try:
+        return [obj[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"{what} {obj!r}: {exc.args[0]!r} is missing") from None
+
+
 def lift_point_from_json(obj: dict) -> LiftPoint:
     if not isinstance(obj, dict):
         raise ValueError(f"lift point must be a JSON object, got {obj!r}")
-    return LiftPoint(_complex_from_json(obj["u0"]), _complex_from_json(obj["u1"]),
-                     _vector_from_json(obj["s"]))
+    u0, u1, s = _members(obj, ("u0", "u1", "s"), "lift point")
+    return LiftPoint(_complex_from_json(u0), _complex_from_json(u1), _vector_from_json(s))
 
 
 def path_from_json(obj: dict) -> SampledPath:
     samples = []
     append = samples.append
+    keys = ("t", "w0", "w1", "s")
     for s in _member(obj, "samples", list, "path"):
         if not isinstance(s, dict):
             raise ValueError(f"path sample must be a JSON object, got {s!r}")
-        t = s["t"]
+        t, w0, w1, vs = _members(s, keys, "path sample")
         if type(t) is not float:
             t = _float(t, 'path sample "t"')
-        append(_new(PathSample, (t, _complex_from_json(s["w0"]),
-                                 _complex_from_json(s["w1"]),
-                                 _vector_from_json(s["s"]))))
+        append(_new(PathSample, (t, _complex_from_json(w0), _complex_from_json(w1),
+                                 _vector_from_json(vs))))
     return SampledPath(tuple(samples))
 
 

@@ -567,10 +567,9 @@ class ContinuedFunction(SliceFunction):
             return read(z, at(z))[0]
 
         def with_inputs_at(zs) -> list:
-            lower = [z.imag < 0 for z in zs]
-            uppers = [z.conjugate() if low else z for z, low in zip(zs, lower)]
-            values = map(read, uppers, at_many(uppers))
-            return [tuple(map(bar, v)) if low else v for v, low in zip(values, lower)]
+            uppers = [z.conjugate() if z.imag < 0 else z for z in zs]
+            return [tuple(map(bar, read(u, state))) if z.imag < 0 else read(u, state)
+                    for z, u, state in zip(zs, uppers, at_many(uppers))]
 
         return cls(stem, with_inputs_at, domain, branch)
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .continuation import BranchContinuation, ZeroCount, locus_scan, log_sqrt, log_step
-from .covering import from_log_pair
 from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain, PathTooWild)
@@ -161,31 +160,32 @@ def continued_log(parts: Callable[[complex], tuple], anchor: complex,
     raises HitsVLocus: there u1/m cannot recover the vector part.
     """
 
-    # the state (L, m, la, lb, parts) keeps the parts of the last step
+    # the state (L, m, la, lb, parts) keeps the parts of the last step.  The
+    # stepper and the read run once per point: they index instead of
+    # star-unpacking and inline vec_norm2 and from_log_pair's arithmetic
     def stepper(z0: complex, v0: tuple, z1: complex):
         pz = parts(z1)
-        fz = pz[1]
-        w = fz.vec_norm2()
+        f0, f1, f2, f3 = pz[1]
+        w = f1 * f1 + f2 * f2 + f3 * f3
         big_l = log_step(w, v0[0])
         if big_l is None:
             return BranchObstruction
         m = log_sqrt(w, big_l)
-        alpha, beta = _fiber_pair(fz.z0, m, z1)
+        alpha, beta = _fiber_pair(f0, m, z1)
         la = log_step(alpha, v0[2])
         lb = None if la is None else log_step(beta, v0[3])
         return PathTooWild if lb is None else (big_l, m, la, lb, pz)
 
     def read(z: complex, state: tuple) -> tuple:
-        _, m, la, lb, (s, fz, *inputs) = state
+        m, la, lb, pz = state[1], state[2], state[3], state[4]
         if abs(m * m) <= TAU_CLASSIFY:
             raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
                              "the vector part of the logarithm is not recoverable")
-        u0, u1 = from_log_pair(la, lb)
-        if s is not None:
-            u0 += s
-        c = u1 / m
-        _, f1, f2, f3 = fz
-        return (_new(CQuaternion, (u0, c * f1, c * f2, c * f3)), *inputs)
+        s = pz[0]
+        u0 = (la + lb) / 2 if s is None else (la + lb) / 2 + s
+        c = (la - lb) / 2j / m
+        _, f1, f2, f3 = pz[1]
+        return (_new(CQuaternion, (u0, c * f1, c * f2, c * f3)),) + pz[2:]
 
     cont = BranchContinuation(anchor, seed, stepper, domain)
     return ContinuedFunction.from_branch(read, cont)

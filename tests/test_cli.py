@@ -240,6 +240,26 @@ def test_malformed_path_exits_2(tmp_path, capsys, case):
     _assert_one_line_config_error(code, capsys, message)
 
 
+@pytest.mark.parametrize("verb", ["lift", "monodromy"])
+@pytest.mark.parametrize("key", ["t", "w0", "w1", "s"])
+def test_path_sample_without_a_member_exits_2(tmp_path, capsys, verb, key):
+    sample = {k: v for k, v in SAMPLE_END.items() if k != key}
+    path = write(tmp_path, "path.json", {"samples": [SAMPLE, sample]})
+    code = main([verb, "--path", path])
+    _assert_one_line_config_error(code, capsys, f"path sample {sample!r}: {key!r} is missing")
+
+
+@pytest.mark.parametrize("verb", ["lift", "monodromy"])
+@pytest.mark.parametrize("key", ["u0", "u1", "s"])
+def test_lift_start_without_a_member_exits_2(tmp_path, capsys, verb, key):
+    path = write(tmp_path, "loop.json", _loop_json())
+    point = {"u0": [0.0, 0.0], "u1": [0.0, 0.0], "s": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    del point[key]
+    start = write(tmp_path, "start.json", point)
+    code = main([verb, "--path", path, "--start", start])
+    _assert_one_line_config_error(code, capsys, f"lift point {point!r}: {key!r} is missing")
+
+
 def test_log_verb_round_trip(tmp_path, capsys):
     fn = write(tmp_path, "f.json", FN_GENERIC)
     code, out = run(capsys, ["log", "--fn", fn, "--h1", "1", "--h2", "-1",
@@ -731,4 +751,19 @@ def test_row_template_matches_json_dumps(shape, width, data):
                "nested": {"deeper": cli._Rows(form, rows)}}
     expected = {"samples": [form(row) for row in rows], "n": 1.5,
                 "nested": {"deeper": [form(row) for row in rows]}}
+    assert cli._json_text(payload) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("shape, width", [("_branch_sample", 11), ("_condition_sample", 4),
+                                          ("_h_sample", 10), ("_lift_sample", 11)])
+def test_row_template_matches_json_dumps_when_a_sum_overflows(shape, width):
+    # every float is finite, but the sum of the grid overflows (the first two
+    # rows), and so does the sum of one row (the third): each row is then
+    # formatted apart, the third through _json_text
+    from slicestar import cli
+    form = getattr(cli, shape)
+    rows = [(1.7e308,) + (0.5,) * (width - 1), (-0.25,) * (width - 1) + (1.7e308,),
+            (1.7e308, 1.7e308) + (-0.0,) * (width - 2), (5e-324,) * width]
+    payload = {"samples": cli._Rows(form, rows)}
+    expected = {"samples": [form(row) for row in rows]}
     assert cli._json_text(payload) == json.dumps(expected, indent=2, sort_keys=True)

@@ -855,17 +855,42 @@ def _fast_log_bits(dom: Domain) -> list:
     one point at a time at 16 points near the circle, far from the anchor.
     log alpha turns at rate 4, so each walk from the anchor is halved
     several times, down to steps near MAX_LOG_STEP."""
-    f = star_exp(polynomial([Quaternion(0, 0, 0, 0), Quaternion(4, 0, 0, 0)], dom)) * 2.0 \
+    g = star_log(_fast_f(dom), _branch(dom))
+    return [list(stem_bits(g.stem_at(z))) for z in _fast_points(dom)]
+
+
+def _fast_f(dom: Domain) -> SliceFunction:
+    """f = 2 e^{4z} + 0.05 i: log alpha turns at rate 4."""
+    return star_exp(polynomial([Quaternion(0, 0, 0, 0), Quaternion(4, 0, 0, 0)], dom)) * 2.0 \
         + constant(Quaternion(0, 0.05, 0, 0), dom)
-    g = star_log(f, _branch(dom))
-    pts = [dom.center + 0.95 * dom.radius * cmath.exp(1j * (0.2 + 0.39 * k))
-           for k in range(16)]
-    return [list(stem_bits(g.stem_at(z))) for z in pts]
+
+
+def _fast_points(dom: Domain) -> list:
+    """16 points near the circle, far from the anchor."""
+    return [dom.center + 0.95 * dom.radius * cmath.exp(1j * (0.2 + 0.39 * k))
+            for k in range(16)]
 
 
 @pytest.mark.parametrize("name, dom", [("real", DOM), ("off", DOM_OFF)])
 def test_fast_log_far_from_the_anchor_keeps_its_bits(name, dom):
     assert _fast_log_bits(dom) == json.loads(FAST_LOG_BITS.read_text())[name]
+
+
+@pytest.mark.parametrize("name, dom, scan, walk", [("real", DOM, 75, 44),
+                                                   ("off", DOM_OFF, 65, 46)])
+def test_halved_batch_walk_steps_each_segment_once(name, dom, scan, walk):
+    # the 16 points as one batch walk, each from the previous one: most of
+    # its segments are refused and halved.  The counts were recorded when a
+    # refused segment's halves were each stepped once; a walk that steps a
+    # refused segment again before halving it calls the stem more often
+    f, calls = _counted(_fast_f(dom))
+    g = star_log(f, _branch(dom))
+    assert calls[0] == scan
+    calls[0] = 0
+    values = g.with_inputs_at(_fast_points(dom))
+    assert calls[0] == walk
+    # and every value keeps the bits of the pointwise queries
+    assert [list(stem_bits(v[0])) for v in values] == json.loads(FAST_LOG_BITS.read_text())[name]
 
 
 def _hex(c: complex) -> tuple[str, str]:

@@ -237,6 +237,13 @@ def even_trig(w: complex) -> EvenTrigPair:
     return _new(EvenTrigPair, (cmath.cos(r), cmath.sin(r) / r))
 
 
+def require_order(what: str, n: int) -> None:
+    """ValueError unless n is a positive int; a bool or a float that
+    happens to be whole is not one."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+
+
 def cq_pow(z: CQuaternion, n: int) -> CQuaternion:
     """n-th power of z in C (x) H, via the two-term polynomial recurrence.
 
@@ -244,8 +251,7 @@ def cq_pow(z: CQuaternion, n: int) -> CQuaternion:
     recurrence p0' = z0*p0 - n(z)*p1, p1' = p0 + z0*p1 follows from
     z^{m+1} = z * z^m and is numerically stable.
     """
-    if n < 1:
-        raise ValueError(f"power must be a positive integer, got {n}")
+    require_order("power", n)
     x, z1, z2, z3 = z
     w = z1 * z1 + z2 * z2 + z3 * z3
     p0, p1 = 1 + 0j, 0j

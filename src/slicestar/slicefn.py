@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .continuation import locus_scan
-from .cquaternion import CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge
+from .cquaternion import CQuaternion, cq_dot, cq_exp, cq_mul, cq_wedge, require_order
 from .errors import (DegenerateUnits, DomainMismatch, JNotDefined,
                      NearBoundary, NonIsolatedZero, OutOfDomain, RealAxis,
                      VanishingVectorPart)
@@ -267,8 +267,7 @@ class SliceFunction:
     def star_pow(self, n: int) -> "SliceFunction":
         """f * ... * f (n factors), from one evaluation of f per point, with
         the node of the n - 1 nested *-products."""
-        if n < 1:
-            raise ValueError("star power needs n >= 1")
+        require_order("star power", n)
         power = self
         for _ in range(n - 1):
             power = power.star(self)

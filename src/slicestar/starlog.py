@@ -27,7 +27,13 @@ differ by the translation
     g  ->  g + [(h1+h2) * (q_v/|q_v|) + (h1-h2) * g_v/sqrt(g_v^s)] * pi,
 
 and the n-th *-root is exp_*(log_*(f)/n); branches congruent mod n give
-the same root.
+the same root.  exp_*(G/n) lies over the fiber pair (e^{la/n}, e^{lb/n}),
+so ``star_root`` reads
+
+    R = (e^{la/n} + e^{lb/n})/2 + (e^{la/n} - e^{lb/n})/(2i m) * vec F
+
+from the log's walk state by the map that reads G from (la, lb): two
+scalar exponentials per point, no G and no exponential of the algebra.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .continuation import BranchContinuation, ZeroCount, locus_scan, log_sqrt, log_step
-from .cquaternion import TAU_CLASSIFY, CQuaternion, cq_exp
+from .cquaternion import TAU_CLASSIFY, CQuaternion, require_order
 from .errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus, JNotDefined,
                      OutOfDomain, PathTooWild)
 from .quaternion import _new
@@ -144,6 +150,22 @@ def _fiber_pair(f0: complex, m: complex, z: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
+def _pair_read(z: complex, m: complex, a: complex, b: complex, pz: tuple) -> tuple:
+    """(s + (a + b)/2 + (a - b)/(2i m) * vec F, *inputs) for the parts
+    pz = (s, F, *inputs) at z, s = None adding nothing: the map that reads
+    a *-logarithm from (a, b) = (la, lb) and a *-root from (e^{la/n},
+    e^{lb/n}).  HitsVLocus where |m^2| = |F_v^s| <= TAU_CLASSIFY: there
+    the vector part is not recoverable."""
+    if abs(m * m) <= TAU_CLASSIFY:
+        raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
+                         "the vector part of the logarithm is not recoverable")
+    s = pz[0]
+    u0 = (a + b) / 2 if s is None else (a + b) / 2 + s
+    c = (a - b) / 2j / m
+    _, f1, f2, f3 = pz[1]
+    return (_new(CQuaternion, (u0, c * f1, c * f2, c * f3)),) + pz[2:]
+
+
 def continued_log(parts: Callable[[complex], tuple], anchor: complex,
                   seed: tuple, domain: Domain) -> ContinuedFunction:
     """The *-logarithm continued from ``seed`` = (L, m, la, lb,
@@ -177,15 +199,7 @@ def continued_log(parts: Callable[[complex], tuple], anchor: complex,
         return PathTooWild if lb is None else (big_l, m, la, lb, pz)
 
     def read(z: complex, state: tuple) -> tuple:
-        m, la, lb, pz = state[1], state[2], state[3], state[4]
-        if abs(m * m) <= TAU_CLASSIFY:
-            raise HitsVLocus(f"|F_v^s| = {abs(m * m):.3e} at z = {z}; "
-                             "the vector part of the logarithm is not recoverable")
-        s = pz[0]
-        u0 = (la + lb) / 2 if s is None else (la + lb) / 2 + s
-        c = (la - lb) / 2j / m
-        _, f1, f2, f3 = pz[1]
-        return (_new(CQuaternion, (u0, c * f1, c * f2, c * f3)),) + pz[2:]
+        return _pair_read(z, state[1], state[2], state[3], state[4])
 
     cont = BranchContinuation(anchor, seed, stepper, domain)
     return ContinuedFunction.from_branch(read, cont)
@@ -277,13 +291,16 @@ def star_root(f: SliceFunction, n: int, branch: LogBranch) -> ContinuedFunction:
     """n-th *-root exp_*(log_*(f)/n); its n-th *-power gives back f, and
     its ``with_inputs_at(zs)`` is (R(z), F(z)) from the log's one walk.
 
-    Branch indices congruent mod n (componentwise) give the same root.
+    exp_*(G/n) lies over the fiber pair (e^{la/n}, e^{lb/n}) of the log's
+    walk state, so R = (e^{la/n} + e^{lb/n})/2 + (e^{la/n} - e^{lb/n})/(2i m)
+    * vec F is read from it as the log is read from (la, lb).  Branch
+    indices congruent mod n (componentwise) give the same root.  An order
+    that is not a positive int (or is a bool) raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"root order must be a positive integer, got {n}")
-    log = star_log(f, branch)
-    stem, scale = log._stem, 1 / n
-    return ContinuedFunction(
-        lambda z: cq_exp(stem(z) * scale),
-        lambda zs: [(cq_exp(g * scale), fz) for g, fz in log.with_inputs_at(zs)],
-        f.domain, log.branch)
+    require_order("root order", n)
+    exp = cmath.exp
+
+    def read(z: complex, state: tuple) -> tuple:
+        return _pair_read(z, state[1], exp(state[2] / n), exp(state[3] / n), state[4])
+
+    return ContinuedFunction.from_branch(read, star_log(f, branch).branch)

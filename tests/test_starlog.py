@@ -6,6 +6,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, event, given
@@ -20,6 +21,7 @@ from slicestar import (Domain, I_UNIT, LogBranch, Quaternion, SliceFunction,
                        stem_symmetry_defect, unit_vector_part)
 from slicestar.continuation import (GRID, BranchContinuation, ZeroCount, hilbert_index,
                                     locus_scan)
+from slicestar.cquaternion import TAU_CLASSIFY, cq_pow
 from slicestar.errors import (BranchIndexTooLarge, BranchObstruction, HitsVLocus,
                               JNotDefined, OutOfDomain)
 from slicestar.slicefn import ContinuedFunction
@@ -381,6 +383,78 @@ def test_star_root_branch_lattice(rng):
     assert max((a.stem_at(z) - c.stem_at(z)).norm() for z in pts) > 1e-3
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("build", ["star_root", "star_pow", "cq_pow"])
+def test_orders_must_be_positive_ints(rng, build, n):
+    # a float or a bool order is refused as n < 1 is, not read as exp_*(log/n)
+    # (star_root) or passed on to range() (star_pow, cq_pow)
+    f = generic_poly(rng, DOM, deg=1)
+    calls = {"star_root": lambda: star_root(f, n, LogBranch(0, 0, 0.1 + 0j)),
+             "star_pow": lambda: f.star_pow(n),
+             "cq_pow": lambda: cq_pow(f.stem_at(0.3 + 0.2j), n)}
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        calls[build]()
+
+
+def _power_residual(r, fz, n: int) -> float:
+    """|R^n - F| / max(1, |F|), with R^n summed in mpmath at 50 digits by
+    the recurrence of ``cq_pow``."""
+    with mpmath.workdps(50):
+        x, v1, v2, v3 = map(mpmath.mpc, r)
+        w = v1 * v1 + v2 * v2 + v3 * v3
+        p0, p1 = mpmath.mpc(1), mpmath.mpc(0)
+        for _ in range(n):
+            p0, p1 = x * p0 - w * p1, p0 + x * p1
+        want = list(map(mpmath.mpc, fz))
+        err = mpmath.norm([b - c for b, c in zip((p0, p1 * v1, p1 * v2, p1 * v3), want)])
+        return float(err / max(1, mpmath.norm(want)))
+
+
+# Measured over the examples below (480 points): R and the reference agree
+# within 3.5e-15 |R| for |h| <= 3 and 9.3e-10 |R| at |h| = 10^6, whose log
+# carries |Im la| ~ 2 pi 10^6 at 2.2e-16 relative, under the bound
+# 1e-14 + 2 pi |h| 1e-15; the largest power-back residual is 1.1e-9.
+@given(seed=st.integers(0, 2 ** 32 - 1), two_sided=st.booleans(),
+       n=st.sampled_from([2, 3, 5]), h=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       top=st.booleans(), margin=st.one_of(st.none(), st.floats(0.5, 4.0)))
+def test_root_read_from_the_fiber_pair_is_accurate(seed, two_sided, n, h, top, margin):
+    # R read from (e^{la/n}, e^{lb/n}) against the reference exp_*(log/n),
+    # cq_exp(G * (1/n)), and against f by R^n at 50 digits.  ``margin``
+    # shrinks the vector part so that min |f_v^s| on the circle is
+    # 10^margin * TAU_CLASSIFY, the refusal margin, and moves the scalar
+    # part 2 away from 0, so f^s = f0^2 + f_v^s stays clear of 0
+    dom = DOM_OFF if two_sided else DOM
+    rng = np.random.default_rng(seed)
+    f = generic_poly(rng, dom, deg=2)
+    if margin is not None:
+        scan = locus_scan(lambda z: (f.stem_at(z).vec_norm2(),), dom.center, dom.radius)
+        shrink = math.sqrt(10 ** margin * TAU_CLASSIFY / scan[0].min_abs)
+        shift = constant(Quaternion(math.copysign(2.0, f.stem_at(dom.center).z0.real), 0, 0, 0),
+                         dom)
+        f = f.scalar_part() + shift + f.vector_part().scale(shrink)
+    h1, h2 = (MAX_BRANCH_INDEX, -MAX_BRANCH_INDEX) if top else h
+    branch = LogBranch(h1, -h1 if dom.real_intersecting else h2, dom.center)
+    root, log = star_root(f, n, branch), star_log(f, branch)
+    event(f"margin: {margin is not None}, top: {top}")
+    # the circle point just inside the boundary where |f_v^s| is least, its
+    # conjugate and six points at random
+    ring = [dom.center + 0.999 * dom.radius * cmath.exp(2j * math.pi * k / 256)
+            for k in range(256)]
+    low = min(ring, key=lambda z: abs(f.stem_at(z).vec_norm2()))
+    bound = 1e-14 + 1e-15 * 2 * math.pi * max(abs(h1), abs(h2))
+    for z in dom.sample_points(rng, 6) + [low, low.conjugate()]:
+        try:
+            r = root.stem_at(z)
+        except HitsVLocus:
+            # one guard serves both reads
+            with pytest.raises(HitsVLocus):
+                log.stem_at(z)
+            continue
+        want = cq_exp(log.stem_at(z) * (1 / n))
+        assert (r - want).norm() <= bound * max(1.0, r.norm())
+        assert _power_residual(r, f.stem_at(z), n) < 1e-8
+
+
 # -- one continuation per branch ---------------------------------------------
 
 
@@ -674,6 +748,54 @@ def test_batch_walks_and_single_queries_share_one_branch_across_threads(rng, dom
         assert [seen[k] for k in range(len(pts))] == single
     cont = continuation_of(g)
     assert len(cont._filled) == len(cont._cells) + 1
+
+
+@pytest.mark.parametrize("dom", [DOM, DOM_OFF], ids=["real", "off"])
+def test_log_and_root_fill_safely_across_threads(rng, dom):
+    # six threads query overlapping windows of fresh points on one star_log
+    # and one star_root build, the even ones point by point and the odd ones
+    # in batches, switching as often as the interpreter allows: every value
+    # is a fresh single-threaded build's, and each filled cell one node
+    f = generic_poly(rng, dom, deg=2)
+    pts = dom.sample_points(rng, 240)
+    builds = (lambda: star_log(f, _branch(dom)), lambda: star_root(f, 3, _branch(dom)))
+    single = [[stem_bits(v) for v in map(build().stem_at, pts)] for build in builds]
+    threads_n = 6
+    window = 2 * len(pts) // threads_n
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(FILL_BUILDS):
+            shared = [build() for build in builds]
+            got: list[dict] = [{} for _ in range(threads_n)]
+            start = threading.Barrier(threads_n, timeout=60)
+
+            def query(i: int):
+                ks = [(i * window // 2 + j) % len(pts) for j in range(window)]
+                random.Random(rnd * threads_n + i).shuffle(ks)
+                start.wait()
+                for c in range(0, window, 10):
+                    chunk = ks[c:c + 10]
+                    for b, g in enumerate(shared):
+                        if i % 2:
+                            values = [v[0] for v in g.with_inputs_at([pts[k] for k in chunk])]
+                        else:
+                            values = [g.stem_at(pts[k]) for k in chunk]
+                        got[i].update(((b, k), stem_bits(v)) for k, v in zip(chunk, values))
+
+            threads = [threading.Thread(target=query, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sum(map(len, got)) == threads_n * window * len(builds)
+            assert all(bits == single[b][k] for seen in got for (b, k), bits in seen.items())
+            for g in shared:
+                cont = continuation_of(g)
+                assert len(cont._filled) == len(cont._cells) + 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _mirrored_scalar(cont):

@@ -223,7 +223,7 @@ def bch_combine(f: SliceFunction, g: SliceFunction, *,
         raise HitsVLocus(f"Q_v^s = 0 at the anchor {anchor}: no vector part of h")
     big_l = root_log(w, cmath.sin(theta))
     return continued_log(parts, anchor,
-                         (big_l, log_sqrt(w, big_l), 1j * theta, -1j * theta, pa), dom)
+                         (big_l, log_sqrt(w, big_l), 1j * theta, -1j * theta, pa), (0, 0), dom)
 
 
 # -- derivative of the *-exponential -----------------------------------------

@@ -5,18 +5,21 @@ sum f^{*n}/n!.  When F avoids the loci V_-1 and V_inf (equivalently
 f^s != 0 != f_v^s), the exponential of the algebra is a covering map with
 Z^2 monodromy, so f has a two-parameter family of *-logarithms indexed by
 (h1, h2): writing the fiber coordinates alpha = F0 + i m and
-beta = F0 - i m with m a continuous branch of sqrt(f_v^s), the branch
-(h1, h2) continues log(alpha) + 2 pi i h1 and log(beta) + 2 pi i h2 from
-the anchor and induces
+beta = F0 - i m with m a continuous branch of sqrt(f_v^s), continue
+la = log(alpha) and lb = log(beta) from their principal values at the
+anchor (the (0, 0) lift); the branch (h1, h2) is its deck translation
+(la, lb) -> (la + 2 pi i h1, lb + 2 pi i h2), applied at the read, and
+induces
 
     G = u0 + (u1/m) * vec F,   u0 = (la + lb)/2,  u1 = (la - lb)/(2i).
 
 This is the lift of z -> F(z) through the covering exponential:
 ``continued_log`` carries L = log f_v^s, m = +-sqrt(f_v^s) read off L,
-and la, lb over one grid per branch, each step by
-``continuation.log_step``, so every value is exact at its own point.
-``star_log`` seeds it with the (h1, h2) branch; ``bch.bch_combine`` runs
-it on the product of the exponentials of two vector parts.
+and la, lb over one grid, each step by ``continuation.log_step``, so
+every value is exact at its own point and the walk depends on f and the
+anchor alone, never on (h1, h2).  ``star_log`` seeds it with the (0, 0)
+lift and reads the (h1, h2) translation; ``bch.bch_combine`` runs it on
+the product of the exponentials of two vector parts.
 
 On a domain meeting R the anchor is real, forcing h2 = -h1 (one-parameter
 family, real values on R).  On every domain the lift is built where
@@ -26,14 +29,17 @@ differ by the translation
 
     g  ->  g + [(h1+h2) * (q_v/|q_v|) + (h1-h2) * g_v/sqrt(g_v^s)] * pi,
 
-and the n-th *-root is exp_*(log_*(f)/n); branches congruent mod n give
-the same root.  exp_*(G/n) lies over the fiber pair (e^{la/n}, e^{lb/n}),
-so ``star_root`` reads
+and the n-th *-root is exp_*(log_*(f)/n).  exp_*(G/n) lies over the
+fiber pair (e^{la/n}, e^{lb/n}) of the translated pair, so ``star_root``
+reads
 
     R = (e^{la/n} + e^{lb/n})/2 + (e^{la/n} - e^{lb/n})/(2i m) * vec F
 
-from the log's walk state by the map that reads G from (la, lb): two
-scalar exponentials per point, no G and no exponential of the algebra.
+from the (0, 0) walk state, translated by 2 pi i (h1 mod n) and
+2 pi i (h2 mod n), by the map that reads G from (la, lb): two scalar
+exponentials per point, no G and no exponential of the algebra.
+Branches congruent mod n give the same root bit for bit, and its
+accuracy does not depend on |h1|, |h2|.
 """
 
 from __future__ import annotations
@@ -54,7 +60,9 @@ from .slicefn import ContinuedFunction, Domain, SliceFunction, derive
 #: principal logarithm costs about |h| ulps of it: the round trip
 #: exp_*(log_*(f)) = f measured 2.4e-11 at |h| = 1e4, 3.3e-9 at 1e6 and
 #: 2.7e-8 at 1e7, so this bound keeps every accepted branch within the
-#: suites' 1e-8 with a margin of three.
+#: suites' 1e-8 with a margin of three.  The accuracy reason holds for
+#: logs only: a root reads h mod n, so no root loses digits to |h|; roots
+#: keep the refusal so that one rule governs every LogBranch.
 MAX_BRANCH_INDEX = 10 ** 6
 
 
@@ -68,7 +76,12 @@ class LogBranch:
 
 
 def _require_index(what: str, h1: int, h2: int) -> None:
-    """BranchIndexTooLarge when |h1| or |h2| exceeds MAX_BRANCH_INDEX."""
+    """ValueError unless h1 and h2 are ints (a bool or a float that happens
+    to be whole is not one); BranchIndexTooLarge when |h1| or |h2| exceeds
+    MAX_BRANCH_INDEX."""
+    for h in (h1, h2):
+        if not isinstance(h, int) or isinstance(h, bool):
+            raise ValueError(f"{what} must be a pair of integers, got ({h1!r}, {h2!r})")
     if max(abs(h1), abs(h2)) > MAX_BRANCH_INDEX:
         raise BranchIndexTooLarge(
             f"{what} ({h1}, {h2}) exceeds {MAX_BRANCH_INDEX} in "
@@ -167,19 +180,22 @@ def _pair_read(z: complex, m: complex, a: complex, b: complex, pz: tuple) -> tup
 
 
 def continued_log(parts: Callable[[complex], tuple], anchor: complex,
-                  seed: tuple, domain: Domain) -> ContinuedFunction:
+                  seed: tuple, turns: tuple[int, int], domain: Domain) -> ContinuedFunction:
     """The *-logarithm continued from ``seed`` = (L, m, la, lb,
     parts(anchor)): a logarithm L of F_v^s and its root m =
-    ``log_sqrt(F_v^s, L)``, and logarithms of alpha and beta, at the anchor.
+    ``log_sqrt(F_v^s, L)``, and logarithms of alpha and beta, at the anchor,
+    read on the branch ``turns`` = (h1, h2): the walk's lift translated by
+    h1 turns of la and h2 turns of lb.
 
     ``parts(z)`` is (s, F, *inputs): the walk continues the logarithm G of
     F, and ``with_inputs_at(zs)`` of the result is the list of
     (s + G(z), *inputs(z)); s = None adds nothing.  Each step evaluates
     ``parts`` once, continues L by ``log_step`` (BranchObstruction when it
     refuses), reads m from it, continues la and lb by ``log_step``
-    (PathTooWild), and keeps the parts for the read
-    G = u0 + (u1/m) * vec F.  A read where |m^2| = |F_v^s| <= TAU_CLASSIFY
-    raises HitsVLocus: there u1/m cannot recover the vector part.
+    (PathTooWild), and keeps the parts for the read: G = u0 + (u1/m) * vec F
+    from (la + 2 pi i h1, lb + 2 pi i h2).  A read where |m^2| = |F_v^s| <=
+    TAU_CLASSIFY raises HitsVLocus: there u1/m cannot recover the vector
+    part.
     """
 
     # the state (L, m, la, lb, parts) keeps the parts of the last step.  The
@@ -198,8 +214,10 @@ def continued_log(parts: Callable[[complex], tuple], anchor: complex,
         lb = None if la is None else log_step(beta, v0[3])
         return PathTooWild if lb is None else (big_l, m, la, lb, pz)
 
+    t1, t2 = (2j * math.pi * h for h in turns)
+
     def read(z: complex, state: tuple) -> tuple:
-        return _pair_read(z, state[1], state[2], state[3], state[4])
+        return _pair_read(z, state[1], state[2] + t1, state[3] + t2, state[4])
 
     cont = BranchContinuation(anchor, seed, stepper, domain)
     return ContinuedFunction.from_branch(read, cont)
@@ -207,14 +225,18 @@ def continued_log(parts: Callable[[complex], tuple], anchor: complex,
 
 def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
     """The (h1, h2) branch of the *-logarithm: exp_*(result) = f; its
-    ``with_inputs_at(zs)`` is the list of (G(z), F(z)) from one walk of
-    the branch.
+    ``with_inputs_at(zs)`` is the list of (G(z), F(z)) from one walk.
+
+    The walk continues the (0, 0) lift from the anchor, so every branch of
+    one f and anchor walks the same states; the read adds 2 pi i h1 and
+    2 pi i h2 to la and lb.
 
     Preconditions: the stem avoids V_-1 and V_inf on the whole domain
     (f^s and f_v^s have no zeros, counted exactly on the boundary circle
     by ``locus_scan``), and on domains meeting R only h2 = -h1 is
-    admissible.  Indices beyond MAX_BRANCH_INDEX are refused: floats cannot
-    keep those branches accurate.
+    admissible.  Indices that are not ints (or are bools) raise ValueError;
+    indices beyond MAX_BRANCH_INDEX are refused: floats cannot keep those
+    branches accurate.
     """
     dom = f.domain
     anchor = _anchor(dom, branch.basepoint)
@@ -248,9 +270,8 @@ def star_log(f: SliceFunction, branch: LogBranch) -> ContinuedFunction:
     w = fa.vec_norm2()
     m0 = cmath.sqrt(w)
     a0, b0 = _fiber_pair(fa.z0, m0, anchor)
-    seed = (cmath.log(w), m0, cmath.log(a0) + 2j * math.pi * branch.h1,
-            cmath.log(b0) + 2j * math.pi * branch.h2, (None, fa, fa))
-    return continued_log(parts, anchor, seed, dom)
+    seed = cmath.log(w), m0, cmath.log(a0), cmath.log(b0), (None, fa, fa)
+    return continued_log(parts, anchor, seed, (branch.h1, branch.h2), dom)
 
 
 def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
@@ -260,9 +281,11 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
 
     exp_* of the result equals exp_*(g).  On domains meeting R the
     unit-vector function does not exist, so h1 + h2 must vanish there;
-    the square-root branch is anchored at the domain center.  Shifts
-    beyond MAX_BRANCH_INDEX are refused, as ``star_log`` refuses them.
+    the square-root branch is anchored at the domain center.  Shifts that
+    are not ints, or lie beyond MAX_BRANCH_INDEX, are refused, as
+    ``star_log`` refuses them.
     """
+    _require_index("translation", h1, h2)
     dom = g.domain
     if h1 == 0 and h2 == 0:
         return g
@@ -270,7 +293,6 @@ def log_translate(g: SliceFunction, h1: int, h2: int) -> SliceFunction:
     t2 = (h1 - h2) * math.pi
     if dom.real_intersecting and t1 != 0.0:
         raise JNotDefined("on a domain meeting R only translations with h2 = -h1 exist")
-    _require_index("translation", h1, h2)
     mg = sqrt_vsym(g, dom.center, +1)
     mg_scalar = mg.scalar_value
     stem = g._stem
@@ -291,16 +313,21 @@ def star_root(f: SliceFunction, n: int, branch: LogBranch) -> ContinuedFunction:
     """n-th *-root exp_*(log_*(f)/n); its n-th *-power gives back f, and
     its ``with_inputs_at(zs)`` is (R(z), F(z)) from the log's one walk.
 
-    exp_*(G/n) lies over the fiber pair (e^{la/n}, e^{lb/n}) of the log's
-    walk state, so R = (e^{la/n} + e^{lb/n})/2 + (e^{la/n} - e^{lb/n})/(2i m)
-    * vec F is read from it as the log is read from (la, lb).  Branch
-    indices congruent mod n (componentwise) give the same root.  An order
-    that is not a positive int (or is a bool) raises ValueError.
+    exp_*(G/n) lies over the fiber pair (e^{la/n}, e^{lb/n}) of the
+    translated pair, so R = (e^{la/n} + e^{lb/n})/2 + (e^{la/n} -
+    e^{lb/n})/(2i m) * vec F is read as the log is read from (la, lb), from
+    the (0, 0) walk state translated by 2 pi i (h1 mod n) and
+    2 pi i (h2 mod n).  Branch indices congruent mod n (componentwise) give
+    the same root bit for bit.  An order that is not a positive int (or is
+    a bool) raises ValueError.
     """
     require_order("root order", n)
+    walk = star_log(f, branch).branch
     exp = cmath.exp
+    t1, t2 = (2j * math.pi * (h % n) for h in (branch.h1, branch.h2))
 
     def read(z: complex, state: tuple) -> tuple:
-        return _pair_read(z, state[1], exp(state[2] / n), exp(state[3] / n), state[4])
+        return _pair_read(z, state[1], exp((state[2] + t1) / n),
+                          exp((state[3] + t2) / n), state[4])
 
-    return ContinuedFunction.from_branch(read, star_log(f, branch).branch)
+    return ContinuedFunction.from_branch(read, walk)
